@@ -7,7 +7,7 @@ groups (Sylow counting plus deterministic basis extraction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from sympy import factorint
 
@@ -170,13 +170,20 @@ class QuotientPresentation:
                 out.append([self.Uinv[i][j] % self.orders[i] for i in range(len(self.orders))])
         return out
 
-    def element_order(self, exponents) -> int:
-        c = self.coords(exponents)
-        o = 1
-        for ci, ni in zip(c, self.invariants):
-            d = ni // gcd(ci, ni)
-            o = o * d // gcd(o, d)
-        return o
+
+def padic_val(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def coords_order(coords, invariants) -> int:
+    """Order of the element with the given coordinates in the product of
+    cyclic groups Z/n_1 x Z/n_2 x ..."""
+    return lcm(*(n // gcd(c, n) for c, n in zip(coords, invariants)))
 
 
 def _pow(x, k: int, op, identity):
@@ -303,6 +310,3 @@ class AbelianGroupStructure:
         return {"invariants": list(self.invariants),
                 "order": self.order,
                 "generators": [str(g) for g in self.generators]}
-
-    def p_rank(self, p: int) -> int:
-        return sum(1 for n in self.invariants if n % p == 0)

@@ -195,11 +195,9 @@ class FormClassGroup:
                 "reduced_forms": [str(f) for f in self.forms]}
 
 
-def class_group(disc: int) -> FormClassGroup:
-    forms = reduced_forms(disc)
-    op = lambda f, g: (f * g).reduced()
-    basis, orders, dlog = abelian_structure(forms, op, principal_form(disc))
-    pres = QuotientPresentation.from_relations(orders, [])
+def _structure(disc: int, basis, pres: QuotientPresentation) -> AbelianGroupStructure:
+    """Smith-chain structure of a quotient of the class group, each new
+    generator expanded as a reduced form from its word in the basis."""
     gens = []
     for word in pres.generator_words():
         g = principal_form(disc)
@@ -207,8 +205,15 @@ def class_group(disc: int) -> FormClassGroup:
             for _ in range(e):
                 g = (g * base).reduced()
         gens.append(g)
-    structure = AbelianGroupStructure(pres.invariants, tuple(gens))
-    return FormClassGroup(disc, tuple(forms), structure,
+    return AbelianGroupStructure(pres.invariants, tuple(gens))
+
+
+def class_group(disc: int) -> FormClassGroup:
+    forms = reduced_forms(disc)
+    op = lambda f, g: (f * g).reduced()
+    basis, orders, dlog = abelian_structure(forms, op, principal_form(disc))
+    pres = QuotientPresentation.from_relations(orders, [])
+    return FormClassGroup(disc, tuple(forms), _structure(disc, basis, pres),
                           tuple(basis), tuple(orders), dlog, pres)
 
 
@@ -246,15 +251,7 @@ def s_class_group(disc: int, primes) -> SClassGroup:
         if pf is not None:
             rels.append(list(G.dlog(pf)))
     pres = QuotientPresentation.from_relations(list(G._orders), rels)
-    gens = []
-    for word in pres.generator_words():
-        g = principal_form(disc)
-        for base, e in zip(G._basis, word):
-            for _ in range(e):
-                g = (g * base).reduced()
-        gens.append(g)
-    return SClassGroup(disc, tuple(sorted(set(primes))),
-                       AbelianGroupStructure(pres.invariants, tuple(gens)))
+    return SClassGroup(disc, tuple(sorted(set(primes))), _structure(disc, G._basis, pres))
 
 
 def p_rank(structure, p: int) -> int:

@@ -25,8 +25,7 @@ from .finitefield import FieldError, finite_field
 from .lvaluation import (ResidueEmbedding, compute_N1, distinctness_check,
                          euler_product_L, evaluate_imprimitive_L)
 from .okring import OkError, field, parse_element
-from .rayclass import (CharacterSpec, RayClassGroup, anticyclotomic_tower,
-                       unit_group_structure)
+from .rayclass import CharacterSpec, anticyclotomic_tower, ray_class_group
 
 MAX_TOWER_DEPTH = 4
 MAX_MODULUS_NORM = 10 ** 6
@@ -101,11 +100,10 @@ def _cmd_table2(args) -> None:
 
 def _cmd_rayclass(args) -> None:
     m = _parse_modulus(args.d, args.modulus)
-    g = RayClassGroup(m)
-    ustruct = unit_group_structure(m)
+    g = ray_class_group(m)
     config = {"command": "rayclass", "d": args.d, "modulus": str(g.modulus)}
     rec = g.to_dict()
-    rec["unit_group_invariants"] = list(ustruct.invariants)
+    rec["unit_group_invariants"] = list(g.units.structure.invariants)
     rec["generators"] = [str(x) for x in g.structure.generators]
     _emit(config, [rec], ["modulus", "invariants", "order",
                           "unit_group_invariants", "generators"], args)
@@ -165,7 +163,7 @@ def _cmd_lseries(args) -> None:
         raise ConfigError("s must exceed 1")
     tag = field(args.d)
     m = _parse_modulus(args.d, args.modulus)
-    g = RayClassGroup(m)
+    g = ray_class_group(m)
     exps = tuple(int(x) for x in args.char.split(",")) if args.char else \
         (0,) * len(g.presentation.invariants)
     chi = CharacterSpec(exps, 1)

@@ -17,7 +17,7 @@ from sympy import factorint, isprime
 
 from .okring import FieldTag, OkElement, OkError, OkPrime, canonical_associate, \
     field, split_type
-from .rayclass import RayClassGroup
+from .rayclass import ray_class_group
 
 
 @dataclass(frozen=True)
@@ -77,14 +77,9 @@ def find_twist_candidates(tag: FieldTag, r_bound: int) -> list[TwistCandidate]:
         if not isprime(n):
             continue
         q_elt = tag.from_int(4 * r) + sq
-        # congruence guard: Q - sqrt(-d) = 4r lies in 4 O_K by construction
-        diff = q_elt - sq
-        if diff.x % 4 or diff.y % 4:
-            raise OkError("twist congruence violated; arithmetic bug")
-        assert q_elt.norm() == n
         prime = OkPrime(canonical_associate(q_elt), n, "split", 1)
         alpha = sq * q_elt
-        deg = RayClassGroup(q_elt).degree
+        deg = ray_class_group(q_elt).degree
         ok, bad = twist_degree_admissible(deg, tag)
         out.append(TwistCandidate(tag, r, prime, alpha, canonical_associate(q_elt),
                                   deg, ok, bad))
@@ -111,9 +106,9 @@ _D19_PRINTED = (-1, 1)      # (-1 + sqrt(-19))/2, norm 5
 def _d19_flag() -> str:
     k19 = field(19)
     printed = OkElement(k19, *_D19_PRINTED)
-    deg_printed = RayClassGroup(printed).degree
+    deg_printed = ray_class_group(printed).degree
     used = OkElement(k19, *_FIXED_BAD_PRIMES[19][0])
-    deg_used = RayClassGroup(used).degree
+    deg_used = ray_class_group(used).degree
     return (f"source data prints bad prime {printed} (norm {printed.norm()}, "
             f"recomputed degree {deg_printed}) but lists degree {deg_used}, which "
             f"matches the norm-{used.norm()} prime {used}; the norm-7 prime is "
@@ -131,7 +126,7 @@ def curve_table(r_bound: int = 10) -> list[TableRow]:
         cond = tag.one()
         for b in bad:
             cond = cond * b
-        deg = RayClassGroup(cond).degree
+        deg = ray_class_group(cond).degree
         ok, off = twist_degree_admissible(deg, tag)
         rows.append(TableRow(d, bad, deg, "fixed", cond.norm(), ok, off,
                              flag=_d19_flag() if d == 19 else ""))

@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .abgroup import _pow
+
 _NUMPY_DEGREE = 48
 
 
@@ -206,14 +208,7 @@ class FFElement:
     def __pow__(self, k: int) -> "FFElement":
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _pow(self, k, FFElement.__mul__, self.field.one())
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -259,24 +254,8 @@ class FFElement:
         out = [v * cinv % p for v in s0] + [0] * t
         return FFElement(F, tuple(out[:t]))
 
-    def multiplicative_order(self) -> int:
-        from sympy import factorint
-        if self.is_zero():
-            raise FieldError("zero has no multiplicative order")
-        n = self.field.order - 1
-        o = n
-        one = self.field.one()
-        for r in factorint(n):
-            while o % r == 0 and self ** (o // r) == one:
-                o //= r
-        return o
-
     def __repr__(self) -> str:
         return f"FF({self.field.p}^{self.field.t}){self.coeffs}"
-
-
-def _frobenius(x: FFElement) -> FFElement:
-    return x ** x.field.p
 
 
 def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
@@ -303,7 +282,7 @@ def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     batch = F.one()
     pending = False
     for k in range(1, t // 2 + 1):
-        y = _frobenius(y)
+        y = y ** p
         if k == 1:
             continue   # linear factors already excluded
         diff = y - x

@@ -27,13 +27,13 @@ from math import gcd, isqrt
 import numpy as np
 from sympy import isprime, n_order, primerange
 
+from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
 from .okring import (FieldTag, OkElement, OkError, factor, primes_above,
                      split_type)
-from .rayclass import CharacterSpec, RayClassGroup
+from .rayclass import CharacterSpec, _residue_root, ray_class_group
 
-# Explicit root-of-unity comparisons are done in F_{p^t} only up to this
-# degree; past it the integer certificate path takes over.
+# unity_image builds F_{p^t} only up to this degree and raises OkError past it.
 EXPLICIT_FIELD_DEGREE_CAP = 400
 
 
@@ -137,19 +137,15 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
 DISTINCTNESS_EXPLICIT_CAP = 64
 
 
-def distinctness_check(p: int, q: int, m: int,
-                       explicit_cap: int = DISTINCTNESS_EXPLICIT_CAP) -> bool:
+def distinctness_check(p: int, q: int, m: int) -> bool:
     """Verify that all q^m-th roots of unity stay pairwise distinct under
     reduction mod a prime above p.
 
-    The check always runs on exact integer data: x^(q^m) - 1 is separable
-    mod p (its derivative is a unit times a power of x, and 0 is not a
-    root), the splitting-degree chain t_j = ord(p mod q^j) is verified to
-    carry each q^j into the unit group of F_{p^(t_j)}, and the order
-    q^(m - v_q(k)) of every nontrivial power of a primitive root is swept
-    over the full exponent range, so no two powers can collide.  When the
-    splitting degree is at most explicit_cap, the q^m powers of a primitive
-    root are additionally compared element by element in F_{p^t}.
+    For p != q this always holds: x^(q^m) - 1 is separable mod p, since p
+    does not divide q^m, so its derivative q^m x^(q^m - 1) has only the
+    root 0, which is not a root of x^(q^m) - 1.  When the splitting degree
+    ord(p mod q^m) is at most DISTINCTNESS_EXPLICIT_CAP, the q^m powers of
+    a primitive root are also compared element by element in F_{p^t}.
     """
     if not isprime(q) or not isprime(p):
         raise OkError("p and q must be prime")
@@ -158,26 +154,7 @@ def distinctness_check(p: int, q: int, m: int,
     qm = q ** m
     if m == 0:
         return True
-    # separability: gcd(x^qm - 1, qm * x^(qm-1)) = 1 since p does not divide qm
-    if qm % p == 0:
-        return False
-    # exhaustive order sweep over all exponent differences
-    for k in range(1, qm):
-        e = k
-        v = 0
-        while e % q == 0:
-            e //= q
-            v += 1
-        if q ** (m - v) <= 1:
-            return False
-    # splitting-degree chain consistency
-    prev_t = 1
-    for j in range(1, m + 1):
-        tj = int(n_order(p, q ** j))
-        if (p ** tj - 1) % q ** j or tj % prev_t:
-            return False
-        prev_t = tj
-    if prev_t <= min(explicit_cap, EXPLICIT_FIELD_DEGREE_CAP):
+    if int(n_order(p, qm)) <= DISTINCTNESS_EXPLICIT_CAP:
         zeta = unity_image(p, q, m)
         F = zeta.field
         seen = set()
@@ -257,11 +234,7 @@ def compute_N1(emb: ResidueEmbedding, lam: OkElement, k: int, phi0_image,
     one = F.one()
     if a == one:
         return 1
-    n = F.order - 1
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
+    v = padic_val(F.order - 1, q)
     if not (a ** (q ** v) == one):
         return 0
     m0 = 1
@@ -310,17 +283,11 @@ def _prime_linear_roots(modulus: OkElement) -> list[tuple[str, int, int]]:
     ("lin", ell, s) mean the prime divides x + y*omega iff
     x + y*s = 0 mod ell; ("both", ell, 0) means x = y = 0 mod ell (inert)."""
     out = []
-    tag = modulus.tag
-    t, n = tag.min_poly
     for p, _ in factor(modulus).factors:
-        ell = p.residue_char
         if p.kind == "inert":
-            out.append(("both", ell, 0))
-            continue
-        s = next(s for s in range(ell)
-                 if (s * s - t * s + n) % ell == 0
-                 and p.divides(tag.omega() - tag.from_int(s)))
-        out.append(("lin", ell, s))
+            out.append(("both", p.residue_char, 0))
+        else:
+            out.append(("lin", p.residue_char, _residue_root(p)))
     return out
 
 
@@ -354,20 +321,36 @@ def _ideal_rows(tag: FieldTag, bound: int):
             yield y, xs
 
 
+def _character(modulus: OkElement, chi: CharacterSpec, s: float):
+    """Validate an L-value request; returns (group, trivial, chi_at) where
+    chi_at(e) is chi at the ideal (e) coprime to the modulus (the float 1.0
+    for the trivial character, so real sums stay real)."""
+    if s <= 1:
+        raise OkError("s must exceed 1")
+    if chi.k != 0:
+        raise OkError("only finite-order characters (k = 0) are evaluated")
+    group = ray_class_group(modulus)
+    invariants = group.presentation.invariants
+    if len(chi.exponents) != len(invariants):
+        raise OkError("character exponent vector does not match the group")
+    trivial = all(e == 0 for e in chi.exponents)
+
+    def chi_at(e: OkElement) -> complex:
+        if trivial:
+            return 1.0
+        cls = group.ideal_class_coords(e)
+        theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
+        return cmath.exp(2j * cmath.pi * theta)
+
+    return group, trivial, chi_at
+
+
 def evaluate_imprimitive_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
                            s: float, bound: int) -> LSeriesValue:
     """Truncated Dirichlet sum over ideals of norm <= bound coprime to the
     modulus, with a rigorous tail bound.  chi must be a finite-order ray
     class character (k = 0) modulo the given modulus."""
-    if s <= 1:
-        raise OkError("s must exceed 1")
-    if chi.k != 0:
-        raise OkError("only finite-order characters (k = 0) are evaluated")
-    group = RayClassGroup(modulus)
-    invariants = group.presentation.invariants
-    if len(chi.exponents) != len(invariants):
-        raise OkError("character exponent vector does not match the group")
-    trivial = all(e == 0 for e in chi.exponents)
+    group, trivial, chi_at = _character(modulus, chi, s)
     t, n = tag.min_poly
     lin = _prime_linear_roots(group.modulus)
     total = 0.0 if trivial else complex(0.0)
@@ -387,10 +370,7 @@ def evaluate_imprimitive_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec
             total += float(np.sum(norms ** (-s)))
         else:
             for x, nv in zip(xs.tolist(), norms.tolist()):
-                cls = group.ideal_class_coords(OkElement(tag, x, int(y)))
-                theta = sum(c * e / inv for c, e, inv
-                            in zip(cls, chi.exponents, invariants))
-                total += cmath.exp(2j * cmath.pi * theta) * nv ** (-s)
+                total += chi_at(OkElement(tag, x, int(y))) * nv ** (-s)
     return LSeriesValue(total, bound, dirichlet_tail_bound(bound, s))
 
 
@@ -398,23 +378,7 @@ def euler_product_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
                     s: float, bound: int) -> LSeriesValue:
     """The same L-value as a truncated Euler product over prime ideals of
     norm <= bound coprime to the modulus."""
-    if s <= 1:
-        raise OkError("s must exceed 1")
-    if chi.k != 0:
-        raise OkError("only finite-order characters (k = 0) are evaluated")
-    group = RayClassGroup(modulus)
-    invariants = group.presentation.invariants
-    if len(chi.exponents) != len(invariants):
-        raise OkError("character exponent vector does not match the group")
-    trivial = all(e == 0 for e in chi.exponents)
-
-    def chi_at(e: OkElement) -> complex:
-        if trivial:
-            return 1.0
-        cls = group.ideal_class_coords(e)
-        theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
-        return cmath.exp(2j * cmath.pi * theta)
-
+    group, trivial, chi_at = _character(modulus, chi, s)
     total = 1.0 if trivial else complex(1.0)
     norm_mod = group.modulus.norm()
     disc = tag.discriminant

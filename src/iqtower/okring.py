@@ -26,6 +26,8 @@ from math import isqrt
 
 from sympy import factorint, isprime, jacobi_symbol
 
+from .abgroup import _pow
+
 CLASS_NUMBER_ONE_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
 
 
@@ -143,14 +145,7 @@ class OkElement:
     def __pow__(self, k: int) -> "OkElement":
         if k < 0:
             raise OkError("negative powers leave the ring")
-        out = self.tag.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _pow(self, k, OkElement.__mul__, self.tag.one())
 
     def conj(self) -> "OkElement":
         t, _ = self.tag.min_poly
@@ -170,9 +165,6 @@ class OkElement:
 
     def is_unit(self) -> bool:
         return self.norm() == 1
-
-    def times_int(self, n: int) -> "OkElement":
-        return OkElement(self.tag, self.x * n, self.y * n)
 
     def divide_exact(self, other: "OkElement") -> "OkElement | None":
         """self / other when the quotient lies in O_K, else None."""

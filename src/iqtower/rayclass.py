@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor, gcd, isqrt, prod
+from functools import lru_cache
+from math import isqrt, prod
 
-from sympy import factorint, isprime
+from sympy import factorint, isprime, primitive_root
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
-                      abelian_structure)
+                      abelian_structure, coords_order, padic_val)
 from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
                      factor, split_type, valuation)
 
@@ -44,8 +44,9 @@ def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
         raise OkError("zero modulus")
     n = modulus.norm()
     num = e * modulus.conj()
-    q1 = floor(Fraction(num.x, n) + Fraction(1, 2))
-    q2 = floor(Fraction(num.y, n) + Fraction(1, 2))
+    # floor(c/n + 1/2) in integers: n > 0 for a nonzero modulus
+    q1 = (2 * num.x + n) // (2 * n)
+    q2 = (2 * num.y + n) // (2 * n)
     return e - OkElement(e.tag, q1, q2) * modulus
 
 
@@ -53,10 +54,6 @@ def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
 class ResidueClass:
     modulus: OkElement
     representative: OkElement
-
-    @classmethod
-    def of(cls, e: OkElement, modulus: OkElement) -> "ResidueClass":
-        return cls(modulus, reduce_mod(e, modulus))
 
     def __mul__(self, other: "ResidueClass") -> "ResidueClass":
         return ResidueClass(self.modulus,
@@ -94,23 +91,8 @@ def residues_mod(modulus: OkElement) -> list[OkElement]:
 
 
 def _crt_int(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g, p, _ = _xgcd(m1, m2)
-    if g != 1:
-        raise GroupError("moduli not coprime")
     m = m1 * m2
-    return (r1 + (r2 - r1) * p % m2 * m1) % m, m
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m
 
 
 def _bsgs(h: int, t: int, r: int, mod: int) -> int:
@@ -148,6 +130,19 @@ def _dlog_cyclic_int(g: int, x: int, order: int, mod: int) -> int:
     return res
 
 
+def _residue_root(p: OkPrime) -> int:
+    """The s in [0, l) with s^2 - t*s + n = 0 mod l and p | omega - s, for a
+    prime p of degree one over l (omega^2 = t*omega - n): the image of omega
+    under O_K -> O_K/p = Z/l."""
+    tag = p.tag
+    t, n = tag.min_poly
+    ell = p.residue_char
+    for s in range(ell):
+        if (s * s - t * s + n) % ell == 0 and p.divides(tag.omega() - tag.from_int(s)):
+            return s
+    raise GroupError(f"no residue root for {p}; is it split?")
+
+
 class _SplitFactor:
     """(O_K/p^e)^x for a split prime p over l, via O_K/p^e = Z/l^e."""
 
@@ -159,13 +154,7 @@ class _SplitFactor:
         self.int_mod = ell ** e
         t, n = tag.min_poly
         # root of x^2 - t x + n mod l picked out by p, then Hensel-lifted
-        root = None
-        for s in range(ell):
-            if (s * s - t * s + n) % ell == 0 and p.divides(tag.omega() - tag.from_int(s)):
-                root = s
-                break
-        if root is None:
-            raise GroupError(f"no residue root for {p}; is it split?")
+        root = _residue_root(p)
         mod = ell
         while mod < self.int_mod:
             mod *= ell
@@ -186,9 +175,7 @@ class _SplitFactor:
                 return [3], [2]
             return [mod - 1, 5], [2, mod // 4]
         m = (ell - 1) * ell ** (e - 1)
-        g = 2
-        while element_order_int(g, ell - 1, ell) != ell - 1:
-            g += 1
+        g = int(primitive_root(ell))
         if e > 1 and pow(g, ell - 1, ell * ell) == 1:
             g += ell
         return [g], [m]
@@ -214,14 +201,6 @@ class _SplitFactor:
     def inverse(self, x: OkElement) -> OkElement:
         r = self.to_int(x)
         return x.tag.from_int(pow(r, -1, self.int_mod))
-
-
-def element_order_int(x: int, group_order: int, mod: int) -> int:
-    o = group_order
-    for r in factorint(group_order):
-        while o % r == 0 and pow(x, o // r, mod) == 1:
-            o //= r
-    return o
 
 
 class _EnumFactor:
@@ -319,12 +298,11 @@ class UnitGroup:
         return self.dlog(self.tag.unit_gen())
 
     def mu_image_order(self) -> int:
-        vec = self.mu_image_vector()
-        o = 1
-        for v, n in zip(vec, self.orders):
-            d = n // gcd(v, n)
-            o = o * d // gcd(o, d)
-        return o
+        return coords_order(self.mu_image_vector(), self.orders)
+
+    @property
+    def structure(self) -> AbelianGroupStructure:
+        return _structure(self, QuotientPresentation.from_relations(self.orders, []))
 
 
 def euler_phi(modulus: OkElement) -> int:
@@ -338,12 +316,17 @@ def euler_phi(modulus: OkElement) -> int:
     return out
 
 
+def _structure(units: UnitGroup, pres: QuotientPresentation) -> AbelianGroupStructure:
+    """Smith-chain structure of a quotient of (O_K/h)^x, its generators
+    realized as residues."""
+    gens = tuple(ResidueClass(units.modulus, units.power_word(w))
+                 for w in pres.generator_words())
+    return AbelianGroupStructure(pres.invariants, gens)
+
+
 def unit_group_structure(modulus: OkElement) -> AbelianGroupStructure:
     """Smith-chain structure of (O_K/h)^x with realized generators."""
-    U = UnitGroup(modulus)
-    pres = QuotientPresentation.from_relations(U.orders, [])
-    gens = tuple(ResidueClass(U.modulus, U.power_word(w)) for w in pres.generator_words())
-    return AbelianGroupStructure(pres.invariants, gens)
+    return UnitGroup(modulus).structure
 
 
 @dataclass(frozen=True)
@@ -352,18 +335,15 @@ class RayClassElement:
     coords: tuple[int, ...]
 
     def __mul__(self, other: "RayClassElement") -> "RayClassElement":
-        if other.group is not self.group:
+        # groups built separately for one modulus are the same group
+        if other.group.modulus != self.group.modulus:
             raise GroupError("elements of different ray class groups")
         invs = self.group.presentation.invariants
         return RayClassElement(self.group, tuple((a + b) % n for a, b, n
                                                  in zip(self.coords, other.coords, invs)))
 
     def order(self) -> int:
-        o = 1
-        for c, n in zip(self.coords, self.group.presentation.invariants):
-            d = n // gcd(c, n)
-            o = o * d // gcd(o, d)
-        return o
+        return coords_order(self.coords, self.group.presentation.invariants)
 
     def is_identity(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -382,9 +362,7 @@ class RayClassGroup:
 
     @property
     def structure(self) -> AbelianGroupStructure:
-        gens = tuple(ResidueClass(self.modulus, self.units.power_word(w))
-                     for w in self.presentation.generator_words())
-        return AbelianGroupStructure(self.presentation.invariants, gens)
+        return _structure(self.units, self.presentation)
 
     def class_of(self, lam: OkElement) -> RayClassElement:
         if lam.is_zero() or lam.is_unit():
@@ -404,13 +382,16 @@ class RayClassGroup:
                 "modulus": str(self.modulus)}
 
 
+@lru_cache(maxsize=4)
 def ray_class_group(modulus: OkElement) -> RayClassGroup:
+    """RayClassGroup(modulus), memoised for the last four moduli so that a
+    command builds each group once."""
     return RayClassGroup(modulus)
 
 
 def artin_symbol(modulus: OkElement, lam: OkElement) -> RayClassElement:
     """The ray class of the principal ideal (lam); multiplicative in lam."""
-    return RayClassGroup(modulus).class_of(lam)
+    return ray_class_group(modulus).class_of(lam)
 
 
 def lcm_ideal(a: OkElement, b: OkElement) -> OkElement:
@@ -436,9 +417,9 @@ def lcm_degree_check(a: OkElement, b: OkElement, p: int) -> tuple[bool, bool, bo
     For p coprime to |mu_K| (in particular every p >= 5) the first two imply
     the third; see the module tests for a w-divisible counterexample.
     """
-    da = RayClassGroup(a).degree
-    db = RayClassGroup(b).degree
-    dl = RayClassGroup(lcm_ideal(a, b)).degree
+    da = ray_class_group(a).degree
+    db = ray_class_group(b).degree
+    dl = ray_class_group(lcm_ideal(a, b)).degree
     return (da % p != 0, db % p != 0, dl % p != 0)
 
 
@@ -458,18 +439,12 @@ class CharacterSpec:
 
 
 def characters(group, *, exact_order: int | None = None,
-               min_order: int | None = None,
                q: int | None = None,
                limit: int = 10 ** 6) -> list[CharacterSpec]:
     """Enumerate characters of a finite abelian group given by its Smith
-    invariants (accepts a RayClassGroup, an AbelianGroupStructure, a
-    QuotientPresentation or a bare invariant list)."""
+    invariants (accepts a RayClassGroup or a bare invariant list)."""
     if isinstance(group, RayClassGroup):
         invariants = group.presentation.invariants
-    elif isinstance(group, QuotientPresentation):
-        invariants = group.invariants
-    elif isinstance(group, AbelianGroupStructure):
-        invariants = group.invariants
     else:
         invariants = tuple(group)
     total = prod(invariants) if invariants else 1
@@ -477,27 +452,14 @@ def characters(group, *, exact_order: int | None = None,
         raise GroupError(f"character group of order {total} exceeds limit {limit}")
     out = []
     for vec in itertools.product(*(range(n) for n in invariants)):
-        o = 1
-        for c, n in zip(vec, invariants):
-            d = n // gcd(c, n)
-            o = o * d // gcd(o, d)
+        o = coords_order(vec, invariants)
         if exact_order is not None and o != exact_order:
-            continue
-        if min_order is not None and o < min_order:
             continue
         q_order = 1
         if q is not None:
-            q_order = q ** _padic_val(o, q)
+            q_order = q ** padic_val(o, q)
         out.append(CharacterSpec(vec, o, q_order=q_order))
     return out
-
-
-def _padic_val(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 @dataclass(frozen=True)
@@ -530,7 +492,7 @@ def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
     syl_orders = []
     syl_gens = []
     for i, (g, o) in enumerate(zip(U.gens, U.orders)):
-        qpart = q ** _padic_val(o, q)
+        qpart = q ** padic_val(o, q)
         if qpart > 1:
             syl_idx.append(i)
             syl_orders.append(qpart)

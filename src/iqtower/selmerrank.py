@@ -18,6 +18,8 @@ from pathlib import Path
 
 from sympy import isprime, n_order
 
+from .abgroup import padic_val
+
 
 class IngestError(ValueError):
     """Base for tower-file rejections (CLI exit 4)."""
@@ -48,7 +50,7 @@ class CofinPGroup:
         if self.corank < 0:
             raise ValueError("corank must be nonnegative")
         for t in self.torsion:
-            if t < self.p or not _is_p_power(t, self.p):
+            if t < self.p or t != self.p ** padic_val(t, self.p):
                 raise ValueError(f"torsion order {t} is not a power of {self.p}")
 
     @property
@@ -60,12 +62,6 @@ class CofinPGroup:
 
     def to_dict(self) -> dict:
         return {"s": self.corank, "T": sorted(self.torsion)}
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def fine_selmer_mod_p_rank(r_cls: int, d: int) -> int:
@@ -135,11 +131,7 @@ def decomposition_counts(ell: int, q: int, n_max: int) -> list[int]:
     out = [1]
     for n in range(1, n_max + 1):
         t = int(n_order(ell, q ** (n + 1)))
-        f = 1
-        while t % q == 0:
-            t //= q
-            f *= q
-        out.append(q ** n // f)
+        out.append(q ** n // q ** padic_val(t, q))
     return out
 
 
@@ -231,6 +223,12 @@ def _require(cond: bool, msg: str) -> None:
         raise SchemaError(msg)
 
 
+def _is_count(v, least: int) -> bool:
+    """A JSON integer >= least; JSON true/false load as bool, an int subclass,
+    and are no integers here."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 def ingest_tower(path) -> TowerSeries:
     """Load and validate a tower file.
 
@@ -247,7 +245,7 @@ def ingest_tower(path) -> TowerSeries:
         _require(key in raw, f"missing field {key!r}")
     _require(isinstance(raw["label"], str), "label must be a string")
     for key in ("q", "d", "p"):
-        _require(isinstance(raw[key], int) and raw[key] >= 1, f"{key} must be a positive integer")
+        _require(_is_count(raw[key], 1), f"{key} must be a positive integer")
     _require(isprime(raw["p"]) and isprime(raw["q"]), "p and q must be prime")
     _require(raw["p"] != raw["q"], "p and q must be distinct")
     _require(isinstance(raw["levels"], list) and raw["levels"], "levels must be a nonempty list")
@@ -256,19 +254,21 @@ def ingest_tower(path) -> TowerSeries:
     for i, rec in enumerate(raw["levels"]):
         _require(isinstance(rec, dict), f"level {i} must be an object")
         for key in ("n", "s_f", "r_cl", "r_cls"):
-            _require(key in rec and isinstance(rec[key], int) and rec[key] >= 0,
+            _require(key in rec and _is_count(rec[key], 0),
                      f"level {i}: {key} must be a nonnegative integer")
         e_n = rec.get("e_n")
-        _require(e_n is None or (isinstance(e_n, int) and e_n >= 0),
+        _require(e_n is None or _is_count(e_n, 0),
                  f"level {i}: e_n must be a nonnegative integer")
         sel0 = None
         if "sel0" in rec and rec["sel0"] is not None:
             raw_sel = rec["sel0"]
             _require(isinstance(raw_sel, dict) and "s" in raw_sel and "T" in raw_sel,
                      f"level {i}: sel0 needs fields s and T")
-            _require(isinstance(raw_sel["s"], int) and raw_sel["s"] >= 0,
+            _require(_is_count(raw_sel["s"], 0),
                      f"level {i}: sel0.s must be a nonnegative integer")
-            _require(isinstance(raw_sel["T"], list), f"level {i}: sel0.T must be a list")
+            _require(isinstance(raw_sel["T"], list)
+                     and all(_is_count(t, 1) for t in raw_sel["T"]),
+                     f"level {i}: sel0.T must be a list of positive integers")
             try:
                 sel0 = CofinPGroup(p, raw_sel["s"], tuple(raw_sel["T"]))
             except ValueError as exc:

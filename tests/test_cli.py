@@ -162,6 +162,20 @@ class TestExitCodes:
         code, _, err = run_cli(["selmer", "--input", str(bad)], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("top,sel0", [
+        ({"d": True}, {"s": 0, "T": []}),
+        ({}, {"s": 0, "T": [25.0]}),
+        ({}, {"s": 0, "T": ["a"]}),
+    ])
+    def test_tower_file_wrong_types_are_4(self, tmp_path, capsys, top, sel0):
+        payload = {"label": "x", "q": 3, "d": 1, "p": 5,
+                   "levels": [{"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0, "sel0": sel0}],
+                   **top}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(["selmer", "--input", str(bad)], capsys)
+        assert code == 4 and out == "" and "rejected" in err
+
     def test_argparse_error_is_2(self):
         proc = subprocess.run([sys.executable, "-m", "iqtower.cli", "tower", "--d", "1"],
                               capture_output=True, text=True, env=child_env())

@@ -162,6 +162,19 @@ class TestArtinSymbol:
             for a, b in zip(pool[::2], pool[1::2]):
                 assert g.class_of(a * b).coords == (g.class_of(a) * g.class_of(b)).coords
 
+    def test_symbols_of_one_modulus_multiply(self):
+        # the docstring promises multiplicativity in lam across calls
+        K43 = field(43)
+        m = OkElement(K43, 3, 2)
+        prod = artin_symbol(m, K43.from_int(2)) * artin_symbol(m, K43.from_int(5))
+        assert prod.coords == artin_symbol(m, K43.from_int(10)).coords
+        # groups built separately for the same modulus (up to a unit) agree
+        a = RayClassGroup(m).class_of(K43.from_int(2))
+        b = RayClassGroup(-m).class_of(K43.from_int(5))
+        assert (a * b).coords == prod.coords
+        with pytest.raises(GroupError):
+            a * RayClassGroup(m.conj()).class_of(K43.from_int(5))
+
     def test_non_coprime_rejected(self):
         K1 = field(1)
         with pytest.raises(OkError):

@@ -316,6 +316,25 @@ class TestIngestAndReports:
                 "levels": [{"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0,
                             "sel0": {"s": 0, "T": [3]}}]}))
 
+    @pytest.mark.parametrize("top,level,sel0", [
+        ({"d": True}, {}, None),
+        ({"q": 3.0}, {}, None),
+        ({}, {"n": False}, None),
+        ({}, {"e_n": True}, None),
+        ({}, {}, {"s": True, "T": []}),
+        ({}, {}, {"s": 0, "T": [25.0]}),
+        ({}, {}, {"s": 0, "T": [True]}),
+        ({}, {}, {"s": 0, "T": ["a"]}),
+        ({}, {}, {"s": 0, "T": [None]}),
+    ])
+    def test_json_booleans_floats_and_strings_rejected(self, tmp_path, top, level, sel0):
+        rec = {"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0, **level}
+        if sel0 is not None:
+            rec["sel0"] = sel0
+        payload = {"label": "x", "q": 3, "d": 1, "p": 5, "levels": [rec], **top}
+        with pytest.raises(SchemaError):
+            ingest_tower(self._write(tmp_path, payload))
+
     def test_monotonicity_rejection_names_level(self, tmp_path):
         payload = {"label": "x", "q": 3, "d": 1, "p": 5,
                    "levels": [{"n": 0, "s_f": 2, "r_cl": 0, "r_cls": 0},
