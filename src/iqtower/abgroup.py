@@ -1,13 +1,15 @@
 """Finite abelian group machinery shared by the residue-ring and
 quadratic-form modules: integer Smith normal form with tracked transforms,
-quotient presentations, and structure recovery for concretely enumerated
-groups (Sylow counting plus deterministic basis extraction).
+quotient presentations, and, for the form class groups, structure recovery
+for concretely enumerated groups (Sylow counting plus deterministic basis
+extraction).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 
 from sympy import factorint
 
@@ -154,12 +156,8 @@ class QuotientPresentation:
         """Coordinates in the quotient (nontrivial Smith positions only)."""
         if len(exponents) != len(self.orders):
             raise GroupError("exponent vector length mismatch")
-        out = []
-        for i, d in enumerate(self.invariants_full):
-            if d > 1:
-                out.append(sum(self.U[i][j] * exponents[j]
-                               for j in range(len(self.orders))) % d)
-        return tuple(out)
+        return tuple(sum(map(mul, row, exponents)) % d
+                     for row, d in zip(self.U, self.invariants_full) if d > 1)
 
     def generator_words(self) -> list[list[int]]:
         """For each nontrivial invariant, the exponent vector (in the old
@@ -191,8 +189,9 @@ def _pow(x, k: int, op, identity):
     while k:
         if k & 1:
             out = op(out, x)
-        x = op(x, x)
         k >>= 1
+        if k:
+            x = op(x, x)
     return out
 
 

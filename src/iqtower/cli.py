@@ -82,7 +82,7 @@ def _parse_modulus(d: int, text: str):
         raise ConfigError("modulus must be nonzero")
     if m.norm() > MAX_MODULUS_NORM:
         raise ConfigError(f"modulus norm {m.norm()} exceeds the cap {MAX_MODULUS_NORM}; "
-                          f"larger moduli grow exponentially and are refused outright")
+                          f"larger moduli are refused outright")
     return m
 
 

@@ -10,9 +10,12 @@ prime-power factors of the modulus:
     * factors at split primes are cyclic and handled through the ring
       isomorphism O_K/p^e = Z/l^e (Hensel-lifted root of the minimal
       polynomial of omega), with Pohlig-Hellman discrete logs;
-    * inert and ramified factors are enumerated outright and their structure
-      recovered by Sylow-counting; enumeration doubles as the oracle of
-      record, so no randomized generator search is used.
+    * factors at inert and ramified primes go through the filtration
+      (O_K/p^e)^x = (O_K/p)^x x (1+p)/(1+p^e) (H. Cohen, Advanced Topics in
+      Computational Number Theory, GTM 193, 4.2): a cyclic residue-field
+      part and 1-unit generators 1 + pi^i*b whose l-th powers give the
+      relations; no residue ring is enumerated and no generator is drawn at
+      random.
 
 Residues are reduced to a fixed fundamental domain (rounding division
 against the lattice basis {h, h*omega}), which makes representatives
@@ -27,14 +30,12 @@ from functools import lru_cache
 from math import isqrt, prod
 
 from sympy import factorint, isprime, primitive_root
+from sympy.ntheory import sqrt_mod
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
-                      abelian_structure, coords_order, padic_val)
+                      _pow, coords_order, padic_val)
 from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
                      factor, split_type, valuation)
-
-# Largest single non-split prime-power factor handled by enumeration.
-ENUM_FACTOR_LIMIT = 2_000_000
 
 
 def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
@@ -112,11 +113,12 @@ def _bsgs(h: int, t: int, r: int, mod: int) -> int:
     raise GroupError("baby-step giant-step failed: element outside subgroup")
 
 
-def _dlog_cyclic_int(g: int, x: int, order: int, mod: int) -> int:
+def _dlog_cyclic_int(g: int, x: int, order: int, mod: int, factors: dict) -> int:
     """Discrete log of x base g in the cyclic subgroup of (Z/mod)^x of the
-    given order, by Pohlig-Hellman."""
+    given order, by Pohlig-Hellman; `factors` is factorint(order), taken
+    once per group rather than once per log."""
     res, mres = 0, 1
-    for r, a in factorint(order).items():
+    for r, a in factors.items():
         ra = r ** a
         gr = pow(g, order // ra, mod)
         xr = pow(x, order // ra, mod)
@@ -133,11 +135,18 @@ def _dlog_cyclic_int(g: int, x: int, order: int, mod: int) -> int:
 def _residue_root(p: OkPrime) -> int:
     """The s in [0, l) with s^2 - t*s + n = 0 mod l and p | omega - s, for a
     prime p of degree one over l (omega^2 = t*omega - n): the image of omega
-    under O_K -> O_K/p = Z/l."""
+    under O_K -> O_K/p = Z/l.  The roots are (t +- sqrt(t^2 - 4n))/2 mod l
+    for odd l, and 0 or 1 for l = 2."""
     tag = p.tag
     t, n = tag.min_poly
     ell = p.residue_char
-    for s in range(ell):
+    if ell == 2:
+        roots = [0, 1]
+    else:
+        half = pow(2, -1, ell)
+        roots = [(t + r) * half % ell
+                 for r in sqrt_mod((t * t - 4 * n) % ell, ell, all_roots=True)]
+    for s in roots:
         if (s * s - t * s + n) % ell == 0 and p.divides(tag.omega() - tag.from_int(s)):
             return s
     raise GroupError(f"no residue root for {p}; is it split?")
@@ -163,6 +172,8 @@ class _SplitFactor:
             root = (root - fval * pow(fp, -1, mod)) % mod
         self.root = root % self.int_mod
         self.gens_int, self.orders = self._unit_gens(ell, e)
+        # the cyclic factor that dlog solves by Pohlig-Hellman comes last
+        self._order_factors = factorint(self.orders[-1]) if self.orders else {}
         self.gens = [tag.from_int(g) for g in self.gens_int]
 
     @staticmethod
@@ -195,46 +206,162 @@ class _SplitFactor:
             sign = 0 if r % 4 == 1 else 1
             if sign:
                 r = (-r) % self.int_mod
-            return [sign, _dlog_cyclic_int(5, r, self.orders[1], self.int_mod)]
-        return [_dlog_cyclic_int(self.gens_int[0], r, self.orders[0], self.int_mod)]
+            return [sign, _dlog_cyclic_int(5, r, self.orders[1], self.int_mod,
+                                           self._order_factors)]
+        return [_dlog_cyclic_int(self.gens_int[0], r, self.orders[0], self.int_mod,
+                                 self._order_factors)]
 
     def inverse(self, x: OkElement) -> OkElement:
         r = self.to_int(x)
         return x.tag.from_int(pow(r, -1, self.int_mod))
 
 
-class _EnumFactor:
-    """(O_K/p^e)^x for an inert or ramified prime, by full enumeration."""
+class _NonsplitFactor:
+    """(O_K/p^e)^x for an inert or ramified prime p over l, through the
+    filtration (O_K/p)^x x (1+p)/(1+p^e).
+
+    Residues are integer pairs a + b*omega mod l^e; that ring maps onto
+    O_K/p^e.  The cyclic part has order N - 1 (N = Np) and is generated by
+    g^(N^(e-1)), g a generator of (O_K/p)^x; its dlog is Pohlig-Hellman in
+    O_K/p with one table per prime power of N - 1 (at most 2(l+1) entries).
+    The 1-units are generated by 1 + pi^i*b for 1 <= i < e and b in the
+    F_l-basis 1 (ramified) or 1, omega (inert) of O_K/p; the filtration walk
+    writes a 1-unit as a word in them, digit by digit, and the words of
+    their l-th powers are the relations whose Smith form gives the
+    generators and orders of (1+p)/(1+p^e).
+    """
 
     def __init__(self, p: OkPrime, e: int):
-        self.prime, self.e = p, e
+        tag = p.tag
+        ell = p.residue_char
+        self.prime, self.e, self.ell = p, e, ell
         self.modulus = p.generator ** e
-        if self.modulus.norm() > ENUM_FACTOR_LIMIT:
-            raise OkError(
-                f"non-split factor {p}^{e} has norm {self.modulus.norm()} beyond the "
-                f"enumeration limit {ENUM_FACTOR_LIMIT}")
-        units = []
-        for r in residues_mod(self.modulus):
-            if not p.divides(r):
-                units.append(reduce_mod(r, self.modulus))
-        mod = self.modulus
-        op = lambda a, b: reduce_mod(a * b, mod)
-        ident = reduce_mod(p.tag.one(), mod)
-        self.gens, self.orders, self._dlog = abelian_structure(units, op, ident)
+        self.t, self.n = tag.min_poly
+        self.int_mod = ell ** e
+        # image of omega in O_K/p = Z/l when p is ramified
+        self.root = None if p.kind == "inert" else _residue_root(p)
+        self.order_res = p.norm() - 1
+        res_primes = sorted(factorint(self.order_res).items())
+        if self.root is None:
+            # the first element of order l^2 - 1 in residues_mod(p) order
+            # (the Hermite box of (l) is [0, l) x [0, l), y outermost)
+            g = next((x, y) for y in range(ell) for x in range(ell)
+                     if (x, y) != (0, 0) and
+                     all(self._pow((x, y), self.order_res // r, ell) != (1, 0)
+                         for r, _ in res_primes))
+        else:
+            g = (int(primitive_root(ell)), 0)
+        self._tables = []
+        for r, a in res_primes:
+            ra = r ** a
+            cof = self.order_res // ra
+            gamma = self._pow(g, cof, ell)
+            table, acc = {}, (1, 0)
+            for j in range(ra):
+                table[acc] = j
+                acc = self._mul(acc, gamma, ell)
+            self._tables.append((cof, table, cof * pow(cof, -1, ra) % self.order_res))
+        # g^(N^(e-1)) = g mod p, and its order is exactly N - 1
+        g0 = self._pow(g, p.norm() ** (e - 1))
+        self._g0_inv = self._inverse(g0)
+        # 1-unit generators, level by level; mu = l/pi turns division by pi^i
+        # into multiplication by mu^i and exact division by l^i
+        pi = (p.generator.x, p.generator.y)
+        mu = tag.from_int(ell).divide_exact(p.generator)
+        basis = [(1, 0)] if self.root is not None else [(1, 0), (0, 1)]
+        self._units, self._levels = [], []
+        for i in range(1, e):
+            pi_i = self._pow(pi, i)
+            level = []
+            for b in basis:
+                a0, a1 = self._mul(pi_i, b)
+                h = ((a0 + 1) % self.int_mod, a1)
+                self._units.append(h)
+                # h^-c for every digit c: one multiply clears a digit
+                h_inv, acc, row = self._inverse(h), (1, 0), []
+                for _ in range(ell):
+                    row.append(acc)
+                    acc = self._mul(acc, h_inv)
+                level.append(row)
+            self._levels.append((self._pow((mu.x, mu.y), i), ell ** i, level))
+        rels = []
+        for j, h in enumerate(self._units):
+            rel = [-c for c in self._walk(self._pow(h, ell))]
+            rel[j] += ell
+            rels.append(rel)
+        # l^e is a multiple of every 1-unit's order: (1 + pi^i*y)^l lies in 1 + p^(i+1)
+        self._pres = pres = QuotientPresentation.from_relations([self.int_mod] * len(rels), rels)
+        smith = []
+        for word in pres.generator_words():
+            acc = (1, 0)
+            for h, c in zip(self._units, word):
+                acc = self._mul(acc, self._pow(h, c))
+            smith.append(acc)
+        cyclic = self.order_res > 1      # (O_K/p)^x is trivial when Np = 2
+        self.gens = [OkElement(tag, *u) for u in [g0] * cyclic + smith]
+        self.orders = [self.order_res] * cyclic + list(pres.invariants)
+
+    def _mul(self, u, v, m: int = 0) -> tuple[int, int]:
+        """(a + b*omega)(c + d*omega) mod m, by default mod l^e; mod l it is
+        the product in O_K/p of pairs reduced by _residue."""
+        a, b = u
+        c, d = v
+        m = m or self.int_mod
+        return (a * c - self.n * b * d) % m, (a * d + b * c + self.t * b * d) % m
+
+    def _pow(self, u, k: int, m: int = 0) -> tuple[int, int]:
+        return _pow(u, k, lambda x, y: self._mul(x, y, m), (1, 0))
+
+    def _residue(self, u) -> tuple[int, int]:
+        """Image in O_K/p: a pair mod l (inert), or (a + b*s mod l, 0)."""
+        if self.root is None:
+            return u[0] % self.ell, u[1] % self.ell
+        return (u[0] + u[1] * self.root) % self.ell, 0
+
+    def _inverse(self, u) -> tuple[int, int]:
+        """conj(u) * N(u)^-1 mod l^e."""
+        a, b = u
+        nu = a * a + self.t * a * b + self.n * b * b
+        return self._mul((a + self.t * b, -b), (pow(nu, -1, self.int_mod), 0))
+
+    def _walk(self, u) -> list[int]:
+        """Exponents of the 1-unit generators in a word equal to the 1-unit
+        u modulo p^e: at level i, the digits of (u - 1)/pi^i mod p are read
+        off and cleared by the level-i generators.  The dlog's hot loop,
+        so the pair arithmetic is written out."""
+        t, n, m, ell, s = self.t, self.n, self.int_mod, self.ell, self.root
+        a, b = u
+        word = []
+        for (c, d), ell_i, rows in self._levels:
+            # z = (u - 1) * mu^i / l^i
+            z0 = ((a - 1) * c - n * b * d) % m // ell_i
+            z1 = ((a - 1) * d + b * c + t * b * d) % m // ell_i
+            digits = (z0 % ell, z1 % ell) if s is None else ((z0 + z1 * s) % ell,)
+            for row, k in zip(rows, digits):
+                if k:
+                    c2, d2 = row[k]
+                    a, b = (a * c2 - n * b * d2) % m, (a * d2 + b * c2 + t * b * d2) % m
+            word.extend(digits)
+        return word
 
     def dlog(self, x: OkElement) -> list[int]:
-        key = reduce_mod(x, self.modulus)
-        vec = self._dlog.get(key)
-        if vec is None:
+        u = (x.x % self.int_mod, x.y % self.int_mod)
+        r = self._residue(u)
+        if r == (0, 0):
             raise GroupError(f"{x} is not a unit modulo {self.modulus}")
-        return list(vec)
+        out = []
+        if self._tables:
+            a = sum(table[self._pow(r, cof, self.ell)] * c
+                    for cof, table, c in self._tables) % self.order_res
+            out.append(a)
+            if self._units:
+                u = self._mul(u, self._pow(self._g0_inv, a))
+        if self._units:
+            out.extend(self._pres.coords(self._walk(u)))
+        return out
 
     def inverse(self, x: OkElement) -> OkElement:
-        vec = self.dlog(x)
-        out = x.tag.one()
-        for g, o, v in zip(self.gens, self.orders, vec):
-            out = reduce_mod(out * g ** ((o - v) % o), self.modulus)
-        return out
+        return OkElement(x.tag, *self._inverse((x.x, x.y)))
 
 
 class UnitGroup:
@@ -252,7 +379,7 @@ class UnitGroup:
             if p.kind == "split":
                 self.factors.append(_SplitFactor(p, e))
             else:
-                self.factors.append(_EnumFactor(p, e))
+                self.factors.append(_NonsplitFactor(p, e))
         self.orders: list[int] = []
         self.gens: list[OkElement] = []
         for i, f in enumerate(self.factors):
@@ -289,9 +416,12 @@ class UnitGroup:
         return out
 
     def power_word(self, exponents) -> OkElement:
-        out = self.tag.one()
+        def mul(a, b):
+            return reduce_mod(a * b, self.modulus)
+        one = reduce_mod(self.tag.one(), self.modulus)
+        out = one
         for g, v, o in zip(self.gens, exponents, self.orders):
-            out = reduce_mod(out * g ** (v % o), self.modulus)
+            out = mul(out, _pow(g, v % o, mul, one))
         return out
 
     def mu_image_vector(self) -> list[int]:
@@ -335,8 +465,7 @@ class RayClassElement:
     coords: tuple[int, ...]
 
     def __mul__(self, other: "RayClassElement") -> "RayClassElement":
-        # groups built separately for one modulus are the same group
-        if other.group.modulus != self.group.modulus:
+        if other.group != self.group:
             raise GroupError("elements of different ray class groups")
         invs = self.group.presentation.invariants
         return RayClassElement(self.group, tuple((a + b) % n for a, b, n
@@ -359,6 +488,14 @@ class RayClassGroup:
         rels = [self.units.mu_image_vector()] if self.units.orders else []
         self.presentation = QuotientPresentation.from_relations(self.units.orders, rels)
         self.degree = self.presentation.order
+
+    # groups built separately for one (canonical) modulus are the same group,
+    # so their elements compare and hash by modulus and coords
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RayClassGroup) and other.modulus == self.modulus
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
 
     @property
     def structure(self) -> AbelianGroupStructure:

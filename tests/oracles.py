@@ -1,7 +1,8 @@
 """Independent brute-force oracles used across the test suite.
 
 Nothing here reuses the structure-recovery paths under test: unit groups
-are counted by raw residue enumeration, class numbers come from ideal
+are counted by raw residue enumeration, their torsion by multiplying
+residues in the Hermite box of the modulus, class numbers come from ideal
 lattices under the Minkowski bound, and zeta values from a direct lattice
 sum.
 """
@@ -12,6 +13,7 @@ import math
 from math import gcd, isqrt
 
 import numpy as np
+from sympy import divisors, factorint
 
 from iqtower.okring import OkElement, gcd_ok
 from iqtower.rayclass import reduce_mod, residues_mod
@@ -203,6 +205,53 @@ def minkowski_class_number(disc: int) -> int:
         if not matched:
             reps.append(ideal)
     return len(reps)
+
+
+# -- unit-group torsion oracle -------------------------------------------------
+
+def brute_torsion_counts(modulus: OkElement) -> dict[int, int]:
+    """#{x in (O_K/h)^x : x^k = 1} for every k dividing |(O_K/h)^x|.
+
+    These counts determine the group: a finite abelian group with the same
+    counts is isomorphic to it.  Residues are pairs in the Hermite box of
+    the lattice (h), multiplied and reduced there with plain integers; the
+    units are the residues outside every prime of h.  x -> x^r is tabulated
+    once per prime r of the order, and x^k is read off by composing tables.
+    """
+    from iqtower.okring import factor as ok_factor
+    tag = modulus.tag
+    hw = modulus * tag.omega()
+    lat = _hnf_from_vectors([(modulus.x, modulus.y), (hw.x, hw.y)], tag.discriminant)
+    a, b, c, t, n = lat.a, lat.b, lat.c, lat.b0, lat.nq
+
+    def mul(p, q):
+        (u1, v1), (u2, v2) = p, q
+        u, v = u1 * u2 - n * v1 * v2, u1 * v2 + u2 * v1 + t * v1 * v2
+        k = v // c
+        return (u - k * b) % a, v - k * c
+
+    def power(x, k):
+        out = one
+        for bit in bin(k)[2:]:
+            out = mul(out, out)
+            if bit == "1":
+                out = mul(out, x)
+        return out
+
+    one = mul((1, 0), (1, 0))
+    gens = [p.generator for p, _ in ok_factor(modulus).factors]
+    # for h a unit, the zero ring's single residue (0, 0) is its unit
+    units = [(u, v) for v in range(c) for u in range(a)
+             if all(OkElement(tag, u, v).divide_exact(g) is None for g in gens)]
+    index = {x: i for i, x in enumerate(units)}
+    order = len(units)
+    tables = {r: [index[power(x, r)] for x in units] for r in factorint(order)}
+    images = {1: list(range(order))}
+    for k in divisors(order)[1:]:
+        r = min(factorint(k))
+        images[k] = [tables[r][i] for i in images[k // r]]
+    unit_index = index[one]
+    return {k: img.count(unit_index) for k, img in images.items()}
 
 
 # -- zeta lattice oracle -------------------------------------------------------

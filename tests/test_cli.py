@@ -1,13 +1,17 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import iqtower
 from iqtower.cli import main
+from iqtower.okring import field, parse_element
+from iqtower.rayclass import euler_phi, ray_class_group
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -188,6 +192,34 @@ class TestExitCodes:
         monkeypatch.setenv("ITL_THREADS", "4")
         code, _, _ = run_cli(["fit", "--q", "3", "--e", "1,1,1,1"], capsys)
         assert code == 0
+
+
+class TestCaps:
+    """The worst inputs with an inert or ramified factor that the modulus cap
+    (norm <= 10^6) admits build in bounded time."""
+
+    SECONDS = 2.0
+
+    @pytest.mark.parametrize("d,modulus,units", [
+        (1, "343", [49, 2352]),          # 7^3, inert
+        (1, "991", None),                # inert, norm 982081
+        (1, "-512+512*w", None),         # (1+i)^19, ramified
+        (3, "729", None),                # 3^6 = sqrt(-3)^12 up to a unit
+        (3, "512", None),                # 2^9, inert
+        (2, "625", None),                # 5^4, inert
+    ])
+    def test_worst_nonsplit_inputs(self, capsys, d, modulus, units):
+        ray_class_group.cache_clear()
+        start = time.perf_counter()
+        code, out, _ = run_cli(["rayclass", "--d", str(d), f"--modulus={modulus}"], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        phi = euler_phi(parse_element(field(d), modulus))
+        assert math.prod(rec["unit_group_invariants"]) == phi
+        if units is not None:
+            assert rec["unit_group_invariants"] == units
+        assert elapsed < self.SECONDS, (d, modulus, elapsed)
 
 
 class TestEntryPoint:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from iqtower.abgroup import _pow, coords_order, padic_val
 from iqtower.finitefield import finite_field
-from iqtower.okring import CLASS_NUMBER_ONE_DS, OkElement, field
-from iqtower.rayclass import reduce_mod
+from iqtower.okring import CLASS_NUMBER_ONE_DS, OkElement, field, primes_above
+from iqtower.rayclass import UnitGroup, reduce_mod
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -107,3 +107,38 @@ class TestSharedPower:
         for _ in range(abs(k)):
             expected = expected * base
         assert z ** k == expected
+
+
+@st.composite
+def mixed_moduli(draw):
+    """Products of up to three distinct prime powers over l <= 13, split,
+    inert and ramified alike."""
+    tag = draw(fields)
+    pool = [(p, e) for ell in (2, 3, 5, 7, 11, 13) for p in primes_above(tag, ell)
+            for e in (1, 2, 3)]
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                           unique_by=lambda pe: pe[0]))
+    modulus = tag.one()
+    for p, e in chosen:
+        modulus = modulus * p.generator ** e
+    return modulus
+
+
+class TestUnitGroupDlog:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(mixed_moduli(), big, big, big, big)
+    # d = 1: 3 inert, (1+i)^3 ramified, 5 = (2+i)(2-i) split
+    @example(OkElement(field(1), 3, 0) * OkElement(field(1), 1, 1) ** 3 * OkElement(field(1), 2, 1),
+             7, 4, -11, 9)
+    # d = 3: 2^2 inert, sqrt(-3)^3 ramified, 7 split
+    @example(OkElement(field(3), 4, 0) * OkElement(field(3), -1, 2) ** 3 * OkElement(field(3), 7, 0),
+             5, 1, 13, -2)
+    def test_homomorphism_and_power_word(self, modulus, a, b, c, d):
+        U = UnitGroup(modulus)
+        x, y = OkElement(modulus.tag, a, b), OkElement(modulus.tag, c, d)
+        if not (U.is_unit(x) and U.is_unit(y)):
+            return
+        vx, vy = U.dlog(x), U.dlog(y)
+        assert U.dlog(x * y) == [(i + j) % o for i, j, o in zip(vx, vy, U.orders)]
+        assert U.power_word(vx) == reduce_mod(x, U.modulus)
+        assert U.power_word(U.dlog(x * y)) == reduce_mod(x * y, U.modulus)

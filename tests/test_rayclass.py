@@ -1,18 +1,21 @@
 import random
+from math import gcd, prod
 
 import pytest
+from sympy import factorint, primerange
 
-from iqtower.abgroup import GroupError
+from iqtower.abgroup import GroupError, _pow
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
-                            is_coprime, smallest_split_primes)
-from iqtower.rayclass import (RayClassGroup, UnitGroup, anticyclotomic_tower,
+                            is_coprime, primes_above, smallest_split_primes)
+from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
+                              _residue_root, anticyclotomic_tower,
                               artin_symbol, characters, euler_phi,
                               lcm_degree_check, lcm_ideal, minus_quotient,
                               ray_class_group, reduce_mod, residues_mod,
                               unit_group_structure)
 
-from oracles import brute_euler_phi, brute_ray_degree
+from oracles import brute_euler_phi, brute_ray_degree, brute_torsion_counts
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -91,6 +94,90 @@ class TestUnitGroupStructure:
                     continue
                 vec = U.dlog(e)
                 assert reduce_mod(U.power_word(vec), m) == reduce_mod(e, m)
+
+
+def _nonsplit_powers(bound):
+    """(p, e) for every inert or ramified prime power of norm <= bound, in
+    all nine fields."""
+    out = []
+    for tag in ALL_TAGS:
+        for ell in primerange(2, bound + 1):
+            for p in primes_above(tag, ell):
+                e = 1
+                while p.kind != "split" and p.norm() ** e <= bound:
+                    out.append((p, e))
+                    e += 1
+    return out
+
+
+NONSPLIT_POWERS = _nonsplit_powers(2000)
+
+
+class TestNonsplitFactors:
+    """The filtration-built unit groups at inert and ramified prime powers
+    against the torsion-count oracle, which knows no group structure."""
+
+    def test_invariants_match_oracle(self):
+        assert len(NONSPLIT_POWERS) == 151
+        for p, e in NONSPLIT_POWERS:
+            m = p.generator ** e
+            invs = unit_group_structure(m).invariants
+            counts = brute_torsion_counts(m)
+            assert counts == {k: prod(gcd(k, n) for n in invs) for k in counts}, (str(p), e)
+
+    def test_generators_have_exactly_their_orders(self):
+        for p, e in NONSPLIT_POWERS:
+            U = UnitGroup(p.generator ** e)
+
+            def mul(a, b):
+                return reduce_mod(a * b, U.modulus)
+            one = reduce_mod(U.tag.one(), U.modulus)
+            for g, o in zip(U.gens, U.orders):
+                assert _pow(g, o, mul, one) == one, (str(p), e, str(g))
+                for r in factorint(o):
+                    assert _pow(g, o // r, mul, one) != one, (str(p), e, str(g), r)
+
+    def test_power_word_inverts_dlog_on_every_unit(self):
+        for p, e in NONSPLIT_POWERS:
+            m = p.generator ** e
+            U = UnitGroup(m)
+            seen = set()
+            for r in residues_mod(m):
+                if p.divides(r):
+                    continue
+                vec = tuple(U.dlog(r))
+                assert all(0 <= v < o for v, o in zip(vec, U.orders))
+                assert U.power_word(vec) == reduce_mod(r, U.modulus), (str(p), e, str(r))
+                seen.add(vec)
+            assert len(seen) == U.order == euler_phi(m)
+
+    def test_non_unit_rejected(self):
+        K2 = field(2)
+        U = UnitGroup(K2.from_int(5) ** 2)
+        with pytest.raises(GroupError):
+            U.dlog(K2.from_int(10))
+
+
+def _scanned_root(p):
+    """The residue root by the linear scan it replaced."""
+    tag = p.tag
+    t, n = tag.min_poly
+    ell = p.residue_char
+    for s in range(ell):
+        if (s * s - t * s + n) % ell == 0 and p.divides(tag.omega() - tag.from_int(s)):
+            return s
+
+
+class TestResidueRoot:
+    def test_equals_linear_scan(self):
+        checked = 0
+        for tag in ALL_TAGS:
+            for ell in primerange(2, 2000):
+                for p in primes_above(tag, ell):
+                    if p.kind != "inert":
+                        assert _residue_root(p) == _scanned_root(p), (tag.d, str(p))
+                        checked += 1
+        assert checked > 2000
 
 
 class TestRayClassGroup:
@@ -174,6 +261,19 @@ class TestArtinSymbol:
         assert (a * b).coords == prod.coords
         with pytest.raises(GroupError):
             a * RayClassGroup(m.conj()).class_of(K43.from_int(5))
+
+    def test_classes_compare_by_modulus_and_coords(self):
+        K43 = field(43)
+        m = OkElement(K43, 3, 2)
+        a = artin_symbol(m, K43.from_int(2))
+        for b in (RayClassGroup(m).class_of(K43.from_int(2)),
+                  RayClassGroup(-m).class_of(K43.from_int(2))):
+            assert a == b and hash(a) == hash(b)
+        assert len({a, RayClassGroup(m).class_of(K43.from_int(2))}) == 1
+        # the same coords in the group of another modulus are another class
+        other = RayClassGroup(m.conj())
+        assert other.presentation.invariants == a.group.presentation.invariants
+        assert RayClassElement(other, a.coords) != a
 
     def test_non_coprime_rejected(self):
         K1 = field(1)
