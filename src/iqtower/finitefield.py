@@ -1,11 +1,15 @@
 """Deterministic finite extension fields F_{p^t}.
 
 The modulus of F_{p^t} is the lexicographically smallest monic irreducible
-polynomial of degree t over F_p, coefficients compared constant term first.
-Elements are coefficient tuples (low degree first).  Multiplication uses
-schoolbook convolution for small degrees and exact int64 numpy convolution
-above that; the lex-smallest modulus is sparse in practice, so reduction
-folds the high part through the few nonzero modulus coefficients.
+polynomial f of degree t over F_p, coefficients compared constant term
+first.  Elements are coefficient tuples (low degree first).
+
+Multiplication has one path: the numpy convolution of the two coefficient
+vectors, reduced mod p, and a fold of its t - 1 high coefficients through
+a (t-1) x t matrix whose row k is x^(t+k) mod f, built once per field.
+Inverses are Fermat powers.  Arrays are int64 when t*(p-1)^2 < 2^63, which
+bounds every convolution and fold sum, and Python integers otherwise, so
+arithmetic is exact for every p and t.
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ import numpy as np
 
 from .abgroup import _pow
 
-_NUMPY_DEGREE = 48
-
 
 class FieldError(ValueError):
     pass
+
+
+def _dtype(p: int, t: int):
+    """int64 when no sum of t products of residues mod p can overflow it."""
+    return np.int64 if t * (p - 1) ** 2 < 2 ** 63 else object
 
 
 def _poly_eval(coeffs, x: int, p: int) -> int:
@@ -31,17 +38,10 @@ def _poly_eval(coeffs, x: int, p: int) -> int:
     return acc
 
 
-def _deg(u) -> int:
-    d = len(u) - 1
-    while d >= 0 and u[d] == 0:
-        d -= 1
-    return d
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
     """Monic gcd in F_p[x]; numpy-vectorized long division steps."""
-    a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
+    a = np.array(a, dtype=dtype) % p
+    b = np.array(b, dtype=dtype) % p
 
     def deg_np(u):
         nz = np.nonzero(u)[0]
@@ -73,9 +73,17 @@ class FiniteField:
         self.t = t
         self.modulus = _modulus          # low coefficients of monic f, len t
         self.order = p ** t
-        self._mod_nz = [(j, c) for j, c in enumerate(_modulus) if c]
-        self._f_full = None              # lazy: full coefficient vector of f
-        self._barrett = None             # lazy: inverse of rev(f) mod x^(t-1)
+        self.dtype = _dtype(p, t)
+        # row k is x^(t+k) mod f: x^t = -(low part of f), and each next row
+        # shifts up one degree and folds its x^t coefficient back
+        self._fold = np.zeros((t - 1, t), dtype=self.dtype)
+        row = -np.array(_modulus, dtype=self.dtype) % p
+        for k in range(t - 1):
+            self._fold[k] = row
+            top = row[-1]
+            row = np.roll(row, 1)
+            row[0] = 0
+            row = (row + top * self._fold[0]) % p
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.t})"
@@ -108,62 +116,10 @@ class FiniteField:
             yield FFElement(self, tup)
 
     # -- arithmetic core ------------------------------------------------------
-    def _barrett_inverse(self) -> np.ndarray:
-        """Newton inverse of the reversed modulus mod x^(t-1); monic f makes
-        the constant term of rev(f) equal to 1."""
-        if self._barrett is None:
-            t, p = self.t, self.p
-            self._f_full = np.concatenate(
-                [np.array(self.modulus, dtype=np.int64), np.array([1], dtype=np.int64)])
-            frev = self._f_full[::-1].copy()
-            need = max(t - 1, 1)
-            g = np.array([1], dtype=np.int64)
-            k = 1
-            while k < need:
-                k = min(2 * k, need)
-                fg = np.convolve(frev[:k], g)[:k] % p
-                corr = (-fg) % p
-                corr[0] = (2 - fg[0]) % p
-                g = np.convolve(g, corr)[:k] % p
-            self._barrett = g
-        return self._barrett
-
-    def _reduce_np(self, arr: np.ndarray) -> tuple[int, ...]:
-        # Barrett-style division: the quotient falls out of a truncated
-        # product against the precomputed inverse of the reversed modulus
-        t, p = self.t, self.p
-        arr = np.asarray(arr, dtype=np.int64) % p
-        if len(arr) <= t:
-            out = np.zeros(t, dtype=np.int64)
-            out[:len(arr)] = arr
-            return tuple(int(v) for v in out)
-        buf = np.zeros(2 * t - 1, dtype=np.int64)
-        buf[:len(arr)] = arr
-        Q = t - 1
-        g = self._barrett_inverse()
-        qrev = np.convolve(buf[::-1][:Q], g)[:Q] % p
-        q = qrev[::-1]
-        corr = np.convolve(q, self._f_full)
-        rem = (buf[:t] - corr[:t]) % p
-        return tuple(rem.tolist())
-
     def _mul(self, a: "FFElement", b: "FFElement") -> tuple[int, ...]:
         t, p = self.t, self.p
-        if t > _NUMPY_DEGREE:
-            prod = np.convolve(a._as_array(), b._as_array())
-            return self._reduce_np(prod)
-        aa, bb = a.coeffs, b.coeffs
-        out = [0] * (2 * t - 1)
-        for i, ai in enumerate(aa):
-            if ai:
-                for j, bj in enumerate(bb):
-                    out[i + j] += ai * bj
-        for i in range(len(out) - 1, t - 1, -1):
-            c = out[i] % p
-            if c:
-                for j, fj in self._mod_nz:
-                    out[i - t + j] = (out[i - t + j] - c * fj) % p
-        return tuple(v % p for v in out[:t])
+        conv = np.convolve(a._as_array(), b._as_array()) % p
+        return tuple(((conv[:t] + conv[t:] @ self._fold) % p).tolist())
 
 
 class FFElement:
@@ -176,7 +132,7 @@ class FFElement:
 
     def _as_array(self) -> np.ndarray:
         if self._arr is None:
-            self._arr = np.array(self.coeffs, dtype=np.int64)
+            self._arr = np.array(self.coeffs, dtype=self.field.dtype)
         return self._arr
 
     def __eq__(self, other) -> bool:
@@ -216,43 +172,7 @@ class FFElement:
     def inverse(self) -> "FFElement":
         if self.is_zero():
             raise FieldError("inverse of zero")
-        F = self.field
-        if F.t > _NUMPY_DEGREE:
-            return self ** (F.order - 2)
-        p, t = F.p, F.t
-
-        def polymul(u, v):
-            out = [0] * (len(u) + len(v) - 1)
-            for i, ui in enumerate(u):
-                if ui:
-                    for j, vj in enumerate(v):
-                        out[i + j] = (out[i + j] + ui * vj) % p
-            return out
-
-        def polysub(u, v):
-            out = list(u) + [0] * (len(v) - len(u))
-            for i, vi in enumerate(v):
-                out[i] = (out[i] - vi) % p
-            return out
-
-        r0, r1 = list(F.modulus) + [1], list(self.coeffs)
-        s0, s1 = [0], [1]
-        while _deg(r1) >= 0:
-            d0, d1 = _deg(r0), _deg(r1)
-            if d0 < d1:
-                r0, r1, s0, s1 = r1, r0, s1, s0
-                continue
-            lead = r0[d0] * pow(r1[d1], -1, p) % p
-            q = [0] * (d0 - d1) + [lead]
-            r0 = polysub(r0, polymul(q, r1))
-            s0 = polysub(s0, polymul(q, s1))
-            if _deg(r0) < _deg(r1):
-                r0, r1, s0, s1 = r1, r0, s1, s0
-        if _deg(r0) != 0:
-            raise FieldError("element not invertible (modulus not irreducible?)")
-        cinv = pow(r0[0], -1, p)
-        out = [v * cinv % p for v in s0] + [0] * t
-        return FFElement(F, tuple(out[:t]))
+        return self ** (self.field.order - 2)
 
     def __repr__(self) -> str:
         return f"FF({self.field.p}^{self.field.t}){self.coeffs}"
@@ -280,7 +200,6 @@ def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     y = x
     f_full = list(coeffs) + [1]
     batch = F.one()
-    pending = False
     for k in range(1, t // 2 + 1):
         y = y ** p
         if k == 1:
@@ -291,15 +210,10 @@ def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
         # batch the degree checks: gcd(f, prod of differences) != 1 iff some
         # factor degree falls in the batch
         batch = batch * diff
-        pending = True
         if k % 8 == 0 or k == t // 2:
-            if batch.is_zero() or _poly_gcd(list(batch.coeffs), f_full, p) != [1]:
+            if batch.is_zero() or _poly_gcd(list(batch.coeffs), f_full, p, F.dtype) != [1]:
                 return False
             batch = F.one()
-            pending = False
-    if pending:
-        if batch.is_zero() or _poly_gcd(list(batch.coeffs), f_full, p) != [1]:
-            return False
     return True
 
 

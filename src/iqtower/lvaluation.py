@@ -26,6 +26,7 @@ from math import gcd, isqrt
 
 import numpy as np
 from sympy import isprime, n_order, primerange
+from sympy.ntheory import sqrt_mod
 
 from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
@@ -52,7 +53,7 @@ class ResidueEmbedding:
             raise OkError("p must be an odd prime")
         if split_type(tag, p) != "split":
             raise OkError(f"{p} does not split in Q(sqrt(-{tag.d}))")
-        roots = sorted(r for r in range(p) if (r * r + tag.d) % p == 0)
+        roots = sorted(sqrt_mod(-tag.d % p, p, all_roots=True))
         if root is None:
             root = roots[0]
         elif root % p not in roots:

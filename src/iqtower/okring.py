@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 from sympy import factorint, isprime, jacobi_symbol
@@ -55,7 +55,7 @@ class FieldTag:
         # omega = (1 + sqrt(-d))/2 exactly when -d = 1 mod 4
         return self.d % 4 == 3
 
-    @property
+    @cached_property
     def min_poly(self) -> tuple[int, int]:
         """(t, n) with omega^2 = t*omega - n."""
         if self.omega_is_half:

@@ -96,38 +96,46 @@ def _crt_int(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m
 
 
-def _bsgs(h: int, t: int, r: int, mod: int) -> int:
-    """Solve h^j = t mod `mod` for 0 <= j < r (h of order r)."""
-    step = isqrt(r - 1) + 1
-    baby = {}
-    acc = 1
-    for j in range(step):
-        baby.setdefault(acc, j)
-        acc = acc * h % mod
-    giant = pow(pow(h, step, mod), -1, mod)
-    cur = t
+def _cyclic_tables(g: int, order: int, mod: int) -> list[tuple]:
+    """Pohlig-Hellman data for discrete logs base g, of the given order, in
+    (Z/mod)^x: per prime power r^a of the order, the cofactor, g^-cofactor,
+    and the baby steps and giant step of an element h of order r.  Built
+    once per group, so each log only looks values up."""
+    tables = []
+    for r, a in factorint(order).items():
+        cof = order // r ** a
+        gr = pow(g, cof, mod)
+        h = pow(gr, r ** (a - 1), mod)   # order r
+        step = isqrt(r - 1) + 1
+        baby, acc = {}, 1
+        for j in range(step):
+            baby[acc] = j
+            acc = acc * h % mod
+        tables.append((r, a, cof, pow(gr, -1, mod), baby, step, pow(acc, -1, mod)))
+    return tables
+
+
+def _bsgs(t: int, r: int, baby: dict, step: int, giant: int, mod: int) -> int:
+    """Solve h^j = t mod `mod` for 0 <= j < r, h of order r with the baby
+    steps h^j (j < step) and the giant step h^-step."""
     for i in range(step + 1):
-        if cur in baby:
-            return (i * step + baby[cur]) % r
-        cur = cur * giant % mod
+        if t in baby:
+            return (i * step + baby[t]) % r
+        t = t * giant % mod
     raise GroupError("baby-step giant-step failed: element outside subgroup")
 
 
-def _dlog_cyclic_int(g: int, x: int, order: int, mod: int, factors: dict) -> int:
-    """Discrete log of x base g in the cyclic subgroup of (Z/mod)^x of the
-    given order, by Pohlig-Hellman; `factors` is factorint(order), taken
-    once per group rather than once per log."""
+def _dlog_cyclic_int(x: int, mod: int, tables: list[tuple]) -> int:
+    """Discrete log of x in the cyclic subgroup of (Z/mod)^x that `tables`
+    (from _cyclic_tables) describes, by Pohlig-Hellman."""
     res, mres = 0, 1
-    for r, a in factors.items():
+    for r, a, cof, grinv, baby, step, giant in tables:
         ra = r ** a
-        gr = pow(g, order // ra, mod)
-        xr = pow(x, order // ra, mod)
-        h = pow(gr, ra // r, mod)   # order r
+        xr = pow(x, cof, mod)
         e = 0
-        grinv = pow(gr, -1, mod)
         for i in range(a):
             t = pow(xr * pow(grinv, e, mod) % mod, ra // r ** (i + 1), mod)
-            e += _bsgs(h, t, r, mod) * r ** i
+            e += _bsgs(t, r, baby, step, giant, mod) * r ** i
         res, mres = _crt_int(res, mres, e, ra)
     return res
 
@@ -173,7 +181,8 @@ class _SplitFactor:
         self.root = root % self.int_mod
         self.gens_int, self.orders = self._unit_gens(ell, e)
         # the cyclic factor that dlog solves by Pohlig-Hellman comes last
-        self._order_factors = factorint(self.orders[-1]) if self.orders else {}
+        self._tables = (_cyclic_tables(self.gens_int[-1], self.orders[-1], self.int_mod)
+                        if self.orders else [])
         self.gens = [tag.from_int(g) for g in self.gens_int]
 
     @staticmethod
@@ -206,10 +215,8 @@ class _SplitFactor:
             sign = 0 if r % 4 == 1 else 1
             if sign:
                 r = (-r) % self.int_mod
-            return [sign, _dlog_cyclic_int(5, r, self.orders[1], self.int_mod,
-                                           self._order_factors)]
-        return [_dlog_cyclic_int(self.gens_int[0], r, self.orders[0], self.int_mod,
-                                 self._order_factors)]
+            return [sign, _dlog_cyclic_int(r, self.int_mod, self._tables)]
+        return [_dlog_cyclic_int(r, self.int_mod, self._tables)]
 
     def inverse(self, x: OkElement) -> OkElement:
         r = self.to_int(x)

@@ -5,6 +5,8 @@ are counted by raw residue enumeration, their torsion by multiplying
 residues in the Hermite box of the modulus, class numbers come from ideal
 lattices under the Minkowski bound, and zeta values from a direct lattice
 sum.
+Finite-field products and inverses are schoolbook polynomial arithmetic on
+coefficient tuples with Python integers.
 """
 
 from __future__ import annotations
@@ -252,6 +254,67 @@ def brute_torsion_counts(modulus: OkElement) -> dict[int, int]:
         images[k] = [tables[r][i] for i in images[k // r]]
     unit_index = index[one]
     return {k: img.count(unit_index) for k, img in images.items()}
+
+
+# -- finite-field oracle -------------------------------------------------------
+
+def _poly_deg(u) -> int:
+    d = len(u) - 1
+    while d >= 0 and u[d] == 0:
+        d -= 1
+    return d
+
+
+def ff_mul(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
+    """a*b in F_p[x]/(f), f = x^t + sum modulus[i] x^i; schoolbook product,
+    then the high coefficients are folded down one degree at a time."""
+    t = len(modulus)
+    out = [0] * (2 * t - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    for i in range(2 * t - 2, t - 1, -1):
+        c = out[i] % p
+        for j, fj in enumerate(modulus):
+            out[i - t + j] -= c * fj
+    return tuple(v % p for v in out[:t])
+
+
+def ff_inverse(p: int, modulus: tuple, a: tuple) -> tuple:
+    """Inverse of a nonzero a in F_p[x]/(f) by the extended Euclidean
+    algorithm on (f, a)."""
+    t = len(modulus)
+
+    def polymul(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                out[i + j] = (out[i + j] + ui * vj) % p
+        return out
+
+    def polysub(u, v):
+        out = list(u) + [0] * (len(v) - len(u))
+        for i, vi in enumerate(v):
+            out[i] = (out[i] - vi) % p
+        return out
+
+    r0, r1 = list(modulus) + [1], list(a)
+    s0, s1 = [0], [1]
+    while _poly_deg(r1) >= 0:
+        d0, d1 = _poly_deg(r0), _poly_deg(r1)
+        if d0 < d1:
+            r0, r1, s0, s1 = r1, r0, s1, s0
+            continue
+        lead = r0[d0] * pow(r1[d1], -1, p) % p
+        q = [0] * (d0 - d1) + [lead]
+        r0 = polysub(r0, polymul(q, r1))
+        s0 = polysub(s0, polymul(q, s1))
+        if _poly_deg(r0) < _poly_deg(r1):
+            r0, r1, s0, s1 = r1, r0, s1, s0
+    assert _poly_deg(r0) == 0, "not invertible: zero, or f is reducible"
+    cinv = pow(r0[0], -1, p)
+    out = [v * cinv % p for v in s0] + [0] * t
+    return tuple(out[:t])
 
 
 # -- zeta lattice oracle -------------------------------------------------------

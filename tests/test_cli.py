@@ -222,6 +222,34 @@ class TestCaps:
         assert elapsed < self.SECONDS, (d, modulus, elapsed)
 
 
+class TestLargePrime:
+    """`nonvanish` at a split p with p^2 > 2^63: the root of -1 mod p is not
+    found by scanning [0, p), and F_p arithmetic must not overflow int64.
+    ord(p mod 7^3) = 147 exceeds the explicit cap, so no extension field is
+    built."""
+
+    P, Q = 4294967357, 7
+
+    @pytest.mark.parametrize("lam,x,y,k", [("3+2*w", 3, 2, 4), ("5", 5, 0, 2)])
+    def test_nonvanish(self, capsys, lam, x, y, k):
+        p, q = self.P, self.Q
+        start = time.perf_counter()
+        code, out, _ = run_cli(["nonvanish", "--d", "1", "--p", str(p), "--q", str(q),
+                                "--lambda", lam, "--k", str(k)], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        s = rec["s"]
+        assert s * s % p == p - 1 and s < p - s     # the smaller square root of -1
+        residue = (x * x + y * y) * pow((x + y * s) % p, -k, p) % p
+        assert rec["residue"] == residue
+        # 7 does not divide p - 1, so the residue is a 7-power root of unity
+        # only when it is 1
+        assert (p - 1) % q != 0
+        assert rec["N1"] == (1 if residue == 1 else 0)
+        assert elapsed < 2.0, elapsed
+
+
 class TestEntryPoint:
     def test_console_script(self):
         # Run the declared [project.scripts] target in a fresh interpreter the

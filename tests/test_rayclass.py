@@ -158,6 +158,54 @@ class TestNonsplitFactors:
             U.dlog(K2.from_int(10))
 
 
+def _split_powers(bound):
+    """(p, e) for every split prime power l^e <= bound, one prime above each
+    l in the first of the nine fields where l splits: the Pohlig-Hellman
+    tables of a split factor depend only on l^e."""
+    out = []
+    for ell in primerange(2, bound + 1):
+        p = next((p for tag in ALL_TAGS for p in primes_above(tag, ell)
+                  if p.kind == "split"), None)
+        e = 1
+        while p is not None and ell ** e <= bound:
+            out.append((p, e))
+            e += 1
+    return out
+
+
+def _every_word(U):
+    """(v, power_word(v)) for every exponent vector v of U, in lexicographic
+    order, one multiplication per step."""
+    def mul(a, b):
+        return reduce_mod(a * b, U.modulus)
+
+    def walk(i, prefix, x):
+        if i == len(U.orders):
+            yield prefix, x
+            return
+        for v in range(U.orders[i]):
+            yield from walk(i + 1, prefix + (v,), x)
+            x = mul(x, U.gens[i])
+    yield from walk(0, (), reduce_mod(U.tag.one(), U.modulus))
+
+
+class TestSplitFactors:
+    def test_dlog_inverts_power_word_on_every_unit(self):
+        """dlog(power_word(v)) == v for every v is the every-unit sweep
+        power_word(dlog(x)) == x, as both maps are between sets of size
+        phi(p^e); walking the words costs one product per unit instead of
+        one power_word."""
+        powers = _split_powers(2000)
+        assert len(powers) == 333      # all 303 primes l <= 2000 split somewhere
+        for p, e in powers:
+            U = UnitGroup(p.generator ** e)
+            count = 0
+            for vec, x in _every_word(U):
+                assert tuple(U.dlog(x)) == vec, (str(p), e, vec)
+                count += 1
+            assert count == U.order == euler_phi(U.modulus)
+
+
 def _scanned_root(p):
     """The residue root by the linear scan it replaced."""
     tag = p.tag
