@@ -1,8 +1,8 @@
 """Finite abelian group machinery shared by the residue-ring and
 quadratic-form modules: integer Smith normal form with tracked transforms,
 quotient presentations, and, for the form class groups, structure recovery
-for concretely enumerated groups (Sylow counting plus deterministic basis
-extraction).
+for concretely enumerated groups (one relation walk plus a Smith normal
+form).
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import mul
-
-from sympy import factorint
 
 
 class GroupError(ValueError):
@@ -195,103 +193,50 @@ def _pow(x, k: int, op, identity):
     return out
 
 
-def element_order(x, group_order: int, op, identity) -> int:
-    o = group_order
-    for r in factorint(group_order):
-        while o % r == 0 and _pow(x, o // r, op, identity) == identity:
-            o //= r
-    return o
+def abelian_structure(elements: list, op, identity) -> tuple[list, QuotientPresentation, dict]:
+    """Structure of a finite abelian group given all its elements, by one
+    relation walk.
 
-
-def abelian_structure(elements: list, op, identity) -> tuple[list, list[int], dict]:
-    """Structure of a finite abelian group given all its elements.
-
-    Returns (basis, orders, dlog) where the group is the internal direct
-    product of the cyclic subgroups generated by `basis` (orders are prime
-    powers, grouped by Sylow subgroup) and dlog maps every element to its
-    exponent vector.  Deterministic: basis search follows input order.
+    The walk goes through `elements` in input order; each element outside
+    the subgroup found so far becomes a generator, and its first power that
+    lands in that subgroup gives one relation.  Returns (gens, pres, dlog):
+    `pres` is the Smith presentation of the walk's relations, with every
+    generator of order dividing len(elements), and dlog maps every element
+    to its Smith coordinates `pres.coords(word)`.
     """
     n = len(elements)
     if n == 0:
         raise GroupError("empty element list")
-    basis: list = []
-    orders: list[int] = []
-    for r, v in sorted(factorint(n).items()):
-        cof = n // r ** v
-        sylow: list = []
-        seen = set()
-        for x in elements:
-            y = _pow(x, cof, op, identity)
-            if y not in seen:
-                seen.add(y)
-                sylow.append(y)
-        size = len(sylow)
-        ords = {x: element_order(x, r ** v, op, identity) for x in sylow}
-        # torsion counts c_k = #{x : x^(r^k) = 1} determine the partition:
-        # the number of cyclic parts of size >= k is log_r(c_k / c_{k-1})
-        parts_geq: list[int] = []
-        prev = 1
-        kk = 1
-        while prev < size:
-            c = sum(1 for x in sylow if ords[x] <= r ** kk)
-            m = 0
-            t = c // prev
-            while t > 1:
-                t //= r
-                m += 1
-            parts_geq.append(m)
-            prev = c
-            kk += 1
-        sizes: list[int] = []
-        for idx, geq in enumerate(parts_geq):
-            nxt = parts_geq[idx + 1] if idx + 1 < len(parts_geq) else 0
-            sizes.extend([idx + 1] * (geq - nxt))
-        sizes.sort(reverse=True)
-        sub: dict = {identity: True}
-        for lam in sizes:
-            target = r ** lam
-            chosen = None
-            for x in sylow:
-                if ords[x] != target:
-                    continue
-                socle_gen = _pow(x, target // r, op, identity)
-                # <x> meets <basis so far> trivially iff no socle element lands in it
-                ok = True
-                y = socle_gen
-                for _ in range(r - 1):
-                    if y in sub:
-                        ok = False
-                        break
-                    y = op(y, socle_gen)
-                if ok:
-                    chosen = x
-                    break
-            if chosen is None:
-                raise GroupError("basis extraction failed; group not abelian?")
-            new_sub: dict = {}
-            pw = identity
-            for _ in range(target):
-                for h in sub:
-                    new_sub[op(h, pw)] = True
-                pw = op(pw, chosen)
-            sub = new_sub
-            basis.append(chosen)
-            orders.append(target)
-        if len(sub) != size:
-            raise GroupError("Sylow basis does not span")
-    # exponent-vector table
-    dlog: dict = {identity: (0,) * len(basis)}
-    for j, (g, o) in enumerate(zip(basis, orders)):
-        table = list(dlog.items())
-        pw = identity
-        vec_unit = tuple(int(i == j) for i in range(len(basis)))
-        for e in range(1, o):
-            pw = op(pw, g)
-            for elt, vec in table:
-                dlog[op(elt, pw)] = tuple(a + e * b for a, b in zip(vec, vec_unit))
-    if len(dlog) != n:
-        raise GroupError("dlog table incomplete; element list not a group?")
-    return basis, orders, dlog
+    gens: list = []
+    rels: list[list[int]] = []
+    # words in the generators so far, shorter words padded with zeros
+    words: dict = {identity: ()}
+    for x in elements:
+        if len(words) >= n:
+            break
+        if x in words:
+            continue
+        j = len(gens)
+        gens.append(x)
+        powers = [identity]
+        y = x
+        while y not in words:
+            powers.append(y)
+            y = op(y, x)
+        # x^k = y with k = len(powers), and y has a word in the earlier gens
+        rel = words[y]
+        rels.append([-a for a in rel] + [0] * (j - len(rel)) + [len(powers)])
+        subgroup = list(words.items())
+        for i, c in enumerate(powers[1:], 1):
+            for h, w in subgroup:
+                words[op(h, c)] = w + (0,) * (j - len(w)) + (i,)
+    if len(words) != n:
+        raise GroupError("the elements are not a group under op")
+    r = len(gens)
+    pres = QuotientPresentation.from_relations(
+        [n] * r, [rel + [0] * (r - len(rel)) for rel in rels])
+    dlog = {x: pres.coords(w + (0,) * (r - len(w))) for x, w in words.items()}
+    return gens, pres, dlog
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,10 @@ from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
 
 
 def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
-    """Canonical representative of e modulo (modulus): coordinates of
-    e/modulus are rounded to nearest integers (halves round up)."""
+    """Representative of e modulo (modulus): coordinates of e/modulus are
+    rounded to nearest integers (halves round up).  It depends on the
+    generator, not only on the ideal (in Z[i], 1 mod 2 is -1 but 1 mod 2i
+    is 1); reduce by `canonical_associate(modulus)` for one per ideal."""
     if modulus.is_zero():
         raise OkError("zero modulus")
     n = modulus.norm()

@@ -3,8 +3,9 @@
 Nothing here reuses the structure-recovery paths under test: unit groups
 are counted by raw residue enumeration, their torsion by multiplying
 residues in the Hermite box of the modulus, class numbers come from ideal
-lattices under the Minkowski bound, and zeta values from a direct lattice
-sum.
+lattices under the Minkowski bound, finite abelian groups given by all their
+elements are decomposed by Sylow counting, and zeta values come from a
+direct lattice sum.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers.
 """
@@ -17,6 +18,7 @@ from math import gcd, isqrt
 import numpy as np
 from sympy import divisors, factorint
 
+from iqtower.abgroup import GroupError, _pow
 from iqtower.okring import OkElement, gcd_ok
 from iqtower.rayclass import reduce_mod, residues_mod
 
@@ -254,6 +256,110 @@ def brute_torsion_counts(modulus: OkElement) -> dict[int, int]:
         images[k] = [tables[r][i] for i in images[k // r]]
     unit_index = index[one]
     return {k: img.count(unit_index) for k, img in images.items()}
+
+
+# -- group-structure oracle ----------------------------------------------------
+# Structure recovery by Sylow counting, the oracle for the relation walk of
+# `abgroup.abelian_structure`: prime-power orders from torsion counts, then a
+# basis chosen by socle tests.
+
+def element_order(x, group_order: int, op, identity) -> int:
+    o = group_order
+    for r in factorint(group_order):
+        while o % r == 0 and _pow(x, o // r, op, identity) == identity:
+            o //= r
+    return o
+
+
+def sylow_structure(elements: list, op, identity) -> tuple[list, list[int], dict]:
+    """Structure of a finite abelian group given all its elements.
+
+    Returns (basis, orders, dlog) where the group is the internal direct
+    product of the cyclic subgroups generated by `basis` (orders are prime
+    powers, grouped by Sylow subgroup) and dlog maps every element to its
+    exponent vector.  Deterministic: basis search follows input order.
+    """
+    n = len(elements)
+    if n == 0:
+        raise GroupError("empty element list")
+    basis: list = []
+    orders: list[int] = []
+    for r, v in sorted(factorint(n).items()):
+        cof = n // r ** v
+        sylow: list = []
+        seen = set()
+        for x in elements:
+            y = _pow(x, cof, op, identity)
+            if y not in seen:
+                seen.add(y)
+                sylow.append(y)
+        size = len(sylow)
+        ords = {x: element_order(x, r ** v, op, identity) for x in sylow}
+        # torsion counts c_k = #{x : x^(r^k) = 1} determine the partition:
+        # the number of cyclic parts of size >= k is log_r(c_k / c_{k-1})
+        parts_geq: list[int] = []
+        prev = 1
+        kk = 1
+        while prev < size:
+            c = sum(1 for x in sylow if ords[x] <= r ** kk)
+            m = 0
+            t = c // prev
+            while t > 1:
+                t //= r
+                m += 1
+            parts_geq.append(m)
+            prev = c
+            kk += 1
+        sizes: list[int] = []
+        for idx, geq in enumerate(parts_geq):
+            nxt = parts_geq[idx + 1] if idx + 1 < len(parts_geq) else 0
+            sizes.extend([idx + 1] * (geq - nxt))
+        sizes.sort(reverse=True)
+        sub: dict = {identity: True}
+        for lam in sizes:
+            target = r ** lam
+            chosen = None
+            for x in sylow:
+                if ords[x] != target:
+                    continue
+                socle_gen = _pow(x, target // r, op, identity)
+                # <x> meets <basis so far> trivially iff no socle element lands in it
+                ok = True
+                y = socle_gen
+                for _ in range(r - 1):
+                    if y in sub:
+                        ok = False
+                        break
+                    y = op(y, socle_gen)
+                if ok:
+                    chosen = x
+                    break
+            if chosen is None:
+                raise GroupError("basis extraction failed; group not abelian?")
+            new_sub: dict = {}
+            pw = identity
+            for _ in range(target):
+                for h in sub:
+                    new_sub[op(h, pw)] = True
+                pw = op(pw, chosen)
+            sub = new_sub
+            basis.append(chosen)
+            orders.append(target)
+        if len(sub) != size:
+            raise GroupError("Sylow basis does not span")
+    # exponent-vector table
+    dlog: dict = {identity: (0,) * len(basis)}
+    for j, (g, o) in enumerate(zip(basis, orders)):
+        table = list(dlog.items())
+        pw = identity
+        vec_unit = tuple(int(i == j) for i in range(len(basis)))
+        for e in range(1, o):
+            pw = op(pw, g)
+            for elt, vec in table:
+                dlog[op(elt, pw)] = tuple(a + e * b for a, b in zip(vec, vec_unit))
+    if len(dlog) != n:
+        raise GroupError("dlog table incomplete; element list not a group?")
+    return basis, orders, dlog
 
 
 # -- finite-field oracle -------------------------------------------------------

@@ -2,16 +2,46 @@ import itertools
 import random
 
 import pytest
+from sympy import factorint
 
+from iqtower.abgroup import QuotientPresentation, _pow
 from iqtower.classforms import (FormError, QuadForm, class_group, p_rank,
                                 prime_form, principal_form, reduced_forms,
                                 s_class_group)
 
-from oracles import minkowski_class_number
+from oracles import minkowski_class_number, sylow_structure
 
 
 def _valid_discs(limit):
     return [d for d in range(-3, -limit - 1, -1) if d % 4 in (0, 1)]
+
+
+def _op(f, g):
+    return (f * g).reduced()
+
+
+def _closure(gens, e) -> set:
+    """The subgroup generated by gens, by multiplying out until stable."""
+    sub, frontier = {e}, [e]
+    while frontier:
+        new = [_op(h, g) for h in frontier for g in gens]
+        frontier = [x for x in new if x not in sub]
+        sub.update(frontier)
+    return sub
+
+
+def _prime_forms(disc, S) -> list:
+    return [f for f in (prime_form(disc, ell) for ell in S) if f is not None]
+
+
+def _has_exact_orders(structure, sub, e) -> bool:
+    """Each generator's order modulo the subgroup sub is its invariant."""
+    for g, n in zip(structure.generators, structure.invariants):
+        if _pow(g, n, _op, e) not in sub:
+            return False
+        if any(_pow(g, n // r, _op, e) in sub for r in factorint(n)):
+            return False
+    return True
 
 
 class TestQuadForm:
@@ -77,6 +107,48 @@ class TestClassGroup:
         assert g.order == 1
         g48 = class_group(-48)
         assert g48.order == 2
+
+
+class TestRelationWalk:
+    """The relation walk against the Sylow-counting oracle, and its
+    generators and discrete logs against the group law itself."""
+
+    def test_invariants_match_sylow_oracle(self):
+        for disc in _valid_discs(2000):
+            G = class_group(disc)
+            _, orders, _ = sylow_structure(list(G.forms), _op, principal_form(disc))
+            expected = QuotientPresentation.from_relations(orders, []).invariants
+            assert G.structure.invariants == expected, disc
+
+    def test_dlog_is_a_bijective_homomorphism(self):
+        for disc in _valid_discs(300):
+            G = class_group(disc)
+            invs = G.structure.invariants
+            coords = {f: G.dlog(f) for f in G.forms}
+            assert len(set(coords.values())) == G.order
+            assert all(0 <= c < n for v in coords.values() for c, n in zip(v, invs))
+            for i, g in enumerate(G.structure.generators):
+                assert G.dlog(g) == tuple(int(i == j) for j in range(len(invs)))
+            for f, g in itertools.product(G.forms, repeat=2):
+                assert G.dlog(f * g) == tuple((a + b) % n for a, b, n
+                                              in zip(coords[f], coords[g], invs)), (disc, f, g)
+
+    def test_generators_have_exactly_their_orders(self):
+        for disc in _valid_discs(1000):
+            G = class_group(disc)
+            e = principal_form(disc)
+            assert _has_exact_orders(G.structure, {e}, e), disc
+            for S in ([2], [3, 5], [2, 3, 5, 7]):
+                sub = _closure(_prime_forms(disc, S), e)
+                assert _has_exact_orders(s_class_group(disc, S).structure, sub, e), (disc, S)
+
+    def test_s_class_order_is_index_of_prime_form_closure(self):
+        for disc in _valid_discs(1000):
+            h = class_group(disc).order
+            e = principal_form(disc)
+            for S in ([2], [3], [2, 3], [2, 3, 5, 7], [13]):
+                sub = _closure(_prime_forms(disc, S), e)
+                assert s_class_group(disc, S).order * len(sub) == h, (disc, S)
 
 
 class TestSClassGroup:

@@ -3,14 +3,17 @@ brute force or exact rational arithmetic.  Derandomized with bounded example
 counts, so every run draws the same cases."""
 
 from fractions import Fraction
-from math import floor
+from math import floor, prod
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix, divisors
 
-from iqtower.abgroup import _pow, coords_order, padic_val
+from iqtower.abgroup import _pow, coords_order, padic_val, smith_normal_form
+from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
-from iqtower.okring import CLASS_NUMBER_ONE_DS, OkElement, field, primes_above
+from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
+                            field, primes_above)
 from iqtower.rayclass import UnitGroup, reduce_mod
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -49,6 +52,19 @@ class TestReduceMod:
         assert (e - r).divide_exact(modulus) is not None
         shifted = e + OkElement(tag, kx, ky) * modulus
         assert reduce_mod(shifted, modulus) == r
+
+
+    @SETTINGS
+    @given(fields, small, small, big, big)
+    # 1 mod 2 is -1 but 1 mod 2i is 1; both have the canonical associate 2
+    @example(field(1), 2, 0, 1, 0)
+    def test_canonical_associate_gives_one_result_per_ideal(self, tag, mx, my, x, y):
+        modulus = OkElement(tag, mx, my)
+        if modulus.is_zero():
+            modulus = tag.one()
+        e = OkElement(tag, x, y)
+        assert len({reduce_mod(e, canonical_associate(u * modulus))
+                    for u in tag.units()}) == 1
 
 
 class TestPadicVal:
@@ -107,6 +123,62 @@ class TestSharedPower:
         for _ in range(abs(k)):
             expected = expected * base
         assert z ** k == expected
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(st.integers(-50, 50), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+class TestSmithNormalForm:
+    @SETTINGS
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 5)).flatmap(lambda km: _matrices(*km)))
+    def test_chain_and_transforms(self, rel):
+        diag, U, Uinv = smith_normal_form(rel)
+        k = len(rel)
+        assert len(diag) == k and all(d >= 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0 if a else b == 0
+        assert (Matrix(U) * Matrix(Uinv)).tolist() == Matrix.eye(k).tolist()
+        # U rel V = diag with V unimodular, so row i of U rel is d_i times
+        # an integer row
+        for d, row in zip(diag, (Matrix(U) * Matrix(rel)).tolist()):
+            assert all(v % d == 0 if d else v == 0 for v in row)
+
+    @SETTINGS
+    @given(st.integers(1, 4).flatmap(lambda k: _matrices(k, k)))
+    def test_diagonal_product_is_determinant(self, rel):
+        det = Matrix(rel).det()
+        assume(det != 0)
+        diag, _, _ = smith_normal_form(rel)
+        assert prod(diag) == abs(det)
+
+
+@st.composite
+def form_triples(draw):
+    """Three primitive forms, not necessarily reduced, of one discriminant
+    in [-10^5, -501]: (a, b, (b^2 - disc)/4a) for a drawn divisor a."""
+    disc = -draw(st.integers(501, 10 ** 5).filter(lambda n: -n % 4 in (0, 1)))
+
+    def form():
+        b = 2 * draw(st.integers(-100, 100)) + disc % 2
+        n = (b * b - disc) // 4
+        divs = divisors(n)
+        a = divs[draw(st.integers(0, len(divs) - 1))]
+        return QuadForm(a, b, n // a)
+    forms = (form(), form(), form())
+    assume(all(f.content() == 1 for f in forms))
+    return forms
+
+
+class TestFormComposition:
+    @SETTINGS
+    @given(form_triples())
+    def test_associative_beyond_500(self, forms):
+        f, g, h = forms
+        left = ((f * g).reduced() * h).reduced()
+        assert left == (f * (g * h).reduced()).reduced()
+        assert left.is_reduced() and left.discriminant() == f.discriminant()
 
 
 @st.composite

@@ -4,7 +4,8 @@ from math import gcd, prod
 import pytest
 from sympy import factorint, primerange
 
-from iqtower.abgroup import GroupError, _pow
+from iqtower.abgroup import GroupError, _pow, padic_val
+from iqtower.classforms import class_group
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
                             is_coprime, primes_above, smallest_split_primes)
@@ -15,7 +16,8 @@ from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
                               ray_class_group, reduce_mod, residues_mod,
                               unit_group_structure)
 
-from oracles import brute_euler_phi, brute_ray_degree, brute_torsion_counts
+from oracles import (brute_euler_phi, brute_ray_degree, brute_torsion_counts,
+                     sylow_structure)
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -138,18 +140,19 @@ class TestNonsplitFactors:
                     assert _pow(g, o // r, mul, one) != one, (str(p), e, str(g), r)
 
     def test_power_word_inverts_dlog_on_every_unit(self):
+        """Every unit of every factor, as in TestSplitFactors: the words are
+        walked with one product per unit, and dlog(power_word(v)) == v for
+        all phi(p^e) words v makes the two maps inverse bijections."""
+        total = 0
         for p, e in NONSPLIT_POWERS:
-            m = p.generator ** e
-            U = UnitGroup(m)
-            seen = set()
-            for r in residues_mod(m):
-                if p.divides(r):
-                    continue
-                vec = tuple(U.dlog(r))
-                assert all(0 <= v < o for v, o in zip(vec, U.orders))
-                assert U.power_word(vec) == reduce_mod(r, U.modulus), (str(p), e, str(r))
-                seen.add(vec)
-            assert len(seen) == U.order == euler_phi(m)
+            U = UnitGroup(p.generator ** e)
+            count = 0
+            for vec, x in _every_word(U):
+                assert tuple(U.dlog(x)) == vec, (str(p), e, vec)
+                count += 1
+            assert count == U.order == euler_phi(U.modulus)
+            total += count
+        assert total == 58188
 
     def test_non_unit_rejected(self):
         K2 = field(2)
@@ -409,7 +412,7 @@ class TestAnticyclotomicTower:
     def test_enumeration_oracle_d1_q5(self):
         # independent route: enumerate (O_K/5^3)^x outright, recover its
         # structure, and form the same minus quotient
-        from iqtower.abgroup import QuotientPresentation, abelian_structure
+        from iqtower.abgroup import QuotientPresentation
         tag = field(1)
         modulus = tag.from_int(125)
         # units mod 5^3: avoid both primes above 5, cut out by the roots
@@ -420,7 +423,7 @@ class TestAnticyclotomicTower:
         assert len(units) == euler_phi(modulus)
         op = lambda a, b: reduce_mod(a * b, modulus)
         ident = reduce_mod(tag.one(), modulus)
-        basis, orders, dlog = abelian_structure(units, op, ident)
+        basis, orders, dlog = sylow_structure(units, op, ident)
         idx = [i for i, o in enumerate(orders) if o % 5 == 0]
         qparts = []
         sgens = []
@@ -436,6 +439,25 @@ class TestAnticyclotomicTower:
         fast = minus_quotient(modulus, 5)
         assert pres.order == fast.order == 25
         assert pres.invariants == fast.invariants == (25,)
+
+    def test_ring_class_group_oracle(self):
+        """For h_K = 1, level n of the tower is the q-part of the ring class
+        group of conductor q^(n+1), the form class group of discriminant
+        D_K q^(2(n+1)) (Cox, Primes of the form x^2 + ny^2, Thm. 7.24);
+        classforms shares no code with minus_quotient."""
+        cases = 0
+        for tag in ALL_TAGS:
+            D = tag.discriminant
+            for q in smallest_split_primes(tag, 2):
+                n = 0
+                while -D * q ** (2 * (n + 1)) <= 3 * 10 ** 6:
+                    invs = class_group(D * q ** (2 * (n + 1))).structure.invariants
+                    q_part = tuple(q ** padic_val(m, q) for m in invs if m % q == 0)
+                    tower = anticyclotomic_tower(tag, q, n)
+                    assert q_part == tower.levels[-1].invariants, (tag.d, q, n)
+                    cases += 1
+                    n += 1
+        assert cases == 37
 
     def test_enumeration_oracle_d2_q11(self):
         tag = field(2)
