@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -159,8 +160,10 @@ def _cmd_nonvanish(args) -> None:
 def _cmd_lseries(args) -> None:
     if args.B > MAX_TRUNCATION:
         raise ConfigError(f"truncation bound {args.B} exceeds the cap {MAX_TRUNCATION}")
-    if args.s <= 1:
-        raise ConfigError("s must exceed 1")
+    if args.B < 2:
+        raise ConfigError(f"truncation bound {args.B} is below 2")
+    if not math.isfinite(args.s) or args.s <= 1:
+        raise ConfigError("s must be a finite number exceeding 1")
     tag = field(args.d)
     m = _parse_modulus(args.d, args.modulus)
     g = ray_class_group(m)

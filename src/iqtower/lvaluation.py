@@ -10,10 +10,13 @@ vanish mod p.  Valuations are only ever decided as "zero vs positive",
 i.e. nonzero vs zero in the residue field.
 
 The L-series side evaluates imprimitive Hecke L-functions of finite-order
-ray class characters as truncated ideal sums and truncated Euler products,
-with rigorous tail bounds from the ideal-count estimate r_K(n) <= d(n)
-(valid for every imaginary quadratic field: r_K(n) = sum over m | n of
-chi_disc(m), a sum of n/m terms each at most 1).
+ray class characters as truncated ideal sums and truncated Euler products.
+One enumeration of ideals, in numpy rows of one representative per ideal,
+feeds both: the sum reads every row entry, the product the entries that
+generate prime ideals.  Both carry rigorous tail bounds from the
+ideal-count estimate r_K(n) <= d(n) (valid for every imaginary quadratic
+field: r_K(n) = sum over m | n of chi_disc(m), a sum of n/m terms each at
+most 1).
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import isprime, n_order, primerange
+from sympy import isprime, n_order
 from sympy.ntheory import sqrt_mod
 
 from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
-from .okring import (FieldTag, OkElement, OkError, factor, primes_above,
-                     split_type)
+from .okring import FieldTag, OkElement, OkError, factor, split_type
 from .rayclass import CharacterSpec, _residue_root, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
@@ -279,22 +281,20 @@ def dirichlet_tail_bound(bound: int, s: float) -> float:
     return 2.0 * _zeta_upper(s) * tail
 
 
-def _prime_linear_roots(modulus: OkElement) -> list[tuple[str, int, int]]:
-    """Divisibility data for the primes of the modulus: entries
-    ("lin", ell, s) mean the prime divides x + y*omega iff
-    x + y*s = 0 mod ell; ("both", ell, 0) means x = y = 0 mod ell (inert)."""
-    out = []
-    for p, _ in factor(modulus).factors:
-        if p.kind == "inert":
-            out.append(("both", p.residue_char, 0))
-        else:
-            out.append(("lin", p.residue_char, _residue_root(p)))
-    return out
+def _prime_sieve(bound: int) -> np.ndarray:
+    """Boolean numpy array, True exactly at the primes in [0, bound]: bound + 1
+    bytes, 1 MB at bound = 10^6 and 100 MB at the CLI cap 10^8."""
+    sieve = np.ones(bound + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return sieve
 
 
 def _ideal_rows(tag: FieldTag, bound: int):
-    """Yield (y, xs) numpy rows covering each nonzero ideal of norm <= bound
-    exactly once: representatives are canonical up to units.
+    """Yield (y, xs, norms) numpy rows covering each nonzero ideal of norm <=
+    bound exactly once: representatives are canonical up to units.
 
     For the two-unit fields these are y >= 1 (any x) plus y = 0, x >= 1; for
     d = 1 and d = 3 the sector x >= 1, y >= 0 is a transversal of the unit
@@ -317,33 +317,67 @@ def _ideal_rows(tag: FieldTag, bound: int):
             continue
         xs = np.arange(lo, hi + 1, dtype=np.int64)
         norms = xs * xs + t * xs * y + n * y * y
-        xs = xs[(norms >= 1) & (norms <= bound)]
-        if len(xs):
-            yield y, xs
+        keep = (norms >= 1) & (norms <= bound)
+        if keep.any():
+            yield y, xs[keep], norms[keep]
 
 
-def _character(modulus: OkElement, chi: CharacterSpec, s: float):
-    """Validate an L-value request; returns (group, trivial, chi_at) where
-    chi_at(e) is chi at the ideal (e) coprime to the modulus (the float 1.0
-    for the trivial character, so real sums stay real)."""
-    if s <= 1:
-        raise OkError("s must exceed 1")
+def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
+    """The _ideal_rows rows restricted to ideals coprime to the modulus.  A
+    prime of degree one over ell with omega = s mod it divides x + y*omega
+    iff x + y*s = 0 mod ell; an inert ell divides it iff ell | x and ell | y."""
+    primes = [(p.residue_char, None if p.kind == "inert" else _residue_root(p))
+              for p, _ in factor(modulus).factors]
+    for y, xs, norms in _ideal_rows(tag, bound):
+        mask = np.ones(len(xs), dtype=bool)
+        for ell, root in primes:
+            if root is not None:
+                mask &= ((xs + y * root) % ell) != 0
+            elif y % ell == 0:
+                mask &= (xs % ell) != 0
+        if mask.any():
+            yield y, xs[mask], norms[mask]
+
+
+def _character(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
+               bound: int):
+    """Validate an L-value request; returns (zero, chi_row) where chi_row(y, xs)
+    is chi at the ideals (x + y*omega), x in xs, coprime to the modulus: the
+    float 1.0 for the trivial character, so real sums stay real, and a
+    complex array otherwise.  zero is 0.0 or 0j accordingly."""
+    if not math.isfinite(s) or s <= 1:
+        raise OkError("s must be a finite number exceeding 1")
+    if bound < 2:
+        raise OkError("the truncation bound must be at least 2")
     if chi.k != 0:
         raise OkError("only finite-order characters (k = 0) are evaluated")
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
     if len(chi.exponents) != len(invariants):
         raise OkError("character exponent vector does not match the group")
-    trivial = all(e == 0 for e in chi.exponents)
+    if all(e == 0 for e in chi.exponents):
+        return 0.0, lambda y, xs: 1.0
 
     def chi_at(e: OkElement) -> complex:
-        if trivial:
-            return 1.0
         cls = group.ideal_class_coords(e)
         theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
         return cmath.exp(2j * cmath.pi * theta)
 
-    return group, trivial, chi_at
+    def chi_row(y: int, xs: np.ndarray) -> np.ndarray:
+        return np.array([chi_at(OkElement(tag, x, y)) for x in xs.tolist()])
+
+    return 0j, chi_row
+
+
+def _prime_entries(tag: FieldTag, sieve: np.ndarray, y: int, xs: np.ndarray,
+                   norms: np.ndarray) -> np.ndarray:
+    """Mask of the row entries that generate prime ideals: for y != 0 those
+    of prime norm (split and ramified primes), for y = 0 the inert primes
+    (ell, 0).  The transversal keeps the other associates of ell out."""
+    if y:
+        return sieve[norms]
+    return np.array([bool(sieve[x]) and split_type(tag, x) == "inert"
+                     for x in xs.tolist()], dtype=bool)
 
 
 def evaluate_imprimitive_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
@@ -351,66 +385,26 @@ def evaluate_imprimitive_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec
     """Truncated Dirichlet sum over ideals of norm <= bound coprime to the
     modulus, with a rigorous tail bound.  chi must be a finite-order ray
     class character (k = 0) modulo the given modulus."""
-    group, trivial, chi_at = _character(modulus, chi, s)
-    t, n = tag.min_poly
-    lin = _prime_linear_roots(group.modulus)
-    total = 0.0 if trivial else complex(0.0)
-    for y, xs in _ideal_rows(tag, bound):
-        mask = np.ones(len(xs), dtype=bool)
-        for kind, ell, root in lin:
-            if kind == "both":
-                if y % ell == 0:
-                    mask &= (xs % ell) != 0
-            else:
-                mask &= ((xs + y * root) % ell) != 0
-        xs = xs[mask]
-        if not len(xs):
-            continue
-        norms = (xs * xs + t * xs * y + n * y * y).astype(np.float64)
-        if trivial:
-            total += float(np.sum(norms ** (-s)))
-        else:
-            for x, nv in zip(xs.tolist(), norms.tolist()):
-                total += chi_at(OkElement(tag, x, int(y))) * nv ** (-s)
+    total, chi_row = _character(tag, modulus, chi, s, bound)
+    for y, xs, norms in _coprime_rows(tag, modulus, bound):
+        total += np.sum(chi_row(y, xs) * norms.astype(np.float64) ** (-s)).item()
     return LSeriesValue(total, bound, dirichlet_tail_bound(bound, s))
 
 
 def euler_product_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
                     s: float, bound: int) -> LSeriesValue:
     """The same L-value as a truncated Euler product over prime ideals of
-    norm <= bound coprime to the modulus."""
-    group, trivial, chi_at = _character(modulus, chi, s)
-    total = 1.0 if trivial else complex(1.0)
-    norm_mod = group.modulus.norm()
-    disc = tag.discriminant
-    for ell in primerange(2, bound + 1):
-        if ell == 2:
-            kind = split_type(tag, ell)
-        else:
-            r = pow(disc % ell, (ell - 1) // 2, ell)
-            kind = "ramified" if r == 0 else ("split" if r == 1 else "inert")
-        touches_mod = norm_mod % ell == 0
-        if trivial and not touches_mod:
-            # the factor depends only on the splitting behaviour
-            if kind == "split":
-                total = total / (1.0 - float(ell) ** (-s)) ** 2
-            elif kind == "ramified":
-                total = total / (1.0 - float(ell) ** (-s))
-            elif ell * ell <= bound:
-                total = total / (1.0 - float(ell) ** (-2 * s))
-            continue
-        if kind == "inert":
-            if ell * ell > bound:
-                continue
-            p = primes_above(tag, ell)[0]
-            if p.divides(group.modulus):
-                continue
-            total = total / (1.0 - chi_at(p.generator) * float(ell) ** (-2 * s))
-            continue
-        for p in primes_above(tag, ell):
-            if p.divides(group.modulus):
-                continue
-            total = total / (1.0 - chi_at(p.generator) * float(ell) ** (-s))
+    norm <= bound coprime to the modulus, each read once off the Dirichlet
+    rows; chi of the row element is chi of the ideal, units being
+    quotiented out."""
+    zero, chi_row = _character(tag, modulus, chi, s, bound)
+    total = zero + 1.0
+    sieve = _prime_sieve(bound)
+    for y, xs, norms in _coprime_rows(tag, modulus, bound):
+        keep = _prime_entries(tag, sieve, y, xs, norms)
+        factors = 1.0 - chi_row(y, xs[keep]) * norms[keep].astype(np.float64) ** (-s)
+        for f in factors.tolist():
+            total = total / f
     log_tail = dirichlet_tail_bound(bound, s) / (1.0 - float(bound) ** (-s))
     err = abs(total) * math.expm1(log_tail)
     return LSeriesValue(total, bound, err)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from sympy import factorint, isprime, jacobi_symbol
+from sympy import factorint, isprime
 
 from .abgroup import _pow
 
@@ -278,7 +278,8 @@ class OkPrime:
 
 
 def split_type(tag: FieldTag, ell: int) -> str:
-    """Kronecker classification of the rational prime ell in K."""
+    """Kronecker classification of the prime ell in K (ell must be prime);
+    for odd ell by Euler's criterion, disc^((ell-1)/2) mod ell."""
     if ell < 2:
         raise OkError("ell must be a prime >= 2")
     disc = tag.discriminant
@@ -288,7 +289,7 @@ def split_type(tag: FieldTag, ell: int) -> str:
         return "split" if disc % 8 == 1 else "inert"
     if disc % ell == 0:
         return "ramified"
-    return "split" if jacobi_symbol(disc, ell) == 1 else "inert"
+    return "split" if pow(disc % ell, (ell - 1) // 2, ell) == 1 else "inert"
 
 
 def _cornacchia_prime(dcoef: int, ell: int) -> tuple[int, int]:

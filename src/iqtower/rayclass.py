@@ -417,8 +417,7 @@ class UnitGroup:
         return not any(p.divides(e) for p, _ in self.prime_powers)
 
     def dlog(self, e: OkElement) -> list[int]:
-        if not self.is_unit(e):
-            raise GroupError(f"{e} shares a factor with the modulus {self.modulus}")
+        # each factor's dlog raises GroupError when e is not a unit modulo it
         out: list[int] = []
         for f in self.factors:
             out.extend(f.dlog(e))

@@ -4,8 +4,9 @@ Nothing here reuses the structure-recovery paths under test: unit groups
 are counted by raw residue enumeration, their torsion by multiplying
 residues in the Hermite box of the modulus, class numbers come from ideal
 lattices under the Minkowski bound, finite abelian groups given by all their
-elements are decomposed by Sylow counting, and zeta values come from a
-direct lattice sum.
+elements are decomposed by Sylow counting, zeta values come from a direct
+lattice sum, and the prime ideals of an Euler product come prime by prime
+from sympy's primerange and the primes above each.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers.
 """
@@ -16,10 +17,10 @@ import math
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import divisors, factorint
+from sympy import divisors, factorint, primerange
 
 from iqtower.abgroup import GroupError, _pow
-from iqtower.okring import OkElement, gcd_ok
+from iqtower.okring import OkElement, gcd_ok, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
 
@@ -442,3 +443,11 @@ def lattice_zeta(d: int, s: float, bound: int) -> float:
         sel = norms[(norms >= 1) & (norms <= bound)].astype(np.float64)
         total += float(np.sum(sel ** (-s)))
     return total / w
+
+
+def euler_prime_ideals(tag, modulus: OkElement, bound: int) -> set[OkElement]:
+    """Canonical generators of the prime ideals of norm <= bound coprime to
+    the modulus: the primes above each rational prime ell <= bound."""
+    return {p.generator for ell in primerange(2, bound + 1)
+            for p in primes_above(tag, ell)
+            if p.norm() <= bound and not p.divides(modulus)}

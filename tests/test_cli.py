@@ -151,6 +151,15 @@ class TestExitCodes:
         code, _, err = run_cli(["rayclass", "--d", "1", "--modulus", "1001+100*w"], capsys)
         assert code == 2 and "norm" in err
 
+    @pytest.mark.parametrize("flag,value,reason", [
+        ("--B", "0", "below 2"), ("--B", "1", "below 2"), ("--B", "-5", "below 2"),
+        ("--s", "nan", "finite"), ("--s", "inf", "finite")])
+    def test_lseries_bad_bound_or_s_is_2(self, capsys, flag, value, reason):
+        args = {"--s": "2.0", "--B": "100", flag: value}
+        code, out, err = run_cli(["lseries", "--d", "1", "--modulus", "1",
+                                  "--s", args["--s"], "--B", args["--B"]], capsys)
+        assert code == 2 and out == "" and reason in err
+
     def test_precondition_violation_is_3(self, capsys):
         code, _, err = run_cli(["tower", "--d", "1", "--q", "7", "--depth", "1"], capsys)
         assert code == 3 and "split" in err

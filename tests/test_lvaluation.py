@@ -2,17 +2,21 @@ import math
 import random
 
 import pytest
+from sympy import isprime, primerange
 
 from iqtower.finitefield import finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
-                                ResidueEmbedding, compute_N1,
+                                ResidueEmbedding, _coprime_rows, _prime_entries,
+                                _prime_sieve, compute_N1,
                                 dirichlet_tail_bound, distinctness_check,
                                 euler_factor_vanishes, euler_product_L,
                                 evaluate_imprimitive_L, unity_image)
-from iqtower.okring import OkElement, OkError, field, elements_up_to_norm
-from iqtower.rayclass import CharacterSpec, RayClassGroup, characters
+from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
+                            canonical_associate, elements_up_to_norm, field,
+                            primes_above, split_type)
+from iqtower.rayclass import CharacterSpec, RayClassGroup, characters, ray_class_group
 
-from oracles import lattice_zeta
+from oracles import euler_prime_ideals, lattice_zeta
 
 
 def _exact_order_roots(p, q, m):
@@ -124,7 +128,6 @@ class TestDistinctness:
             distinctness_check(5, 5, 1)
 
     def test_explicit_small_sweep(self):
-        from sympy import primerange
         odd = [p for p in primerange(3, 24)]
         for p in odd:
             for q in odd:
@@ -300,12 +303,55 @@ class TestLSeries:
             evaluate_imprimitive_L(tag, tag.one(), CharacterSpec((), 1), 1.0, 100)
         with pytest.raises(OkError):
             evaluate_imprimitive_L(tag, tag.one(), CharacterSpec((), 1, k=1), 2.0, 100)
+        for s, bound in ((math.nan, 100), (math.inf, 100), (2.0, 1), (2.0, 0), (2.0, -5)):
+            for fn in (evaluate_imprimitive_L, euler_product_L):
+                with pytest.raises(OkError):
+                    fn(tag, tag.one(), CharacterSpec((), 1), s, bound)
 
     def test_serialization(self):
         v = LSeriesValue(1.5, 100, 0.01)
         assert v.to_dict() == {"value": 1.5, "B": 100, "error": 0.01}
         vc = LSeriesValue(complex(1.0, -0.5), 10, 0.1)
         assert vc.to_dict()["value"] == [1.0, -0.5]
+
+
+def _test_moduli(tag):
+    """1, a split prime, an inert prime, a ramified prime and their product."""
+    first = {}
+    for ell in primerange(2, 200):
+        first.setdefault(split_type(tag, ell), primes_above(tag, ell)[0].generator)
+    split, inert, ram = first["split"], first["inert"], first["ramified"]
+    return [tag.one(), split, inert, ram, split * inert * ram]
+
+
+class TestOneEnumeration:
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_rows_select_the_euler_prime_ideals(self, d):
+        # small B catch the inert prime 2 (norm 4) and ramified primes of norm 2
+        tag = field(d)
+        for m in _test_moduli(tag):
+            for bound in (2, 3, 4, 9, 25, 2000):
+                sieve = _prime_sieve(bound)
+                got = []
+                for y, xs, norms in _coprime_rows(tag, m, bound):
+                    keep = _prime_entries(tag, sieve, y, xs, norms)
+                    got += [canonical_associate(OkElement(tag, x, y))
+                            for x in xs[keep].tolist()]
+                assert len(got) == len(set(got)), (d, str(m), bound)
+                assert set(got) == euler_prime_ideals(tag, m, bound), (d, str(m), bound)
+
+    def test_sieve(self):
+        sieve = _prime_sieve(3000)
+        assert [n for n in range(3001) if sieve[n]] == [n for n in range(3001) if isprime(n)]
+
+    def test_euler_product_leaves_primes_above_cache_alone(self):
+        # once the modulus is factored, the product reads no primes_above
+        tag = field(1)
+        m = tag.from_int(5)
+        assert ray_class_group(m).presentation.invariants == (4,)
+        before = primes_above.cache_info().currsize
+        euler_product_L(tag, m, CharacterSpec((1,), 1), 2.0, 10 ** 5)
+        assert primes_above.cache_info().currsize == before
 
 
 class TestTailBound:

@@ -100,6 +100,18 @@ class TestSplitType:
                     assert kind == "ramified", (tag.d, ell)
 
 
+    def test_euler_criterion_matches_legendre_symbol_below_20000(self):
+        from sympy import legendre_symbol, primerange
+        for tag in ALL_TAGS:
+            disc = tag.discriminant
+            for ell in primerange(3, 20000):
+                if disc % ell == 0:
+                    want = "ramified"
+                else:
+                    want = "split" if legendre_symbol(disc % ell, ell) == 1 else "inert"
+                assert split_type(tag, ell) == want, (tag.d, ell)
+
+
 class TestPrimesAbove:
     def test_split_pair_examples(self):
         K1 = field(1)
