@@ -1,7 +1,7 @@
 """Tour of exact arithmetic in the nine class-number-one rings.
 
-Shows prime splitting, Cornacchia-built split primes, factorization, and
-the canonical-associate convention used everywhere else.
+Shows prime splitting, split primes from lattice reduction, factorization,
+and the canonical-associate convention used everywhere else.
 """
 
 from iqtower import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
@@ -20,7 +20,7 @@ for ell in (2, 3, 5, 7, 11, 13):
     row = "  ".join(f"{split_type(field(d), ell)[:2]:>4}" for d in CLASS_NUMBER_ONE_DS)
     print(f"{ell:>3}: {row}")
 
-print("\nSplit primes come from the norm equation (Cornacchia):")
+print("\nSplit primes: the shortest vector of the lattice (l, omega - s), s a root mod l:")
 for d, ell in ((1, 5), (43, 59), (163, 179), (7, 2)):
     pair = primes_above(field(d), ell)
     print(f"  {ell} in Q(sqrt(-{d})): " + ", ".join(str(p) for p in pair))

@@ -33,8 +33,8 @@ from sympy.ntheory import sqrt_mod
 
 from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
-from .okring import FieldTag, OkElement, OkError, factor, split_type
-from .rayclass import CharacterSpec, _residue_root, ray_class_group
+from .okring import FieldTag, OkElement, OkError, factor, omega_residue, split_type
+from .rayclass import CharacterSpec, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
 EXPLICIT_FIELD_DEGREE_CAP = 400
@@ -270,12 +270,19 @@ def _zeta_upper(s: float) -> float:
     return 1.0 + 1.0 / (s - 1.0)
 
 
+def _check_truncation(s: float, bound: int) -> None:
+    """A truncated L-sum needs a finite s > 1 and a bound of at least 2."""
+    if not math.isfinite(s) or s <= 1:
+        raise OkError("s must be a finite number exceeding 1")
+    if bound < 2:
+        raise OkError("the truncation bound must be at least 2")
+
+
 def dirichlet_tail_bound(bound: int, s: float) -> float:
     """Rigorous bound on sum over n > bound of r_K(n) n^(-s), via
     r_K(n) <= d(n) and sum_{ab > B} (ab)^(-s) <= 2 zeta(s) sum_{b > sqrt(B)}
     b^(-s)."""
-    if s <= 1:
-        raise OkError("s must exceed 1")
+    _check_truncation(s, bound)
     x = math.isqrt(bound)
     tail = x ** (1.0 - s) / (s - 1.0)
     return 2.0 * _zeta_upper(s) * tail
@@ -326,7 +333,7 @@ def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
     """The _ideal_rows rows restricted to ideals coprime to the modulus.  A
     prime of degree one over ell with omega = s mod it divides x + y*omega
     iff x + y*s = 0 mod ell; an inert ell divides it iff ell | x and ell | y."""
-    primes = [(p.residue_char, None if p.kind == "inert" else _residue_root(p))
+    primes = [(p.residue_char, None if p.kind == "inert" else omega_residue(p.generator))
               for p, _ in factor(modulus).factors]
     for y, xs, norms in _ideal_rows(tag, bound):
         mask = np.ones(len(xs), dtype=bool)
@@ -345,10 +352,7 @@ def _character(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
     is chi at the ideals (x + y*omega), x in xs, coprime to the modulus: the
     float 1.0 for the trivial character, so real sums stay real, and a
     complex array otherwise.  zero is 0.0 or 0j accordingly."""
-    if not math.isfinite(s) or s <= 1:
-        raise OkError("s must be a finite number exceeding 1")
-    if bound < 2:
-        raise OkError("the truncation bound must be at least 2")
+    _check_truncation(s, bound)
     if chi.k != 0:
         raise OkError("only finite-order characters (k = 0) are evaluated")
     group = ray_class_group(modulus)

@@ -9,6 +9,10 @@ Conventions:
     * Every ideal is principal (h_K = 1), so primes and factorizations are
       carried by canonical generators.  The canonical associate of a nonzero
       element is the one maximizing (sign(x), x, y) over its unit orbit.
+    * A prime of degree one over l is (l, omega - s) for a root s of
+      omega's minimal polynomial mod l.  Its generator is the shortest
+      vector of that lattice, and s is read back off a generator
+      x + y*omega as -x/y mod l.
     * Text form: "d=<n>:<u>+<v>*w" where w stands for sqrt(-d); for the
       d = 3 mod 4 fields the coordinates may be exact halves ("-1/2-1/2*w").
       The parser also accepts "<x>+<y>*o" with o = omega.
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
-from sympy import factorint, isprime
+from sympy import factorint, isprime, sqrt_mod
 
 from .abgroup import _pow
 
@@ -266,10 +270,6 @@ class OkPrime:
     def norm(self) -> int:
         return self.residue_char ** self.residue_degree
 
-    def conjugate(self) -> "OkPrime":
-        return OkPrime(canonical_associate(self.generator.conj()),
-                       self.residue_char, self.kind, self.residue_degree)
-
     def divides(self, e: OkElement) -> bool:
         return e.divide_exact(self.generator) is not None
 
@@ -292,102 +292,62 @@ def split_type(tag: FieldTag, ell: int) -> str:
     return "split" if pow(disc % ell, (ell - 1) // 2, ell) == 1 else "inert"
 
 
-def _cornacchia_prime(dcoef: int, ell: int) -> tuple[int, int]:
-    """Solve x^2 + dcoef*y^2 = ell for an odd prime ell with (-dcoef|ell) = 1."""
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
-    r = sqrt_mod(-dcoef % ell, ell)
-    if r is None:
-        raise OkError(f"{ell} is not split: no square root of {-dcoef} mod {ell}")
-    r = max(r, ell - r)
-    a, b = ell, r
-    while b * b > ell:
-        a, b = b, a % b
-    c, rem = divmod(ell - b * b, dcoef)
-    if rem:
-        raise OkError(f"Cornacchia failure for x^2+{dcoef}y^2={ell}")
-    y = isqrt(c)
-    if y * y != c:
-        raise OkError(f"Cornacchia failure for x^2+{dcoef}y^2={ell}")
-    return b, y
+def omega_residue(g: OkElement) -> int:
+    """The image of omega in O_K/(g) = Z/N(g), for g = x + y*omega with
+    gcd(x, y) = 1, as for a prime of degree one or a power of a split prime:
+    g = 0 there and y is a unit mod N(g), so omega = -x/y."""
+    n = g.norm()
+    try:
+        return -g.x * pow(g.y, -1, n) % n
+    except ValueError:
+        raise OkError(f"O_K/({g}) is not Z/N({g}): its coordinates share a factor") from None
 
 
-def _cornacchia_4p(dcoef: int, ell: int) -> tuple[int, int]:
-    """Solve u^2 + dcoef*v^2 = 4*ell (dcoef = 3 mod 4) for an odd split prime."""
-    from sympy.ntheory.residue_ntheory import sqrt_mod
+def _shortest_vector(t: int, n: int, u: tuple[int, int],
+                     v: tuple[int, int]) -> tuple[int, int]:
+    """A shortest nonzero vector of the lattice spanned by u and v under the
+    norm form x^2 + t*x*y + n*y^2, by Lagrange-Gauss reduction."""
+    def q(w):
+        return w[0] * w[0] + t * w[0] * w[1] + n * w[1] * w[1]
 
-    r = sqrt_mod(-dcoef % ell, ell)
-    if r is None:
-        raise OkError(f"{ell} is not split in Q(sqrt(-{dcoef}))")
-    if r % 2 == 0:
-        r = ell - r   # dcoef odd: need u odd
-    a, b = 2 * ell, r
-    limit = isqrt(4 * ell)
-    while b > limit:
-        a, b = b, a % b
-    c, rem = divmod(4 * ell - b * b, dcoef)
-    if rem:
-        raise OkError(f"Cornacchia failure for u^2+{dcoef}v^2={4 * ell}")
-    v = isqrt(c)
-    if v * v != c:
-        raise OkError(f"Cornacchia failure for u^2+{dcoef}v^2={4 * ell}")
-    return b, v
-
-
-def _split_generator(tag: FieldTag, ell: int) -> OkElement:
-    """Norm-equation solution for a split ell, tie-broken to the smallest
-    nonnegative sqrt(-d) coordinate over its unit orbit."""
-    if ell == 2:
-        # only d = 7 splits 2 among the nine fields; solve u^2 + d v^2 = 8
-        for v in range(1, isqrt(8 // tag.d) + 1):
-            u2 = 8 - tag.d * v * v
-            u = isqrt(u2)
-            if u2 >= 0 and u * u == u2 and (u - v) % 2 == 0:
-                e = OkElement(tag, (u - v) // 2, v)
-                break
-        else:
-            raise OkError(f"2 does not split in Q(sqrt(-{tag.d}))")
-    elif tag.omega_is_half:
-        u, v = _cornacchia_4p(tag.d, ell)
-        e = OkElement(tag, (u - v) // 2, v)   # (u + v*sqrt(-d))/2
-    else:
-        u, v = _cornacchia_prime(tag.d, ell)
-        e = OkElement(tag, u, v)
-    # deterministic representative: smallest nonnegative sqrt(-d) coordinate
-    best = None
-    u1 = tag.one()
-    z = tag.unit_gen()
-    for _ in range(tag.num_units):
-        cand = e * u1
-        _, v = cand.sqrt_coords()
-        if v >= 0 and (best is None or v < best[0]):
-            best = (v, cand)
-        u1 = u1 * z
-    return best[1]
+    qu, qv = q(u), q(v)
+    while True:
+        if qv < qu:
+            u, v, qu, qv = v, u, qv, qu
+        # m = round(B(u, v) / Q(u)), with 2B(u, v) written out in integers
+        b2 = 2 * u[0] * v[0] + t * (u[0] * v[1] + u[1] * v[0]) + 2 * n * u[1] * v[1]
+        m = (b2 + qu) // (2 * qu)
+        if m == 0:
+            return u
+        v = (v[0] - m * u[0], v[1] - m * u[1])
+        qv = q(v)
 
 
 @lru_cache(maxsize=None)
 def primes_above(tag: FieldTag, ell: int) -> tuple[OkPrime, ...]:
-    """Primes of O_K above the rational prime ell.
+    """Primes of O_K above the rational prime ell, with canonical generators.
 
-    Split primes come as the ordered conjugate pair, with the
-    Cornacchia-selected generator first; generators are canonical.
+    Each root s of omega's minimal polynomial x^2 - t*x + n mod ell gives the
+    degree-one prime (ell, omega - s): two roots when ell splits, one when it
+    ramifies, none when it is inert.  The shortest vector of the lattice
+    ell*Z + (omega - s)*Z has norm ell and generates that prime (h_K = 1).
+    A split pair comes sorted by the (x, y) of its generators, as in `factor`.
     """
     if not isprime(ell):
         raise OkError(f"{ell} is not prime")
     kind = split_type(tag, ell)
     if kind == "inert":
         return (OkPrime(tag.from_int(ell), ell, "inert", 2),)
-    if kind == "ramified":
-        if ell == 2:
-            gen = OkElement(tag, 1, 1) if tag.d == 1 else tag.omega()  # 1+i / sqrt(-2)
-        else:
-            gen = tag.sqrt_minus_d()
-        return (OkPrime(canonical_associate(gen), ell, "ramified", 1),)
-    g = _split_generator(tag, ell)
-    p1 = OkPrime(canonical_associate(g), ell, "split", 1)
-    p2 = OkPrime(canonical_associate(g.conj()), ell, "split", 1)
-    return (p1, p2)
+    t, n = tag.min_poly
+    if ell == 2:
+        roots = [s for s in (0, 1) if (s * s - t * s + n) % 2 == 0]
+    else:
+        half = pow(2, -1, ell)
+        roots = [(t + r) * half % ell
+                 for r in sqrt_mod((t * t - 4 * n) % ell, ell, all_roots=True)]
+    gens = [canonical_associate(OkElement(tag, *_shortest_vector(t, n, (ell, 0), (-s, 1))))
+            for s in roots]
+    return tuple(OkPrime(g, ell, kind, 1) for g in sorted(gens, key=lambda g: (g.x, g.y)))
 
 
 @dataclass(frozen=True)

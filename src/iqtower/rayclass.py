@@ -8,8 +8,9 @@ degree of the ray class field over K.  Unit groups are assembled from
 prime-power factors of the modulus:
 
     * factors at split primes are cyclic and handled through the ring
-      isomorphism O_K/p^e = Z/l^e (Hensel-lifted root of the minimal
-      polynomial of omega), with Pohlig-Hellman discrete logs;
+      isomorphism O_K/p^e = Z/l^e, which sends omega to -x/y for
+      pi^e = x + y*omega (`okring.omega_residue`), with Pohlig-Hellman
+      discrete logs;
     * factors at inert and ramified primes go through the filtration
       (O_K/p^e)^x = (O_K/p)^x x (1+p)/(1+p^e) (H. Cohen, Advanced Topics in
       Computational Number Theory, GTM 193, 4.2): a cyclic residue-field
@@ -30,12 +31,11 @@ from functools import lru_cache
 from math import isqrt, prod
 
 from sympy import factorint, isprime, primitive_root
-from sympy.ntheory import sqrt_mod
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
                       _pow, coords_order, padic_val)
 from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
-                     factor, split_type, valuation)
+                     factor, gcd_ok, omega_residue, split_type)
 
 
 def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
@@ -142,26 +142,6 @@ def _dlog_cyclic_int(x: int, mod: int, tables: list[tuple]) -> int:
     return res
 
 
-def _residue_root(p: OkPrime) -> int:
-    """The s in [0, l) with s^2 - t*s + n = 0 mod l and p | omega - s, for a
-    prime p of degree one over l (omega^2 = t*omega - n): the image of omega
-    under O_K -> O_K/p = Z/l.  The roots are (t +- sqrt(t^2 - 4n))/2 mod l
-    for odd l, and 0 or 1 for l = 2."""
-    tag = p.tag
-    t, n = tag.min_poly
-    ell = p.residue_char
-    if ell == 2:
-        roots = [0, 1]
-    else:
-        half = pow(2, -1, ell)
-        roots = [(t + r) * half % ell
-                 for r in sqrt_mod((t * t - 4 * n) % ell, ell, all_roots=True)]
-    for s in roots:
-        if (s * s - t * s + n) % ell == 0 and p.divides(tag.omega() - tag.from_int(s)):
-            return s
-    raise GroupError(f"no residue root for {p}; is it split?")
-
-
 class _SplitFactor:
     """(O_K/p^e)^x for a split prime p over l, via O_K/p^e = Z/l^e."""
 
@@ -171,16 +151,8 @@ class _SplitFactor:
         self.prime, self.e, self.ell = p, e, ell
         self.modulus = p.generator ** e
         self.int_mod = ell ** e
-        t, n = tag.min_poly
-        # root of x^2 - t x + n mod l picked out by p, then Hensel-lifted
-        root = _residue_root(p)
-        mod = ell
-        while mod < self.int_mod:
-            mod *= ell
-            fp = (2 * root - t) % mod
-            fval = (root * root - t * root + n) % mod
-            root = (root - fval * pow(fp, -1, mod)) % mod
-        self.root = root % self.int_mod
+        # the image of omega in O_K/p^e = Z/l^e
+        self.root = omega_residue(self.modulus)
         self.gens_int, self.orders = self._unit_gens(ell, e)
         # the cyclic factor that dlog solves by Pohlig-Hellman comes last
         self._tables = (_cyclic_tables(self.gens_int[-1], self.orders[-1], self.int_mod)
@@ -248,7 +220,7 @@ class _NonsplitFactor:
         self.t, self.n = tag.min_poly
         self.int_mod = ell ** e
         # image of omega in O_K/p = Z/l when p is ramified
-        self.root = None if p.kind == "inert" else _residue_root(p)
+        self.root = None if p.kind == "inert" else omega_residue(p.generator)
         self.order_res = p.norm() - 1
         res_primes = sorted(factorint(self.order_res).items())
         if self.root is None:
@@ -540,20 +512,10 @@ def artin_symbol(modulus: OkElement, lam: OkElement) -> RayClassElement:
 
 
 def lcm_ideal(a: OkElement, b: OkElement) -> OkElement:
-    """Canonical generator of lcm((a), (b))."""
+    """Canonical generator of lcm((a), (b)) = (ab / gcd(a, b)), O_K being a PID."""
     if a.is_zero() or b.is_zero():
         raise OkError("lcm with zero")
-    fa = {(p.residue_char, p.generator): (p, k) for p, k in factor(a).factors}
-    out = a.tag.one()
-    seen = set()
-    for key, (p, k) in fa.items():
-        m = max(k, valuation(b, p))
-        out = out * p.generator ** m
-        seen.add(key)
-    for p, k in factor(b).factors:
-        if (p.residue_char, p.generator) not in seen:
-            out = out * p.generator ** k
-    return canonical_associate(out)
+    return canonical_associate((a * b).divide_exact(gcd_ok(a, b)))
 
 
 def lcm_degree_check(a: OkElement, b: OkElement, p: int) -> tuple[bool, bool, bool]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from sympy import isprime, n_order
@@ -147,8 +146,7 @@ def fit_iwasawa(e: list[int], q: int) -> tuple[int, int, int, int] | None:
     if len(e) < 4:
         raise ValueError("need at least 4 values to fit a growth law")
     for n0 in range(0, len(e) - 2):
-        pts = [(n, e[n]) for n in range(n0, n0 + 3)]
-        sol = _solve_growth(pts, q)
+        sol = _solve_growth(e[n0:n0 + 3], n0, q)
         if sol is None:
             continue
         mu, lam, nu = sol
@@ -159,25 +157,17 @@ def fit_iwasawa(e: list[int], q: int) -> tuple[int, int, int, int] | None:
     return None
 
 
-def _solve_growth(pts, q: int) -> tuple[int, int, int] | None:
-    """Exact solve of mu*q^n + lambda*n + nu = e over three points."""
-    rows = [[Fraction(q) ** n, Fraction(n), Fraction(1), Fraction(v)] for n, v in pts]
-    # Gaussian elimination on the 3x4 system
-    for col in range(3):
-        piv = next((r for r in range(col, 3) if rows[r][col] != 0), None)
-        if piv is None:
-            return None
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [v / pv for v in rows[col]]
-        for r in range(3):
-            if r != col and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    vals = [rows[i][3] for i in range(3)]
-    if any(v.denominator != 1 for v in vals):
+def _solve_growth(vals, n0: int, q: int) -> tuple[int, int, int] | None:
+    """The integers (mu, lambda, nu) with mu*q^n + lambda*n + nu = vals[n - n0]
+    at n = n0, n0 + 1, n0 + 2, or None when mu is not an integer.  The first
+    difference is mu*q^n0*(q - 1) + lambda and the second mu*q^n0*(q - 1)^2."""
+    e0, e1, e2 = vals
+    step = q ** n0 * (q - 1)
+    mu, rem = divmod(e2 - 2 * e1 + e0, step * (q - 1))
+    if rem:
         return None
-    return tuple(int(v) for v in vals)
+    lam = e1 - e0 - mu * step
+    return mu, lam, e0 - mu * q ** n0 - lam * n0
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,10 @@ residues in the Hermite box of the modulus, class numbers come from ideal
 lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, and the prime ideals of an Euler product come prime by prime
-from sympy's primerange and the primes above each.
+from sympy's primerange and the primes above each.  The primes above a
+rational prime are the elements of that norm, found by scanning the norm
+form; Iwasawa growth laws through three points come from Gaussian
+elimination in exact rationals.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers.
 """
@@ -14,13 +17,14 @@ coefficient tuples with Python integers.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
 from sympy import divisors, factorint, primerange
 
 from iqtower.abgroup import GroupError, _pow
-from iqtower.okring import OkElement, gcd_ok, primes_above
+from iqtower.okring import OkElement, canonical_associate, gcd_ok, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
 
@@ -451,3 +455,46 @@ def euler_prime_ideals(tag, modulus: OkElement, bound: int) -> set[OkElement]:
     return {p.generator for ell in primerange(2, bound + 1)
             for p in primes_above(tag, ell)
             if p.norm() <= bound and not p.divides(modulus)}
+
+
+# -- prime ideal oracle --------------------------------------------------------
+
+def brute_primes_above(tag, ell: int) -> set[OkElement]:
+    """Canonical generators of the primes above the rational prime ell: the
+    canonical associates of the elements of norm ell, or ell itself when
+    there are none (ell inert).  From 4*ell = (2x + ty)^2 + (4n - t^2)y^2,
+    y is scanned up to sqrt(4*ell/(4n - t^2)) and x read off a perfect
+    square."""
+    t, n = tag.min_poly
+    out = set()
+    for y in range(isqrt(4 * ell // (4 * n - t * t)) + 1):
+        disc = 4 * ell - (4 * n - t * t) * y * y
+        r = isqrt(disc)
+        if r * r == disc:
+            for u in (r, -r):
+                if (u - t * y) % 2 == 0:
+                    out.add(canonical_associate(OkElement(tag, (u - t * y) // 2, y)))
+    return out or {tag.from_int(ell)}
+
+
+# -- growth-law oracle ---------------------------------------------------------
+
+def solve_growth(pts, q: int) -> tuple[int, int, int] | None:
+    """Exact solve of mu*q^n + lambda*n + nu = e over three points (n, e) by
+    Gaussian elimination in Fractions; None unless all three are integers."""
+    rows = [[Fraction(q) ** n, Fraction(n), Fraction(1), Fraction(v)] for n, v in pts]
+    for col in range(3):
+        piv = next((r for r in range(col, 3) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pv = rows[col][col]
+        rows[col] = [v / pv for v in rows[col]]
+        for r in range(3):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    vals = [rows[i][3] for i in range(3)]
+    if any(v.denominator != 1 for v in vals):
+        return None
+    return tuple(int(v) for v in vals)

@@ -15,7 +15,7 @@ from test_cli import child_env
 DEMOS = pathlib.Path(__file__).resolve().parents[1] / "demos"
 
 STDOUT_SHA256 = {
-    "01_rings_and_primes.py": "800ce555ff3d9d514c374139b880fdce7e6a0050d90b08529196c0382f554d8b",
+    "01_rings_and_primes.py": "00171b2169b6447d1e3acdca4f0ad12399fb9e4d197a56d13ca38d6b104fd4c4",
     "02_ray_class_groups.py": "33be66c89c151260b8e39db5297d63aed97671675f8672961f020eb226b01159",
     "03_twist_table.py": "b30b3af9b026c69b45e97632add3a3d9d3b26159882a668a51c97b36e3bf7755",
     "04_anticyclotomic_towers.py": "7048879b72271a2f3e073d5f3d51719942b394abb20ed774b66ef1336314661c",

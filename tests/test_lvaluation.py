@@ -308,6 +308,12 @@ class TestLSeries:
                 with pytest.raises(OkError):
                     fn(tag, tag.one(), CharacterSpec((), 1), s, bound)
 
+    @pytest.mark.parametrize("bound, s", [(0, 2), (-5, 2), (1, 2), (10, math.nan),
+                                          (10, math.inf), (10, 1.0)])
+    def test_tail_bound_preconditions(self, bound, s):
+        with pytest.raises(OkError):
+            dirichlet_tail_bound(bound, s)
+
     def test_serialization(self):
         v = LSeriesValue(1.5, 100, 0.01)
         assert v.to_dict() == {"value": 1.5, "B": 100, "error": 0.01}

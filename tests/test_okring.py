@@ -8,6 +8,8 @@ from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             field, gcd_ok, parse_element, primes_above,
                             split_type, valuation)
 
+from oracles import brute_primes_above
+
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
 
@@ -136,6 +138,20 @@ class TestPrimesAbove:
                 prod = p1.generator * p2.generator
                 assert canonical_associate(prod) == canonical_associate(tag.from_int(ell))
                 assert p1.norm() == p2.norm() == ell
+
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_matches_norm_form_scan(self, d):
+        from sympy import primerange
+        tag = field(d)
+        kinds = {1: "ramified", 2: "split"}
+        for ell in primerange(2, 20000):
+            ps = primes_above(tag, ell)
+            assert {p.generator for p in ps} == brute_primes_above(tag, ell), ell
+            keys = [(p.generator.x, p.generator.y) for p in ps]
+            assert keys == sorted(keys), ell
+            kind = "inert" if ps[0].residue_degree == 2 else kinds[len(ps)]
+            assert all(p.kind == kind == split_type(tag, ell) for p in ps), ell
+            assert all(p.generator.norm() == p.norm() for p in ps), ell
 
     def test_ramified_generators(self):
         for tag in ALL_TAGS:

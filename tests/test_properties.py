@@ -13,14 +13,22 @@ from iqtower.abgroup import _pow, coords_order, padic_val, smith_normal_form
 from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
-                            field, primes_above)
-from iqtower.rayclass import UnitGroup, reduce_mod
+                            factor, field, gcd_ok, primes_above)
+from iqtower.rayclass import UnitGroup, lcm_ideal, reduce_mod
+from iqtower.selmerrank import _solve_growth
+
+from oracles import solve_growth
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
 fields = st.sampled_from(CLASS_NUMBER_ONE_DS).map(field)
 small = st.integers(-40, 40)
 big = st.integers(-10 ** 6, 10 ** 6)
+
+
+def _nonzero(tag, x: int, y: int) -> OkElement:
+    e = OkElement(tag, x, y)
+    return tag.one() if e.is_zero() else e
 
 
 def _fraction_round(e: OkElement, modulus: OkElement) -> OkElement:
@@ -214,3 +222,39 @@ class TestUnitGroupDlog:
         assert U.dlog(x * y) == [(i + j) % o for i, j, o in zip(vx, vy, U.orders)]
         assert U.power_word(vx) == reduce_mod(x, U.modulus)
         assert U.power_word(U.dlog(x * y)) == reduce_mod(x * y, U.modulus)
+
+
+class TestIdeals:
+    @SETTINGS
+    @given(fields, small, small)
+    def test_factor_rebuilds_the_element(self, tag, x, y):
+        e = _nonzero(tag, x, y)
+        assert factor(e).value() == e
+
+    @SETTINGS
+    @given(fields, small, small, small, small)
+    # 30(1+i) and 15(1+i) in Z[i] share split, inert and ramified prime powers
+    @example(field(1), 30, 30, 15, 15)
+    def test_gcd_lcm_identities(self, tag, a0, a1, b0, b1):
+        a, b = _nonzero(tag, a0, a1), _nonzero(tag, b0, b1)
+        g, m = gcd_ok(a, b), lcm_ideal(a, b)
+        assert canonical_associate(g * m) == canonical_associate(a * b)
+        for x in (a, b):
+            assert m.divide_exact(x) is not None
+            assert x.divide_exact(g) is not None
+
+
+class TestGrowthSolve:
+    @SETTINGS
+    @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(0, 8), st.booleans(),
+           st.tuples(big, big, big))
+    def test_closed_form_matches_elimination(self, q, n0, exact, coeffs):
+        if exact:
+            mu, lam, nu = coeffs
+            vals = [mu * q ** n + lam * n + nu for n in range(n0, n0 + 3)]
+        else:
+            vals = list(coeffs)
+        got = _solve_growth(vals, n0, q)
+        assert got == solve_growth(list(zip(range(n0, n0 + 3), vals)), q)
+        if exact:
+            assert got == coeffs

@@ -8,9 +8,10 @@ from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import class_group
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
-                            is_coprime, primes_above, smallest_split_primes)
+                            is_coprime, omega_residue, primes_above,
+                            smallest_split_primes)
 from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
-                              _residue_root, anticyclotomic_tower,
+                              anticyclotomic_tower,
                               artin_symbol, characters, euler_phi,
                               lcm_degree_check, lcm_ideal, minus_quotient,
                               ray_class_group, reduce_mod, residues_mod,
@@ -210,7 +211,7 @@ class TestSplitFactors:
 
 
 def _scanned_root(p):
-    """The residue root by the linear scan it replaced."""
+    """The image of omega at p by a linear scan over [0, l)."""
     tag = p.tag
     t, n = tag.min_poly
     ell = p.residue_char
@@ -226,9 +227,30 @@ class TestResidueRoot:
             for ell in primerange(2, 2000):
                 for p in primes_above(tag, ell):
                     if p.kind != "inert":
-                        assert _residue_root(p) == _scanned_root(p), (tag.d, str(p))
+                        assert omega_residue(p.generator) == _scanned_root(p), (tag.d, str(p))
                         checked += 1
         assert checked > 2000
+
+    def test_split_prime_powers_divide_omega_minus_residue(self):
+        checked = 0
+        for tag in ALL_TAGS:
+            for ell in primerange(2, 2000):
+                for p in primes_above(tag, ell):
+                    e = 1
+                    while p.kind == "split" and ell ** e <= 2000:
+                        pe = p.generator ** e
+                        s = omega_residue(pe)
+                        assert 0 <= s < ell ** e
+                        assert (tag.omega() - tag.from_int(s)).divide_exact(pe) is not None
+                        checked += 1
+                        e += 1
+        assert checked > 2000
+
+    def test_rejects_generators_with_a_common_factor(self):
+        K1 = field(1)
+        for g in (K1.from_int(3), OkElement(K1, 2, 4), K1.zero()):
+            with pytest.raises(OkError):
+                omega_residue(g)
 
 
 class TestRayClassGroup:
@@ -350,6 +372,8 @@ class TestLcmDegree:
         b = OkElement(K1, 2, 1) * K1.from_int(7)
         l = lcm_ideal(a, b)
         assert l == canonical_associate(OkElement(K1, 2, 1) ** 2 * K1.from_int(21))
+        with pytest.raises(OkError):
+            lcm_ideal(a, K1.zero())
 
     def test_implication_on_500_coprime_pairs(self):
         rng = random.Random(41)
