@@ -1,16 +1,19 @@
 """Class groups of imaginary quadratic discriminants through binary
-quadratic forms: reduced-form enumeration, Gauss composition, S-class
-quotients and p-ranks.
+quadratic forms: reduced-form enumeration, composition, S-class quotients
+and p-ranks.
 
 Forms (a, b, c) have b^2 - 4ac = disc < 0 and a > 0; the class group is the
 set of primitive reduced forms under composition-then-reduction.  Its
 structure comes from one relation walk over the reduced forms plus a Smith
 normal form (`abgroup.abelian_structure`), so a class's discrete log is a
-table lookup and an S-class group is one more Smith normal form.  Plain
-Gauss composition is used throughout: this module is the oracle of record
-for the rank bookkeeping, and for h_K = 1 the q-part of the class group of
-discriminant D_K q^(2(n+1)) is level n of the anticyclotomic Z_q-tower, an
-independent check on `rayclass`.
+table lookup and an S-class group is one more Smith normal form.
+Composition is Cohen's Algorithm 5.4.7 (GTM 138), two extended gcds for any
+pair of primitive forms, and a prime form's middle coefficient is read off
+a square root of disc mod ell, so nothing but `reduced_forms` enumerates.
+This module is the oracle of record for the rank bookkeeping, and for
+h_K = 1 the q-part of the class group of discriminant D_K q^(2(n+1)) is
+level n of the anticyclotomic Z_q-tower, an independent check on
+`rayclass`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+
+from sympy import isprime, sqrt_mod
 
 from .abgroup import (AbelianGroupStructure, QuotientPresentation, _pow,
                       abelian_structure)
@@ -39,15 +44,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
-    """x with a*x = b (mod m); returns (x0, step) parameterizing all
-    solutions x0 + step*Z."""
-    g, d, _ = _xgcd(a, m)
-    if b % g:
-        raise FormError("congruence has no solution")
-    return (b // g) * d % m, m // g
 
 
 @dataclass(frozen=True)
@@ -90,52 +86,25 @@ class QuadForm:
     def inverse(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c).reduced()
 
-    def value(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
-    def transformed(self, x: int, z: int, y: int, w: int) -> "QuadForm":
-        """Action of the determinant-one matrix [[x, z], [y, w]]."""
-        if x * w - y * z != 1:
-            raise FormError("transformation matrix must have determinant 1")
-        a, b, c = self.a, self.b, self.c
-        return QuadForm(self.value(x, y),
-                        2 * a * x * z + b * (x * w + y * z) + 2 * c * y * w,
-                        self.value(z, w))
-
-    def _coprime_to(self, m: int) -> "QuadForm":
-        """Equivalent form whose leading coefficient is coprime to m.
-
-        A primitive form represents values coprime to any fixed modulus;
-        the search spirals outward deterministically."""
-        for s in range(1, 4 * abs(m) + 4):
-            for x in range(-s, s + 1):
-                for y in (s - abs(x), abs(x) - s):
-                    if gcd(x, y) != 1:
-                        continue
-                    if gcd(self.value(x, y), m) == 1:
-                        _, p, q = _xgcd(x, y)
-                        return self.transformed(x, -q, y, p)
-        raise FormError(f"no represented value coprime to {m}; form imprimitive?")
-
     def __mul__(self, other: "QuadForm") -> "QuadForm":
-        """Dirichlet composition through united forms (not reduced)."""
+        """Composition of primitive forms (not reduced), after Cohen, GTM 138,
+        Algorithm 5.4.7: two extended gcds and no search, whatever
+        gcd(a1, a2) is.  FormError for an imprimitive factor."""
         disc = self.discriminant()
         if disc != other.discriminant():
             raise FormError("forms of different discriminants")
-        f = self
-        g = other if gcd(self.a, other.a) == 1 else other._coprime_to(self.a)
-        # middle coefficient B with B = f.b mod 2 f.a and B = g.b mod 2 g.a;
-        # both are roots of x^2 = disc modulo the respective 4a, so the CRT
-        # lift satisfies B^2 = disc mod 4 f.a g.a
-        step, r0 = 2 * f.a, f.b
-        x0, per = _solve_linmod(step, g.b - r0, 2 * g.a)
-        B = r0 + step * x0
-        mod = step * 2 * g.a // gcd(step, 2 * g.a)
-        B %= mod
-        a3 = f.a * g.a
-        if (B * B - disc) % (4 * a3):
-            raise FormError("united-form middle coefficient failed")
-        return QuadForm(a3, B, (B * B - disc) // (4 * a3))
+        if self.content() != 1 or other.content() != 1:
+            raise FormError("composition needs primitive forms")
+        f, g = (self, other) if self.a <= other.a else (other, self)
+        s = (f.b + g.b) // 2
+        n = g.b - s
+        d, y1, _ = _xgcd(g.a, f.a)
+        d1, x2, y2 = _xgcd(s, d)
+        y2 = -y2
+        v1, v2 = f.a // d1, g.a // d1
+        r = (y1 * y2 * n - x2 * g.c) % v1
+        a3, b3 = v1 * v2, g.b + 2 * v2 * r
+        return QuadForm(a3, b3, (b3 * b3 - disc) // (4 * a3))
 
     def __str__(self) -> str:
         return f"({self.a},{self.b},{self.c})"
@@ -227,16 +196,21 @@ def class_group(disc: int) -> FormClassGroup:
 
 
 def prime_form(disc: int, ell: int) -> QuadForm | None:
-    """The reduced class of a prime form (ell, b, *), or None when ell is
-    inert (no b with b^2 = disc mod 4*ell) or the form is imprimitive."""
+    """The reduced class of the prime form (ell, b, *) with the least b >= 0,
+    or None when ell is inert (disc is not a square mod 4*ell) or the form is
+    imprimitive.  The roots of disc mod 4*ell come in pairs b, b + 2*ell, and
+    each lies over a root r of disc mod ell, so the least b is the least of
+    r, r + ell that squares to disc mod 4*ell."""
     check_discriminant(disc)
-    for b in range(2 * ell):
-        if (b * b - disc) % (4 * ell) == 0:
-            f = QuadForm(ell, b, (b * b - disc) // (4 * ell))
-            if f.content() == 1:
-                return f.reduced()
-            return None
-    return None
+    if not isprime(ell):
+        raise FormError(f"{ell} is not a prime")
+    bs = [b for r in sqrt_mod(disc % ell, ell, all_roots=True) for b in (r, r + ell)
+          if (b * b - disc) % (4 * ell) == 0]
+    if not bs:
+        return None
+    b = min(bs)
+    f = QuadForm(ell, b, (b * b - disc) // (4 * ell))
+    return f.reduced() if f.content() == 1 else None
 
 
 @dataclass(frozen=True)
@@ -252,16 +226,14 @@ class SClassGroup:
 
 def s_class_group(disc: int, primes) -> SClassGroup:
     """Quotient of the class group by the classes of prime forms above each
-    rational prime in S (inert primes contribute nothing)."""
+    rational prime in S (inert primes contribute nothing); FormError for
+    any member of S that is not prime."""
+    S = tuple(sorted(set(primes)))
+    forms = [prime_form(disc, ell) for ell in S]
     G = class_group(disc)
-    rels = []
-    for ell in sorted(set(primes)):
-        pf = prime_form(disc, ell)
-        if pf is not None:
-            rels.append(list(G.dlog(pf)))
+    rels = [list(G.dlog(f)) for f in forms if f is not None]
     pres = QuotientPresentation.from_relations(list(G.structure.invariants), rels)
-    return SClassGroup(disc, tuple(sorted(set(primes))),
-                       _structure(disc, G.structure.generators, pres))
+    return SClassGroup(disc, S, _structure(disc, G.structure.generators, pres))
 
 
 def p_rank(structure, p: int) -> int:

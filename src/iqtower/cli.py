@@ -31,6 +31,7 @@ from .rayclass import CharacterSpec, anticyclotomic_tower, ray_class_group
 MAX_TOWER_DEPTH = 4
 MAX_MODULUS_NORM = 10 ** 6
 MAX_TRUNCATION = 10 ** 8
+MAX_DISCRIMINANT = 10 ** 8
 
 
 class ConfigError(ValueError):
@@ -184,6 +185,10 @@ def _cmd_lseries(args) -> None:
 
 
 def _cmd_classgroup(args) -> None:
+    if abs(args.disc) > MAX_DISCRIMINANT:
+        raise ConfigError(f"|disc| {abs(args.disc)} exceeds the cap {MAX_DISCRIMINANT}")
+    # s_class_group rejects a non-prime in S before building the group
+    sg = s_class_group(args.disc, args.S) if args.S else None
     g = class_group(args.disc)
     config = {"command": "classgroup", "disc": args.disc,
               "S": sorted(set(args.S or []))}
@@ -191,8 +196,7 @@ def _cmd_classgroup(args) -> None:
            "invariants": list(g.structure.invariants),
            "order": g.order,
            "p_rank_samples": {str(p): p_rank(g.structure, p) for p in (2, 3, 5, 7)}}
-    if args.S:
-        sg = s_class_group(args.disc, args.S)
+    if sg is not None:
         rec["S"] = list(sg.primes)
         rec["s_invariants"] = list(sg.structure.invariants)
         rec["s_order"] = sg.order

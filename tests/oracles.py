@@ -9,7 +9,10 @@ lattice sum, and the prime ideals of an Euler product come prime by prime
 from sympy's primerange and the primes above each.  The primes above a
 rational prime are the elements of that norm, found by scanning the norm
 form; Iwasawa growth laws through three points come from Gaussian
-elimination in exact rationals.
+elimination in exact rationals.  Binary quadratic forms compose through
+united forms, after a spiral search for an equivalent form whose leading
+coefficient is coprime to the other's, and a prime form's middle
+coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers.
 """
@@ -24,6 +27,7 @@ import numpy as np
 from sympy import divisors, factorint, primerange
 
 from iqtower.abgroup import GroupError, _pow
+from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.okring import OkElement, canonical_associate, gcd_ok, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
@@ -475,6 +479,80 @@ def brute_primes_above(tag, ell: int) -> set[OkElement]:
                 if (u - t * y) % 2 == 0:
                     out.add(canonical_associate(OkElement(tag, (u - t * y) // 2, y)))
     return out or {tag.from_int(ell)}
+
+
+# -- binary quadratic form oracles -------------------------------------------
+
+def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
+    """x with a*x = b (mod m); returns (x0, step) parameterizing all
+    solutions x0 + step*Z."""
+    g, d, _ = _xgcd(a, m)
+    if b % g:
+        raise FormError("congruence has no solution")
+    return (b // g) * d % m, m // g
+
+
+def form_value(f: QuadForm, x: int, y: int) -> int:
+    return f.a * x * x + f.b * x * y + f.c * y * y
+
+
+def transformed_form(f: QuadForm, x: int, z: int, y: int, w: int) -> QuadForm:
+    """Action of the determinant-one matrix [[x, z], [y, w]]."""
+    if x * w - y * z != 1:
+        raise FormError("transformation matrix must have determinant 1")
+    a, b, c = f.a, f.b, f.c
+    return QuadForm(form_value(f, x, y),
+                    2 * a * x * z + b * (x * w + y * z) + 2 * c * y * w,
+                    form_value(f, z, w))
+
+
+def form_coprime_to(f: QuadForm, m: int) -> QuadForm:
+    """Equivalent form whose leading coefficient is coprime to m.
+
+    A primitive form represents values coprime to any fixed modulus;
+    the search spirals outward deterministically."""
+    for s in range(1, 4 * abs(m) + 4):
+        for x in range(-s, s + 1):
+            for y in (s - abs(x), abs(x) - s):
+                if gcd(x, y) != 1:
+                    continue
+                if gcd(form_value(f, x, y), m) == 1:
+                    _, p, q = _xgcd(x, y)
+                    return transformed_form(f, x, -q, y, p)
+    raise FormError(f"no represented value coprime to {m}; form imprimitive?")
+
+
+def united_form_compose(f: QuadForm, other: QuadForm) -> QuadForm:
+    """Dirichlet composition through united forms (not reduced)."""
+    disc = f.discriminant()
+    if disc != other.discriminant():
+        raise FormError("forms of different discriminants")
+    g = other if gcd(f.a, other.a) == 1 else form_coprime_to(other, f.a)
+    # middle coefficient B with B = f.b mod 2 f.a and B = g.b mod 2 g.a;
+    # both are roots of x^2 = disc modulo the respective 4a, so the CRT
+    # lift satisfies B^2 = disc mod 4 f.a g.a
+    step, r0 = 2 * f.a, f.b
+    x0, per = _solve_linmod(step, g.b - r0, 2 * g.a)
+    B = r0 + step * x0
+    mod = step * 2 * g.a // gcd(step, 2 * g.a)
+    B %= mod
+    a3 = f.a * g.a
+    if (B * B - disc) % (4 * a3):
+        raise FormError("united-form middle coefficient failed")
+    return QuadForm(a3, B, (B * B - disc) // (4 * a3))
+
+
+def scanned_prime_form(disc: int, ell: int) -> QuadForm | None:
+    """The reduced class of a prime form (ell, b, *), or None when ell is
+    inert (no b with b^2 = disc mod 4*ell) or the form is imprimitive."""
+    check_discriminant(disc)
+    for b in range(2 * ell):
+        if (b * b - disc) % (4 * ell) == 0:
+            f = QuadForm(ell, b, (b * b - disc) // (4 * ell))
+            if f.content() == 1:
+                return f.reduced()
+            return None
+    return None
 
 
 # -- growth-law oracle ---------------------------------------------------------

@@ -2,14 +2,15 @@ import itertools
 import random
 
 import pytest
-from sympy import factorint
+from sympy import factorint, primerange
 
 from iqtower.abgroup import QuotientPresentation, _pow
 from iqtower.classforms import (FormError, QuadForm, class_group, p_rank,
                                 prime_form, principal_form, reduced_forms,
                                 s_class_group)
 
-from oracles import minkowski_class_number, sylow_structure
+from oracles import (minkowski_class_number, scanned_prime_form, sylow_structure,
+                     united_form_compose)
 
 
 def _valid_discs(limit):
@@ -62,6 +63,39 @@ class TestQuadForm:
             QuadForm(-1, 0, 1)
         with pytest.raises(FormError):
             QuadForm(1, 5, 1)   # positive discriminant
+
+    def test_imprimitive_composition_rejected(self):
+        # Algorithm 5.4.7 would return (1, 2, 4), a form with no class meaning
+        with pytest.raises(FormError, match="primitive"):
+            QuadForm(2, 2, 2) * QuadForm(2, 2, 2)
+        with pytest.raises(FormError, match="primitive"):
+            QuadForm(1, 0, 3) * QuadForm(2, 2, 2)
+
+
+class TestClosedFormulas:
+    """Cohen's composition and the square-root prime form against the
+    united-form and scanning oracles."""
+
+    def test_reduced_products_match_united_forms(self):
+        pairs = 0
+        for disc in _valid_discs(1000):
+            forms = reduced_forms(disc)
+            for f, g in itertools.product(forms, repeat=2):
+                assert (f * g).reduced() == united_form_compose(f, g).reduced(), (f, g)
+                pairs += 1
+        assert pairs == 58231
+
+    def test_prime_form_matches_scan(self):
+        for disc in _valid_discs(1500):
+            for ell in primerange(2, 200):
+                assert prime_form(disc, ell) == scanned_prime_form(disc, ell), (disc, ell)
+
+    @pytest.mark.parametrize("ell", [0, 1, 4, 6, 91, -2, -5])
+    def test_non_primes_rejected(self, ell):
+        with pytest.raises(FormError, match="not a prime"):
+            prime_form(-471, ell)
+        with pytest.raises(FormError, match="not a prime"):
+            s_class_group(-471, [2, ell])
 
 
 class TestClassGroup:

@@ -169,6 +169,26 @@ class TestExitCodes:
         code, _, err = run_cli(["classgroup", "--disc", "-6"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("S", [["4", "6"], ["0"], ["-5"], ["2", "9"]])
+    def test_classgroup_non_prime_s_is_3(self, capsys, S):
+        code, out, err = run_cli(["classgroup", "--disc", "-471", "--S", *S], capsys)
+        assert code == 3 and out == "" and "not a prime" in err
+
+    def test_classgroup_s_checked_before_the_group(self, capsys, monkeypatch):
+        # near the cap the group takes seconds to build; a bad S must not wait
+        def no_group(disc):
+            raise AssertionError("class group built before S was checked")
+        monkeypatch.setattr("iqtower.cli.class_group", no_group)
+        monkeypatch.setattr("iqtower.classforms.class_group", no_group)
+        code, out, err = run_cli(["classgroup", "--disc", "-99999999", "--S", "4"],
+                                 capsys)
+        assert code == 3 and out == "" and "not a prime" in err
+
+    @pytest.mark.parametrize("disc", ["-100000003", "100000001"])
+    def test_classgroup_disc_cap_is_2(self, capsys, disc):
+        code, out, err = run_cli(["classgroup", "--disc", disc], capsys)
+        assert code == 2 and out == "" and "cap" in err
+
     def test_ingest_failure_is_4(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -229,6 +249,22 @@ class TestCaps:
         if units is not None:
             assert rec["unit_group_invariants"] == units
         assert elapsed < self.SECONDS, (d, modulus, elapsed)
+
+
+class TestLargeSPrime:
+    def test_classgroup_s_prime_form(self, capsys):
+        # a scan over b < 2*ell would take about 2*10^9 steps
+        start = time.perf_counter()
+        code, out, _ = run_cli(["classgroup", "--disc", "-471", "--S", "1000000007"],
+                               capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        # Cl(-471) is cyclic of order 16, and the prime form of 10^9 + 7 is
+        # (2, -1, 59), the inverse of a generator
+        assert rec["S"] == [1000000007] and rec["invariants"] == [16]
+        assert rec["s_order"] == 1
+        assert elapsed < 2.0, elapsed
 
 
 class TestLargePrime:

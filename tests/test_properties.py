@@ -3,7 +3,7 @@ brute force or exact rational arithmetic.  Derandomized with bounded example
 counts, so every run draws the same cases."""
 
 from fractions import Fraction
-from math import floor, prod
+from math import floor, gcd, prod
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -17,7 +17,7 @@ from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
 from iqtower.rayclass import UnitGroup, lcm_ideal, reduce_mod
 from iqtower.selmerrank import _solve_growth
 
-from oracles import solve_growth
+from oracles import solve_growth, united_form_compose
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -179,6 +179,28 @@ def form_triples(draw):
     return forms
 
 
+@st.composite
+def form_pairs(draw):
+    """Two primitive forms, not necessarily reduced, of one discriminant in
+    [-10^6, -3], drawn as form_triples draws them.  In about half the pairs
+    g.b = f.b mod 2 f.a, so f.a divides (g.b^2 - disc)/4, and g.a is drawn
+    among its divisors that share a factor with f.a."""
+    disc = -draw(st.integers(3, 10 ** 6).filter(lambda n: -n % 4 in (0, 1)))
+
+    def form(b, keep=lambda a: True):
+        n = (b * b - disc) // 4
+        a = draw(st.sampled_from([a for a in divisors(n) if keep(a)]))
+        return QuadForm(a, b, n // a)
+    f = form(2 * draw(st.integers(-1000, 1000)) + disc % 2)
+    if draw(st.booleans()):
+        assume(f.a > 1)
+        g = form(f.b + 2 * f.a * draw(st.integers(-50, 50)), lambda a: gcd(a, f.a) > 1)
+    else:
+        g = form(2 * draw(st.integers(-1000, 1000)) + disc % 2)
+    assume(f.content() == 1 and g.content() == 1)
+    return f, g
+
+
 class TestFormComposition:
     @SETTINGS
     @given(form_triples())
@@ -187,6 +209,14 @@ class TestFormComposition:
         left = ((f * g).reduced() * h).reduced()
         assert left == (f * (g * h).reduced()).reduced()
         assert left.is_reduced() and left.discriminant() == f.discriminant()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(form_pairs())
+    def test_matches_united_forms(self, pair):
+        f, g = pair
+        fg = f * g
+        assert fg.discriminant() == f.discriminant()
+        assert fg.reduced() == united_form_compose(f, g).reduced()
 
 
 @st.composite
