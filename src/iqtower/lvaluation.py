@@ -13,7 +13,9 @@ The L-series side evaluates imprimitive Hecke L-functions of finite-order
 ray class characters as truncated ideal sums and truncated Euler products.
 One enumeration of ideals, in numpy rows of one representative per ideal,
 feeds both: the sum reads every row entry, the product the entries that
-generate prime ideals.  Both carry rigorous tail bounds from the
+generate prime ideals.  A nontrivial character is evaluated once per
+residue class of the modulus, in one table that both share and that grows
+only with the classes met.  Both carry rigorous tail bounds from the
 ideal-count estimate r_K(n) <= d(n) (valid for every imaginary quadratic
 field: r_K(n) = sum over m | n of chi_disc(m), a sum of n/m terms each at
 most 1).
@@ -34,7 +36,7 @@ from sympy.ntheory import sqrt_mod
 from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
 from .okring import FieldTag, OkElement, OkError, factor, omega_residue, split_type
-from .rayclass import CharacterSpec, ray_class_group
+from .rayclass import CharacterSpec, _hnf_box, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
 EXPLICIT_FIELD_DEGREE_CAP = 400
@@ -346,31 +348,49 @@ def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
             yield y, xs[mask], norms[mask]
 
 
-def _character(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
-               bound: int):
-    """Validate an L-value request; returns (zero, chi_row) where chi_row(y, xs)
-    is chi at the ideals (x + y*omega), x in xs, coprime to the modulus: the
-    float 1.0 for the trivial character, so real sums stay real, and a
-    complex array otherwise.  zero is 0.0 or 0j accordingly."""
-    _check_truncation(s, bound)
-    if chi.k != 0:
-        raise OkError("only finite-order characters (k = 0) are evaluated")
+@lru_cache(maxsize=4)
+def _chi_table(modulus: OkElement, chi: CharacterSpec):
+    """chi_row(y, xs) for a nontrivial chi: one discrete log per residue class
+    met, at its representative in the Hermite box (alpha, beta, gamma), keyed
+    r*alpha + (x - b*beta) mod alpha with b, r = divmod(y, gamma).  Memoised
+    like ray_class_group, so the Euler product reuses the sum's values."""
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
-    if len(chi.exponents) != len(invariants):
-        raise OkError("character exponent vector does not match the group")
-    if all(e == 0 for e in chi.exponents):
-        return 0.0, lambda y, xs: 1.0
+    alpha, beta, gamma = _hnf_box(group.modulus)
+    values: dict[int, complex] = {}
 
-    def chi_at(e: OkElement) -> complex:
-        cls = group.ideal_class_coords(e)
+    def chi_at(i: int) -> complex:
+        # rows come from _coprime_rows, so dlog sees units only (it raises otherwise)
+        e = OkElement(group.tag, i % alpha, i // alpha)
+        cls = group.presentation.coords(group.units.dlog(e))
         theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
         return cmath.exp(2j * cmath.pi * theta)
 
     def chi_row(y: int, xs: np.ndarray) -> np.ndarray:
-        return np.array([chi_at(OkElement(tag, x, y)) for x in xs.tolist()])
+        b, r = divmod(y, gamma)
+        idx = (xs - b * beta % alpha) % alpha + r * alpha
+        keys, inverse = np.unique(idx, return_inverse=True)
+        row = [values[i] if i in values else values.setdefault(i, chi_at(i))
+               for i in keys.tolist()]
+        return np.array(row)[inverse]
 
-    return 0j, chi_row
+    return chi_row
+
+
+def _character(modulus: OkElement, chi: CharacterSpec, s: float, bound: int):
+    """Validate an L-value request; returns (zero, chi_row) where chi_row(y, xs)
+    is chi at the ideals (x + y*omega), x in xs, coprime to the modulus: the
+    float 1.0 for the trivial character, so real sums stay real, and
+    _chi_table's lookup otherwise.  zero is 0.0 or 0j accordingly."""
+    _check_truncation(s, bound)
+    if chi.k != 0:
+        raise OkError("only finite-order characters (k = 0) are evaluated")
+    invariants = ray_class_group(modulus).presentation.invariants
+    if len(chi.exponents) != len(invariants):
+        raise OkError("character exponent vector does not match the group")
+    if all(e == 0 for e in chi.exponents):
+        return 0.0, lambda y, xs: 1.0
+    return 0j, _chi_table(modulus, chi)
 
 
 def _prime_entries(tag: FieldTag, sieve: np.ndarray, y: int, xs: np.ndarray,
@@ -389,7 +409,7 @@ def evaluate_imprimitive_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec
     """Truncated Dirichlet sum over ideals of norm <= bound coprime to the
     modulus, with a rigorous tail bound.  chi must be a finite-order ray
     class character (k = 0) modulo the given modulus."""
-    total, chi_row = _character(tag, modulus, chi, s, bound)
+    total, chi_row = _character(modulus, chi, s, bound)
     for y, xs, norms in _coprime_rows(tag, modulus, bound):
         total += np.sum(chi_row(y, xs) * norms.astype(np.float64) ** (-s)).item()
     return LSeriesValue(total, bound, dirichlet_tail_bound(bound, s))
@@ -401,7 +421,7 @@ def euler_product_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
     norm <= bound coprime to the modulus, each read once off the Dirichlet
     rows; chi of the row element is chi of the ideal, units being
     quotiented out."""
-    zero, chi_row = _character(tag, modulus, chi, s, bound)
+    zero, chi_row = _character(modulus, chi, s, bound)
     total = zero + 1.0
     sieve = _prime_sieve(bound)
     for y, xs, norms in _coprime_rows(tag, modulus, bound):

@@ -595,6 +595,11 @@ def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
     U = UnitGroup(modulus)
     if canonical_associate(modulus.conj()) != U.modulus:
         raise OkError(f"modulus {modulus} is not conjugation-stable")
+
+    # reduce after every product: g ** k unreduced has k times the digits of g
+    def mul(a: OkElement, b: OkElement) -> OkElement:
+        return reduce_mod(a * b, U.modulus)
+
     syl_idx = []
     syl_orders = []
     syl_gens = []
@@ -603,7 +608,7 @@ def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
         if qpart > 1:
             syl_idx.append(i)
             syl_orders.append(qpart)
-            syl_gens.append(reduce_mod(g ** (o // qpart), U.modulus))
+            syl_gens.append(_pow(g, o // qpart, mul, U.tag.one()))
 
     def sylow_dlog(e: OkElement) -> list[int]:
         full = U.dlog(e)
@@ -617,7 +622,7 @@ def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
 
     rels = []
     for h in syl_gens:
-        norm_elt = reduce_mod(h * h.conj(), U.modulus)
+        norm_elt = mul(h, h.conj())
         rels.append(sylow_dlog(norm_elt))
     return QuotientPresentation.from_relations(syl_orders, rels)
 

@@ -5,8 +5,9 @@ are counted by raw residue enumeration, their torsion by multiplying
 residues in the Hermite box of the modulus, class numbers come from ideal
 lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
-lattice sum, and the prime ideals of an Euler product come prime by prime
-from sympy's primerange and the primes above each.  The primes above a
+lattice sum, ray class characters are evaluated ideal by ideal with one
+discrete log each, and the prime ideals of an Euler product come prime by
+prime from sympy's primerange and the primes above each.  The primes above a
 rational prime are the elements of that norm, found by scanning the norm
 form; Iwasawa growth laws through three points come from Gaussian
 elimination in exact rationals.  Binary quadratic forms compose through
@@ -19,6 +20,7 @@ coefficient tuples with Python integers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from math import gcd, isqrt
@@ -459,6 +461,19 @@ def euler_prime_ideals(tag, modulus: OkElement, bound: int) -> set[OkElement]:
     return {p.generator for ell in primerange(2, bound + 1)
             for p in primes_above(tag, ell)
             if p.norm() <= bound and not p.divides(modulus)}
+
+
+# -- ray class character oracle ------------------------------------------------
+
+def per_ideal_chi(group, chis, e: OkElement) -> list[complex]:
+    """chi(e) for each chi in chis, at the ideal (e) coprime to the group's
+    modulus, from e's own ray class coordinates: one discrete log per
+    element, no residue table."""
+    cls = group.ideal_class_coords(e)
+    thetas = [sum(c * v / inv for c, v, inv in zip(cls, chi.exponents,
+                                                   group.presentation.invariants))
+              for chi in chis]
+    return [cmath.exp(2j * cmath.pi * theta) for theta in thetas]
 
 
 # -- prime ideal oracle --------------------------------------------------------

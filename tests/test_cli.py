@@ -225,7 +225,8 @@ class TestExitCodes:
 
 class TestCaps:
     """The worst inputs with an inert or ramified factor that the modulus cap
-    (norm <= 10^6) admits build in bounded time."""
+    (norm <= 10^6) admits build in bounded time, and so does a tower at a
+    seven-digit q."""
 
     SECONDS = 2.0
 
@@ -249,6 +250,18 @@ class TestCaps:
         if units is not None:
             assert rec["unit_group_invariants"] == units
         assert elapsed < self.SECONDS, (d, modulus, elapsed)
+
+    def test_tower_large_q(self, capsys):
+        # the q-part generator is a power near q: reduced at every step it
+        # stays small, unreduced it has about q digits
+        start = time.perf_counter()
+        code, out, _ = run_cli(["tower", "--d", "1", "--q", "1000033", "--depth", "1"], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        recs = json.loads(out)["records"]
+        assert [r["order"] for r in recs] == [1, 1000033]
+        assert recs[1]["invariants"] == [1000033]
+        assert elapsed < self.SECONDS, elapsed
 
 
 class TestLargeSPrime:

@@ -1,22 +1,25 @@
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from sympy import isprime, primerange
 
 from iqtower.finitefield import finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
-                                ResidueEmbedding, _coprime_rows, _prime_entries,
-                                _prime_sieve, compute_N1,
+                                ResidueEmbedding, _chi_table, _coprime_rows,
+                                _prime_entries, _prime_sieve, compute_N1,
                                 dirichlet_tail_bound, distinctness_check,
                                 euler_factor_vanishes, euler_product_L,
                                 evaluate_imprimitive_L, unity_image)
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
                             primes_above, split_type)
-from iqtower.rayclass import CharacterSpec, RayClassGroup, characters, ray_class_group
+from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_class_group,
+                              reduce_mod)
 
-from oracles import euler_prime_ideals, lattice_zeta
+from oracles import euler_prime_ideals, lattice_zeta, per_ideal_chi
 
 
 def _exact_order_roots(p, q, m):
@@ -358,6 +361,81 @@ class TestOneEnumeration:
         before = primes_above.cache_info().currsize
         euler_product_L(tag, m, CharacterSpec((1,), 1), 2.0, 10 ** 5)
         assert primes_above.cache_info().currsize == before
+
+
+class TestChiTable:
+    """_chi_table evaluates chi once per residue class of the modulus."""
+
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_lookup_equals_per_ideal_oracle(self, d):
+        # every modulus of norm <= 200, up to 3 nontrivial characters each;
+        # at a split prime gamma = 1, so the beta shift acts on every row y >= 1
+        tag = field(d)
+        for m in elements_up_to_norm(tag, 200)[1:]:
+            group = ray_class_group(m)
+            nontrivial = [c for c in characters(group) if c.order > 1]
+            if not nontrivial:
+                continue
+            picks = sorted({nontrivial[i] for i in (0, len(nontrivial) // 2, -1)},
+                           key=lambda c: c.exponents)
+            tables = [_chi_table(m, chi) for chi in picks]
+            for y, xs, _ in _coprime_rows(tag, m, 500):
+                want = [per_ideal_chi(group, picks, OkElement(tag, x, y)) for x in xs.tolist()]
+                for k, (chi, table) in enumerate(zip(picks, tables)):
+                    assert table(y, xs).tolist() == [w[k] for w in want], \
+                        (d, str(m), chi.exponents, y)
+
+    def test_euler_product_adds_no_dlog(self, monkeypatch):
+        tag = field(1)
+        m = OkElement(tag, 2, 1) * tag.from_int(3) * OkElement(tag, 1, 1) ** 3
+        _chi_table.cache_clear()
+        group = ray_class_group(m)
+        chi = max(characters(group), key=lambda c: c.order)
+        calls = []
+        dlog = group.units.dlog
+
+        def counting_dlog(e):
+            calls.append(e)
+            return dlog(e)
+
+        monkeypatch.setattr(group.units, "dlog", counting_dlog)
+        bound = 2000
+        evaluate_imprimitive_L(tag, m, chi, 2.0, bound)
+        after_sum = len(calls)
+        euler_product_L(tag, m, chi, 2.0, bound)
+        assert len(calls) == after_sum
+        met = {reduce_mod(OkElement(tag, x, y), group.modulus)
+               for y, xs, _ in _coprime_rows(tag, m, bound) for x in xs.tolist()}
+        assert after_sum == len(met)
+
+    def test_storage_grows_with_classes_met(self):
+        # a split prime of norm about 10^12: (O_K/m)^x is cyclic of order
+        # ell - 1 = 4 * 6301 * 6311 * 6353, and a dense table would take 16 TB
+        tag = field(1)
+        m = primes_above(tag, 1010523706733)[0].generator
+        group = ray_class_group(m)
+        chi = CharacterSpec((1,), group.degree)
+        _chi_table.cache_clear()
+        tracemalloc.start()
+        try:
+            evaluate_imprimitive_L(tag, m, chi, 2.0, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20, peak
+
+    @pytest.mark.parametrize("bound, seconds", [(10 ** 5, 0.2), (10 ** 6, 1.0)])
+    def test_order_4_value_speed(self, bound, seconds):
+        # each function starts from an empty table
+        tag = field(1)
+        five = tag.from_int(5)
+        chi = characters(ray_class_group(five), exact_order=4)[0]
+        for fn in (evaluate_imprimitive_L, euler_product_L):
+            _chi_table.cache_clear()
+            start = time.perf_counter()
+            fn(tag, five, chi, 2.0, bound)
+            elapsed = time.perf_counter() - start
+            assert elapsed < seconds, (fn.__name__, bound, elapsed)
 
 
 class TestTailBound:

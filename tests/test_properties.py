@@ -14,10 +14,11 @@ from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
                             factor, field, gcd_ok, primes_above)
-from iqtower.rayclass import UnitGroup, lcm_ideal, reduce_mod
+from iqtower.lvaluation import _chi_table, _coprime_rows
+from iqtower.rayclass import CharacterSpec, UnitGroup, lcm_ideal, ray_class_group, reduce_mod
 from iqtower.selmerrank import _solve_growth
 
-from oracles import solve_growth, united_form_compose
+from oracles import per_ideal_chi, solve_growth, united_form_compose
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -252,6 +253,22 @@ class TestUnitGroupDlog:
         assert U.dlog(x * y) == [(i + j) % o for i, j, o in zip(vx, vy, U.orders)]
         assert U.power_word(vx) == reduce_mod(x, U.modulus)
         assert U.power_word(U.dlog(x * y)) == reduce_mod(x * y, U.modulus)
+
+
+class TestChiTable:
+    @SETTINGS
+    @given(mixed_moduli().filter(lambda m: m.norm() <= 5000), st.data())
+    def test_lookup_equals_per_ideal_oracle(self, modulus, data):
+        tag, group = modulus.tag, ray_class_group(modulus)
+        invariants = group.presentation.invariants
+        assume(invariants)
+        exponents = data.draw(st.tuples(*(st.integers(0, n - 1) for n in invariants))
+                              .filter(any))
+        chi = CharacterSpec(exponents, coords_order(exponents, invariants))
+        table = _chi_table(modulus, chi)
+        for y, xs, _ in _coprime_rows(tag, modulus, 300):
+            want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]
+            assert table(y, xs).tolist() == want, y
 
 
 class TestIdeals:
