@@ -113,8 +113,7 @@ def _cmd_rayclass(args) -> None:
 
 def _cmd_tower(args) -> None:
     if args.depth > MAX_TOWER_DEPTH:
-        raise ConfigError(f"tower depth {args.depth} exceeds the cap {MAX_TOWER_DEPTH}; "
-                          f"each level multiplies the work by q")
+        raise ConfigError(f"tower depth {args.depth} exceeds the cap {MAX_TOWER_DEPTH}")
     tower = anticyclotomic_tower(field(args.d), args.q, args.depth)
     config = {"command": "tower", "d": args.d, "q": args.q, "depth": args.depth}
     records = []

@@ -4,12 +4,21 @@ The modulus of F_{p^t} is the lexicographically smallest monic irreducible
 polynomial f of degree t over F_p, coefficients compared constant term
 first.  Elements are coefficient tuples (low degree first).
 
+The search tests candidates on bare arrays by Rabin's test (M. O. Rabin,
+SIAM J. Comput. 9, 1980): f is irreducible iff x^(p^t) = x mod f and
+gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.  A Frobenius step y ->
+y^p is one product y @ Q mod p with the matrix Q whose row i is x^(i*p)
+mod f (Cohen, GTM 138, 3.4), built from the matrix of multiplication by
+x^p.  The gcds run only for the candidates that pass x^(p^t) = x, and only
+the winner becomes a FiniteField.
+
 Multiplication has one path: the numpy convolution of the two coefficient
 vectors, reduced mod p, and a fold of its t - 1 high coefficients through
-a (t-1) x t matrix whose row k is x^(t+k) mod f, built once per field.
-Inverses are Fermat powers.  Arrays are int64 when t*(p-1)^2 < 2^63, which
-bounds every convolution and fold sum, and Python integers otherwise, so
-arithmetic is exact for every p and t.
+a (t-1) x t matrix whose row k is x^(t+k) mod f, built once per field by
+the same shift recurrence that builds the search's matrices.  Inverses
+are Fermat powers.  Arrays are int64 when t*(p-1)^2 < 2^63, which bounds
+every convolution, fold and Frobenius sum, and Python integers otherwise,
+so arithmetic is exact for every p and t.
 """
 
 from __future__ import annotations
@@ -65,6 +74,39 @@ def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
     return [int(c) * inv % p for c in a[:da + 1]]
 
 
+def _shift_rows(row: np.ndarray, low: np.ndarray, count: int, p: int) -> np.ndarray:
+    """Rows x^(s+j) mod f for j < count, given row = x^s mod f and low =
+    x^t mod f: each next row shifts up one degree and folds its x^t
+    coefficient back through low."""
+    rows = np.empty((count, len(row)), dtype=row.dtype)
+    for j in range(count):
+        rows[j] = row
+        top = row[-1]
+        row = top * low
+        row[1:] += rows[j, :-1]
+        row %= p
+    return rows
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, fold: np.ndarray, p: int) -> np.ndarray:
+    """a*b mod f: the convolution's t - 1 high coefficients folded through
+    the rows x^(t+k) mod f."""
+    t = len(a)
+    conv = np.convolve(a, b) % p
+    return (conv[:t] + conv[t:] @ fold) % p
+
+
+def _prime_divisors(n: int) -> list[int]:
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
 class FiniteField:
     """F_p[x]/(f_t) with the deterministic modulus described above."""
 
@@ -74,16 +116,9 @@ class FiniteField:
         self.modulus = _modulus          # low coefficients of monic f, len t
         self.order = p ** t
         self.dtype = _dtype(p, t)
-        # row k is x^(t+k) mod f: x^t = -(low part of f), and each next row
-        # shifts up one degree and folds its x^t coefficient back
-        self._fold = np.zeros((t - 1, t), dtype=self.dtype)
-        row = -np.array(_modulus, dtype=self.dtype) % p
-        for k in range(t - 1):
-            self._fold[k] = row
-            top = row[-1]
-            row = np.roll(row, 1)
-            row[0] = 0
-            row = (row + top * self._fold[0]) % p
+        # row k is x^(t+k) mod f, starting from x^t = -(low part of f)
+        low = -np.array(_modulus, dtype=self.dtype) % p
+        self._fold = _shift_rows(low, low, t - 1, p)
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.t})"
@@ -117,9 +152,7 @@ class FiniteField:
 
     # -- arithmetic core ------------------------------------------------------
     def _mul(self, a: "FFElement", b: "FFElement") -> tuple[int, ...]:
-        t, p = self.t, self.p
-        conv = np.convolve(a._as_array(), b._as_array()) % p
-        return tuple(((conv[:t] + conv[t:] @ self._fold) % p).tolist())
+        return tuple(_mul_mod(a._as_array(), b._as_array(), self._fold, self.p).tolist())
 
 
 class FFElement:
@@ -181,9 +214,11 @@ class FFElement:
 def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     """Monic f = x^t + sum coeffs[i] x^i irreducible over F_p?
 
-    Any reducible monic polynomial has an irreducible factor of degree
-    <= t/2, caught by gcd(x^(p^k) - x, f) at k = that degree; linear factors
-    are pre-screened by evaluation.
+    Linear factors are pre-screened by evaluation, which settles t <= 3.
+    Beyond that, Rabin's test: f is irreducible iff x^(p^t) = x mod f and
+    gcd(x^(p^(t/r)) - x, f) = 1 for every prime r | t.  The Frobenius steps
+    y -> y^p are y @ Q mod p, where row i of Q is x^(i*p) mod f; the gcds
+    run only for the few f that pass the first condition.
     """
     t = len(coeffs)
     if t == 1:
@@ -195,26 +230,32 @@ def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
             return False
     if t in (2, 3):
         return True
-    F = FiniteField(p, t, coeffs)
-    x = F.gen()
-    y = x
+    dtype = _dtype(p, t)
+    one, x = np.zeros((2, t), dtype=dtype)
+    one[0] = x[1] = 1
+    low = -np.array(coeffs, dtype=dtype) % p          # x^t mod f
+    fold = _shift_rows(low, low, min(p, t - 1), p)    # x^t, x^(t+1), ...
+    # M, the matrix of multiplication by x^p: row j is x^(p+j) mod f
+    if p < t:
+        M = np.zeros((t, t), dtype=dtype)
+        M[np.arange(t - p), np.arange(p, t)] = 1
+        M[t - p:] = fold
+    else:
+        M = _shift_rows(_pow(x, p, lambda a, b: _mul_mod(a, b, fold, p), one), low, t, p)
+    # Q: row i is x^(i*p) mod f, a monomial while i*p < t
+    k = -(-t // p)
+    Q = np.zeros((t, t), dtype=dtype)
+    Q[np.arange(k), np.arange(0, t, p)] = 1
+    for i in range(k, t):
+        Q[i] = Q[i - 1] @ M % p
+    frobenius = [Q[1]]             # frobenius[j] is x^(p^(j+1)) mod f
+    for _ in range(t - 1):
+        frobenius.append(frobenius[-1] @ Q % p)
+    if not np.array_equal(frobenius[-1], x):
+        return False
     f_full = list(coeffs) + [1]
-    batch = F.one()
-    for k in range(1, t // 2 + 1):
-        y = y ** p
-        if k == 1:
-            continue   # linear factors already excluded
-        diff = y - x
-        if diff.is_zero():
-            return False
-        # batch the degree checks: gcd(f, prod of differences) != 1 iff some
-        # factor degree falls in the batch
-        batch = batch * diff
-        if k % 8 == 0 or k == t // 2:
-            if batch.is_zero() or _poly_gcd(list(batch.coeffs), f_full, p, F.dtype) != [1]:
-                return False
-            batch = F.one()
-    return True
+    return all(_poly_gcd((frobenius[t // r - 1] - x).tolist(), f_full, p, dtype) == [1]
+               for r in _prime_divisors(t))
 
 
 @lru_cache(maxsize=None)

@@ -334,9 +334,10 @@ def _ideal_rows(tag: FieldTag, bound: int):
 def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
     """The _ideal_rows rows restricted to ideals coprime to the modulus.  A
     prime of degree one over ell with omega = s mod it divides x + y*omega
-    iff x + y*s = 0 mod ell; an inert ell divides it iff ell | x and ell | y."""
+    iff x + y*s = 0 mod ell; an inert ell divides it iff ell | x and ell | y.
+    A prime of norm > bound divides no ideal of norm <= bound."""
     primes = [(p.residue_char, None if p.kind == "inert" else omega_residue(p.generator))
-              for p, _ in factor(modulus).factors]
+              for p, _ in factor(modulus).factors if p.norm() <= bound]
     for y, xs, norms in _ideal_rows(tag, bound):
         mask = np.ones(len(xs), dtype=bool)
         for ell, root in primes:
@@ -357,6 +358,8 @@ def _chi_table(modulus: OkElement, chi: CharacterSpec):
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
     alpha, beta, gamma = _hnf_box(group.modulus)
+    # keys lie below alpha*gamma; the margin to 2^63 leaves room for x - b*beta
+    key_dtype = np.int64 if alpha * gamma < 2 ** 62 else object
     values: dict[int, complex] = {}
 
     def chi_at(i: int) -> complex:
@@ -368,7 +371,7 @@ def _chi_table(modulus: OkElement, chi: CharacterSpec):
 
     def chi_row(y: int, xs: np.ndarray) -> np.ndarray:
         b, r = divmod(y, gamma)
-        idx = (xs - b * beta % alpha) % alpha + r * alpha
+        idx = (xs.astype(key_dtype, copy=False) - b * beta % alpha) % alpha + r * alpha
         keys, inverse = np.unique(idx, return_inverse=True)
         row = [values[i] if i in values else values.setdefault(i, chi_at(i))
                for i in keys.tolist()]

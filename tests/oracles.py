@@ -15,7 +15,8 @@ united forms, after a spiral search for an equivalent form whose leading
 coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
-coefficient tuples with Python integers.
+coefficient tuples with Python integers; irreducibility is decided by
+batched gcds with x^(p^k) - x for every k <= t/2.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from sympy import divisors, factorint, primerange
 
 from iqtower.abgroup import GroupError, _pow
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
+from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
 from iqtower.okring import OkElement, canonical_associate, gcd_ok, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
@@ -432,6 +434,45 @@ def ff_inverse(p: int, modulus: tuple, a: tuple) -> tuple:
     cinv = pow(r0[0], -1, p)
     out = [v * cinv % p for v in s0] + [0] * t
     return tuple(out[:t])
+
+
+def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
+    """Monic f = x^t + sum coeffs[i] x^i irreducible over F_p?
+
+    Any reducible monic polynomial has an irreducible factor of degree
+    <= t/2, caught by gcd(x^(p^k) - x, f) at k = that degree; linear factors
+    are pre-screened by evaluation.
+    """
+    t = len(coeffs)
+    if t == 1:
+        return True
+    if coeffs[0] == 0:
+        return False
+    for a in range(p):
+        if _poly_eval(coeffs + (1,), a, p) == 0:
+            return False
+    if t in (2, 3):
+        return True
+    F = FiniteField(p, t, coeffs)
+    x = F.gen()
+    y = x
+    f_full = list(coeffs) + [1]
+    batch = F.one()
+    for k in range(1, t // 2 + 1):
+        y = y ** p
+        if k == 1:
+            continue   # linear factors already excluded
+        diff = y - x
+        if diff.is_zero():
+            return False
+        # batch the degree checks: gcd(f, prod of differences) != 1 iff some
+        # factor degree falls in the batch
+        batch = batch * diff
+        if k % 8 == 0 or k == t // 2:
+            if batch.is_zero() or _poly_gcd(list(batch.coeffs), f_full, p, F.dtype) != [1]:
+                return False
+            batch = F.one()
+    return True
 
 
 # -- zeta lattice oracle -------------------------------------------------------

@@ -144,7 +144,7 @@ class TestSubcommands:
 class TestExitCodes:
     def test_invalid_config_is_2(self, capsys):
         code, _, err = run_cli(["tower", "--d", "1", "--q", "5", "--depth", "9"], capsys)
-        assert code == 2 and "cap" in err
+        assert code == 2 and "tower depth 9 exceeds the cap 4" in err
         code, _, err = run_cli(["lseries", "--d", "1", "--modulus", "1", "--s", "2.0",
                                 "--B", str(10 ** 9)], capsys)
         assert code == 2

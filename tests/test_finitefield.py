@@ -1,4 +1,5 @@
-"""F_{p^t} arithmetic against the schoolbook oracle, and a digest of the
+"""F_{p^t} arithmetic against the schoolbook oracle, the modulus search's
+irreducibility test against the batched-gcd oracle, and a digest of the
 moduli and roots of unity the residue side builds.
 
 The degrees cross t = 48, where multiplication used to switch between a
@@ -6,15 +7,17 @@ schoolbook and a numpy path; one field has p^2 > 2^63, where int64
 products overflow."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import divisors, mobius, primerange
 
-from iqtower.finitefield import FieldError, FiniteField, finite_field
+from iqtower.finitefield import FieldError, FiniteField, _is_irreducible, finite_field
 from iqtower.lvaluation import unity_image
 
-from oracles import ff_inverse, ff_mul
+from oracles import batched_gcd_is_irreducible, ff_inverse, ff_mul
 
 DEGREES = [(2, 1), (3, 4), (13, 8), (5, 47), (5, 48), (5, 49), (3, 55), (7, 64)]
 
@@ -81,3 +84,89 @@ def test_moduli_and_unity_images_digest():
         t = z.field.t
         h.update(repr((p, q, m, t, finite_field(p, t).modulus, z.coeffs)).encode())
     assert h.hexdigest() == UNITY_DIGEST
+
+
+# -- the modulus search's irreducibility test ----------------------------------
+
+# every (p, t) with t >= 2 and p^t <= 5000; t = 1 is never searched
+SMALL_DEGREES = [(p, t) for p in primerange(2, 71) for t in range(2, 13) if p ** t <= 5000]
+
+
+def _poly_mul(p: int, g: tuple, h: tuple) -> tuple:
+    """Low coefficients of the monic product of two monic polynomials given
+    by their low coefficients."""
+    a, b = list(g) + [1], list(h) + [1]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out[:-1])
+
+
+def _frobenius_fixes_x(p: int, coeffs: tuple) -> bool:
+    """x^(p^t) = x mod f, by schoolbook powers."""
+    t = len(coeffs)
+    x = (0, 1) + (0,) * (t - 2)
+    y = x
+    for _ in range(t):
+        acc = (1,) + (0,) * (t - 1)
+        for _ in range(p):
+            acc = ff_mul(p, coeffs, acc, y)
+        y = acc
+    return y == x
+
+
+def _has_root(p: int, coeffs: tuple) -> bool:
+    return any(sum(c * a ** i for i, c in enumerate(coeffs + (1,))) % p == 0
+               for a in range(p))
+
+
+class TestIrreducibility:
+    @pytest.mark.parametrize("p,t", SMALL_DEGREES)
+    def test_every_small_candidate_matches_oracle_and_count(self, p, t):
+        count = 0
+        for coeffs in itertools.product(range(p), repeat=t):
+            got = _is_irreducible(p, coeffs)
+            assert got == batched_gcd_is_irreducible(p, coeffs), (p, coeffs)
+            count += got
+        assert count * t == sum(mobius(d) * p ** (t // d) for d in divisors(t))
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_hypothesis_candidates_match_oracle(self, data):
+        p = data.draw(st.sampled_from(list(primerange(2, 51))))
+        t = data.draw(st.integers(2, 64))
+
+        def monic(n):
+            return st.tuples(*[st.integers(0, p - 1)] * n)
+
+        if data.draw(st.booleans()):
+            coeffs = data.draw(monic(t))
+        else:   # a product, which reaches the Frobenius steps when neither factor has a root
+            a = data.draw(st.integers(1, t - 1))
+            coeffs = _poly_mul(p, data.draw(monic(a)), data.draw(monic(t - a)))
+        assert _is_irreducible(p, coeffs) == batched_gcd_is_irreducible(p, coeffs)
+
+    @pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 2), (11, 2),
+                                     (2, 3), (3, 3), (5, 3), (7, 3)])
+    def test_products_fixed_by_frobenius_are_rejected(self, p, d):
+        """g*h for distinct irreducible g, h of degree d is fixed by
+        x -> x^(p^(2d)) and has no root, so only a gcd can reject it."""
+        g, h = itertools.islice((c for c in itertools.product(range(p), repeat=d)
+                                 if batched_gcd_is_irreducible(p, c)), 2)
+        f = _poly_mul(p, g, h)
+        assert not _has_root(p, f) and _frobenius_fixes_x(p, f)
+        assert not _is_irreducible(p, f)
+
+    @pytest.mark.parametrize("p,t", [(7, 57), (5, 36)])
+    def test_search_builds_one_field(self, p, t, monkeypatch):
+        built = []
+        init = FiniteField.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(FiniteField, "__init__", counting_init)
+        F = finite_field.__wrapped__(p, t)
+        assert built == [(p, t, F.modulus)]

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import time
@@ -423,6 +424,21 @@ class TestChiTable:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20, peak
+
+    def test_split_prime_beyond_int64(self):
+        # ell = 2^a * 3^b + 1 > 2^63: residues and table keys exceed int64
+        tag = field(1)
+        ell = 16210220612075905069
+        m = primes_above(tag, ell)[0].generator
+        group = ray_class_group(m)
+        chi = CharacterSpec((1,), 0)
+        want = sum(per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] / n ** 2
+                   for y, xs, norms in _coprime_rows(tag, m, 200)
+                   for x, n in zip(xs.tolist(), norms.tolist()))
+        _chi_table.cache_clear()
+        got = evaluate_imprimitive_L(tag, m, chi, 2.0, 200).value
+        assert abs(got - want) < 1e-12
+        assert cmath.isfinite(euler_product_L(tag, m, chi, 2.0, 200).value)
 
     @pytest.mark.parametrize("bound, seconds", [(10 ** 5, 0.2), (10 ** 6, 1.0)])
     def test_order_4_value_speed(self, bound, seconds):
