@@ -32,6 +32,7 @@ MAX_TOWER_DEPTH = 4
 MAX_MODULUS_NORM = 10 ** 6
 MAX_TRUNCATION = 10 ** 8
 MAX_DISCRIMINANT = 10 ** 8
+MAX_RBOUND = 10 ** 4
 
 
 class ConfigError(ValueError):
@@ -125,6 +126,8 @@ def _cmd_tower(args) -> None:
 
 
 def _cmd_cmsearch(args) -> None:
+    if args.rbound > MAX_RBOUND:
+        raise ConfigError(f"rbound {args.rbound} exceeds the cap {MAX_RBOUND}")
     cands = cms.find_twist_candidates(field(args.d), args.rbound)
     config = {"command": "cmsearch", "d": args.d, "rbound": args.rbound}
     records = []
@@ -316,10 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once, at import: parse_args fills a fresh Namespace on every call and
+# every default is None, a string or a number, so calls share no state.
+PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = PARSER.parse_args(argv)
         _check_threads()
         args.func(args)
     except ConfigError as exc:

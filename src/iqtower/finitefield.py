@@ -267,9 +267,12 @@ def finite_field(p: int, t: int) -> FiniteField:
         raise FieldError("degree must be >= 1")
     if t == 1:
         return FiniteField(p, 1, (0,))
-    for c0 in range(1, p):
-        for rest in itertools.product(range(p), repeat=t - 1):
-            tail = (c0,) + rest
-            if _is_irreducible(p, tail):
-                return FiniteField(p, t, tail)
+    # the candidates in that order are the t base-p digits of a counter,
+    # most significant first, from (1, 0, ..., 0) on
+    for n in range(p ** (t - 1), p ** t):
+        tail = [0] * t
+        for i in range(t - 1, -1, -1):
+            n, tail[i] = divmod(n, p)
+        if _is_irreducible(p, tuple(tail)):
+            return FiniteField(p, t, tuple(tail))
     raise FieldError(f"no irreducible polynomial found for p={p}, t={t}")

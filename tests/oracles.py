@@ -16,7 +16,8 @@ coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers; irreducibility is decided by
-batched gcds with x^(p^k) - x for every k <= t/2.
+batched gcds with x^(p^k) - x for every k <= t/2, and the q^m-th roots of
+unity in F_{p^t} are told apart by collecting all q^m powers of one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from sympy import divisors, factorint, primerange
 from iqtower.abgroup import GroupError, _pow
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
+from iqtower.lvaluation import unity_image
 from iqtower.okring import OkElement, canonical_associate, gcd_ok, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
@@ -473,6 +475,22 @@ def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
                 return False
             batch = F.one()
     return True
+
+
+# Splitting degrees ord(p mod q^m) up to which the tests compare the q^m
+# powers of a root of unity element by element.
+DISTINCT_POWERS_MAX_DEGREE = 64
+
+
+def distinct_unity_powers(p: int, q: int, m: int) -> bool:
+    """Whether the q^m powers of unity_image(p, q, m) are pairwise distinct
+    in F_{p^t}, compared element by element."""
+    zeta = unity_image(p, q, m)
+    seen, acc = set(), zeta.field.one()
+    for _ in range(q ** m):
+        seen.add(acc.coeffs)
+        acc = acc * zeta
+    return len(seen) == q ** m
 
 
 # -- zeta lattice oracle -------------------------------------------------------

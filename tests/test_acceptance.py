@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from sympy import isprime, primerange
+from sympy import isprime, n_order, primerange
 
 from iqtower.classforms import class_group, principal_form
 from iqtower.cmsearch import curve_table, find_twist_candidates
@@ -25,7 +25,8 @@ from iqtower.selmerrank import (CofinPGroup, decomposition_counts,
                                 fine_selmer_mod_p_rank, ingest_tower,
                                 series_stabilization)
 
-from oracles import brute_ray_degree_fast, lattice_zeta, minkowski_class_number
+from oracles import (DISTINCT_POWERS_MAX_DEGREE, brute_ray_degree_fast,
+                     distinct_unity_powers, lattice_zeta, minkowski_class_number)
 
 EXPECTED_TABLE_DEGREES = {1: 1, 2: 1, 3: 6, 7: 21, 11: 1, 19: 3,
                           43: 29, 67: 41, 163: 89}
@@ -92,8 +93,10 @@ def test_criterion_3_anticyclotomic_growth():
 
 def test_criterion_4_nonvanishing_machinery():
     # exhaustive distinctness for all odd p != q <= 50, m <= 3
+    # (the theorem), and the q^m powers compared element by element wherever
+    # ord(p mod q^m) <= DISTINCT_POWERS_MAX_DEGREE
     odd_primes = list(primerange(3, 51))
-    pairs = 0
+    pairs = compared = 0
     for p in odd_primes:
         for q in odd_primes:
             if p == q:
@@ -101,6 +104,9 @@ def test_criterion_4_nonvanishing_machinery():
             for m in (1, 2, 3):
                 assert distinctness_check(p, q, m), (p, q, m)
                 pairs += 1
+                if n_order(p, q ** m) <= DISTINCT_POWERS_MAX_DEGREE:
+                    assert distinct_unity_powers(p, q, m), (p, q, m)
+                    compared += 1
 
     # compute_N1 against brute-force character scans, 100 random instances
     rng = random.Random(1009)
@@ -142,7 +148,8 @@ def test_criterion_4_nonvanishing_machinery():
         assert observed == expect, (d, p, q, k, phi0, n1, observed)
         done += 1
     _report(4, "non-vanishing machinery",
-            f"{pairs} distinctness checks (odd p != q <= 50, m <= 3) all true; "
+            f"{pairs} distinctness checks (odd p != q <= 50, m <= 3) all true, "
+            f"{compared} of them compared element by element; "
             f"compute_N1 matched brute-force scans on {done} instances")
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -7,8 +8,10 @@ import sys
 import time
 
 import pytest
+from sympy import isprime
 
 import iqtower
+from iqtower import cli
 from iqtower.cli import main
 from iqtower.okring import field, parse_element
 from iqtower.rayclass import euler_phi, ray_class_group
@@ -223,6 +226,80 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestParserBuiltOnce:
+    """`main` parses with the one parser built at import."""
+
+    @staticmethod
+    def _tree(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from TestParserBuiltOnce._tree(sub)
+
+    def test_main_builds_no_parser(self, tmp_path, capsys, monkeypatch):
+        tower = tmp_path / "t.json"
+        tower.write_text(json.dumps({"label": "t", "q": 3, "d": 1, "p": 5, "levels": [
+            {"n": 0, "s_f": 1, "r_cl": 0, "r_cls": 0, "sel0": {"s": 1, "T": []}}]}))
+        calls = [
+            (["table2"], 0), (["table2", "--format", "csv"], 0),
+            (["rayclass", "--d", "1", "--modulus", "2+1*w"], 0),
+            (["rayclass", "--d", "1", "--modulus", "0"], 2),
+            (["tower", "--d", "1", "--q", "5", "--depth", "1"], 0),
+            (["tower", "--d", "1", "--q", "5", "--depth", "9"], 2),
+            (["cmsearch", "--d", "43", "--rbound", "3"], 0),
+            (["cmsearch", "--d", "3", "--rbound", "3"], 3),
+            (["nonvanish", "--d", "1", "--p", "5", "--q", "3", "--lambda", "7"], 0),
+            (["nonvanish", "--d", "1", "--p", "7", "--q", "3", "--lambda", "3"], 3),
+            (["lseries", "--d", "1", "--modulus", "1", "--s", "2.0", "--B", "200"], 0),
+            (["lseries", "--d", "1", "--modulus", "3", "--s", "2.0", "--B", "200",
+              "--char", "1"], 0),
+            (["classgroup", "--disc", "-23"], 0),
+            (["classgroup", "--disc", "-23", "--S", "2", "3"], 0),
+            (["classgroup", "--disc", "-6"], 3),
+            (["selmer", "--input", str(tower)], 0),
+            (["selmer", "--input", str(tower), "--p", "7"], 2),
+            (["fit", "--q", "3", "--e", "5,5,5,5"], 0),
+            (["fit", "--q", "3", "--e", "7,6,13,32,87", "--format", "csv"], 0),
+            (["table2", "--out", str(tmp_path / "t2.json")], 0),
+        ]
+        assert len(calls) == 20
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv, code in calls:
+            assert main(argv) == code, argv
+        capsys.readouterr()
+        assert built == []
+
+    def test_usage_error_leaves_no_state(self, capsys):
+        argv = ["classgroup", "--disc", "-23"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["classgroup", "--disc", "-23", "--S", "2", "x"])
+        assert exc.value.code == 2
+        assert main(argv) == 0
+        second = capsys.readouterr().out
+        assert first == second
+        assert json.loads(second)["config"]["S"] == []
+
+    def test_no_mutable_default(self):
+        mutable = (list, dict, set, bytearray)
+        parsers = list(self._tree(cli.PARSER))
+        assert len(parsers) == 10
+        for parser in parsers:
+            for action in parser._actions:
+                assert not isinstance(action.default, mutable), (parser.prog, action.dest)
+            for key, value in parser._defaults.items():
+                assert not isinstance(value, mutable), (parser.prog, key)
+
+
 class TestCaps:
     """The worst inputs with an inert or ramified factor that the modulus cap
     (norm <= 10^6) admits build in bounded time, and so does a tower at a
@@ -263,6 +340,34 @@ class TestCaps:
         assert recs[1]["invariants"] == [1000033]
         assert elapsed < self.SECONDS, elapsed
 
+    def test_cmsearch_rbound_at_cap(self):
+        # d = 163 is the slowest field at the cap: 16r^2 + 163 is prime for
+        # the most r.  Run in a fresh interpreter to read its peak RSS.
+        script = ("import resource, sys, time\n"
+                  "from iqtower.cli import MAX_RBOUND, main\n"
+                  "start = time.perf_counter()\n"
+                  "code = main(['cmsearch', '--d', '163', '--rbound', str(MAX_RBOUND)])\n"
+                  "print(code, time.perf_counter() - start,\n"
+                  "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        code, elapsed, rss_kb = proc.stderr.split()
+        assert code == "0"
+        recs = json.loads(proc.stdout)["records"]
+        assert len(recs) == sum(isprime(16 * r * r + 163)
+                                for r in range(1, cli.MAX_RBOUND + 1))
+        assert all(r["degree"] == (r["norm"] - 1) // 2 for r in recs)
+        assert float(elapsed) < self.SECONDS, elapsed
+        assert int(rss_kb) < 300 * 1024, rss_kb
+
+    def test_cmsearch_rbound_past_cap_is_2(self, capsys, monkeypatch):
+        def no_search(tag, r_bound):
+            raise AssertionError("searched past the cap")
+        monkeypatch.setattr("iqtower.cmsearch.find_twist_candidates", no_search)
+        code, out, err = run_cli(["cmsearch", "--d", "43", "--rbound",
+                                  str(cli.MAX_RBOUND + 1)], capsys)
+        assert code == 2 and out == "" and "cap" in err
+
 
 class TestLargeSPrime:
     def test_classgroup_s_prime_form(self, capsys):
@@ -283,8 +388,8 @@ class TestLargeSPrime:
 class TestLargePrime:
     """`nonvanish` at a split p with p^2 > 2^63: the root of -1 mod p is not
     found by scanning [0, p), and F_p arithmetic must not overflow int64.
-    ord(p mod 7^3) = 147 exceeds the explicit cap, so no extension field is
-    built."""
+    `nonvanish` builds no extension field: the distinctness of the q^m-th
+    roots of unity mod p is a theorem."""
 
     P, Q = 4294967357, 7
 
@@ -305,6 +410,24 @@ class TestLargePrime:
         # only when it is 1
         assert (p - 1) % q != 0
         assert rec["N1"] == (1 if residue == 1 else 0)
+        assert elapsed < 2.0, elapsed
+
+
+    def test_nonvanish_near_1e12(self, capsys):
+        # ord(p mod 3^3) = 2, so a check that built F_{p^2} would search
+        # about 10^12 quadratic candidates
+        p = 1000000000997
+        assert isprime(p) and p % 4 == 1 and pow(p, 2, 27) == 1 != p % 27
+        start = time.perf_counter()
+        code, out, _ = run_cli(["nonvanish", "--d", "1", "--p", str(p), "--q", "3",
+                                "--lambda", "3+2*w", "--k", "4"], capsys)
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["distinct_roots_mod_p"] is True
+        # 3 does not divide p - 1: N1 is 1 when the residue is 1 and 0 otherwise
+        assert (p - 1) % 3 != 0
+        assert rec["N1"] == (1 if rec["residue"] == 1 else 0)
         assert elapsed < 2.0, elapsed
 
 

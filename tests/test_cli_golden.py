@@ -17,8 +17,14 @@ other fields are pinned to the earlier output by
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import iqtower
 
 from iqtower.cli import main
 
@@ -171,3 +177,32 @@ def test_lvalues_near_earlier_output(name, capsys):
         if isinstance(old, list):
             new, old = complex(*new), complex(*old)
         assert abs(new - old) <= 1e-12 * abs(old), (key, rec[key])
+
+
+# `iqtower -h` and `iqtower <cmd> -h` for every subcommand, in this order,
+# from one fresh interpreter at 80 columns.  The layout is argparse's, which
+# differs between Python minor versions; the digest is CPython 3.11's.
+HELP_COMMANDS = [[], ["table2"], ["rayclass"], ["tower"], ["cmsearch"], ["nonvanish"],
+                 ["lseries"], ["classgroup"], ["selmer"], ["fit"]]
+HELP_DIGEST = "f5caa01062bcabd46b2fcd31a087cbe1c747662563cf661ceec74a035c0ae510"
+HELP_SCRIPT = """
+import sys
+from iqtower.cli import main
+for argv in {commands!r}:
+    try:
+        main(argv + ["-h"])
+    except SystemExit:
+        pass
+"""
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the help digest pins CPython 3.11's argparse layout")
+def test_help_digest():
+    src = str(pathlib.Path(iqtower.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", HELP_SCRIPT.format(commands=HELP_COMMANDS)],
+                          capture_output=True, env=env, check=True)
+    assert proc.stdout.count(b"usage: iqtower") == len(HELP_COMMANDS)
+    assert hashlib.sha256(proc.stdout).hexdigest() == HELP_DIGEST

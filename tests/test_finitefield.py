@@ -8,6 +8,7 @@ products overflow."""
 
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -170,3 +171,21 @@ class TestIrreducibility:
         monkeypatch.setattr(FiniteField, "__init__", counting_init)
         F = finite_field.__wrapped__(p, t)
         assert built == [(p, t, F.modulus)]
+
+    @pytest.mark.parametrize("p,t", SMALL_DEGREES)
+    def test_search_order_is_lex_with_constant_term_first(self, p, t):
+        first = next(c for c in itertools.product(range(p), repeat=t)
+                     if c[0] and batched_gcd_is_irreducible(p, c))
+        assert finite_field.__wrapped__(p, t).modulus == first
+
+    def test_search_memory_does_not_grow_with_p(self):
+        # the candidates come from a counter, so no range(p) is copied;
+        # x^2 + 1 is irreducible since 1000003 = 3 mod 4
+        tracemalloc.start()
+        try:
+            F = finite_field.__wrapped__(1000003, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert F.modulus == (1, 0)
+        assert peak < 2 ** 20, peak

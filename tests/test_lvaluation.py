@@ -5,7 +5,7 @@ import time
 import tracemalloc
 
 import pytest
-from sympy import isprime, primerange
+from sympy import isprime, n_order, primerange
 
 from iqtower.finitefield import finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
@@ -20,7 +20,8 @@ from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
 from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_class_group,
                               reduce_mod)
 
-from oracles import euler_prime_ideals, lattice_zeta, per_ideal_chi
+from oracles import (DISTINCT_POWERS_MAX_DEGREE, distinct_unity_powers,
+                     euler_prime_ideals, lattice_zeta, per_ideal_chi)
 
 
 def _exact_order_roots(p, q, m):
@@ -128,6 +129,7 @@ class TestDistinctness:
     def test_examples(self):
         assert distinctness_check(5, 3, 2) is True
         assert distinctness_check(7, 3, 3) is True
+        assert distinct_unity_powers(5, 3, 2) and distinct_unity_powers(7, 3, 3)
         with pytest.raises(OkError):
             distinctness_check(5, 5, 1)
 
@@ -139,6 +141,21 @@ class TestDistinctness:
                     continue
                 for m in (1, 2):
                     assert distinctness_check(p, q, m), (p, q, m)
+                    if n_order(p, q ** m) <= DISTINCT_POWERS_MAX_DEGREE:
+                        assert distinct_unity_powers(p, q, m), (p, q, m)
+
+    @pytest.mark.parametrize("p,q,m", [(4, 3, 1), (5, 9, 1), (5, 3, -1)])
+    def test_invalid_input_rejected(self, p, q, m):
+        with pytest.raises(OkError):
+            distinctness_check(p, q, m)
+
+    def test_no_field_is_built(self, monkeypatch):
+        def no_field(p, t):
+            raise AssertionError(f"F_{p}^{t} built")
+        monkeypatch.setattr("iqtower.lvaluation.finite_field", no_field)
+        # ord(5 mod 3^2) = 6 and ord(10^12 + 39 mod 7^3) = 294
+        assert distinctness_check(5, 3, 2) is True
+        assert distinctness_check(10 ** 12 + 39, 7, 3) is True
 
     def test_certificate_path_beyond_cap(self):
         # ord(29 mod 47^3) is far beyond the explicit construction cap

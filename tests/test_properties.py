@@ -5,6 +5,7 @@ counts, so every run draws the same cases."""
 from fractions import Fraction
 from math import floor, gcd, prod
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, divisors
@@ -269,6 +270,34 @@ class TestChiTable:
         for y, xs, _ in _coprime_rows(tag, modulus, 300):
             want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]
             assert table(y, xs).tolist() == want, y
+
+
+class TestRingAxioms:
+    """Associativity, commutativity and distributivity of + and *, and
+    N(ab) = N(a)N(b), in each of the nine rings, coordinates beyond int64
+    included."""
+
+    PER_RING = settings(derandomize=True, max_examples=40, deadline=None)
+    coords = st.integers(-10 ** 6, 10 ** 6) | st.integers(-2 ** 80, 2 ** 80)
+    elements = st.tuples(coords, coords)
+
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    @PER_RING
+    @given(elements, elements, elements)
+    def test_commutative_ring(self, d, a, b, c):
+        tag = field(d)
+        a, b, c = (OkElement(tag, *v) for v in (a, b, c))
+        assert (a + b) + c == a + (b + c) and a + b == b + a
+        assert (a * b) * c == a * (b * c) and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    @PER_RING
+    @given(elements, elements)
+    def test_norm_multiplicative(self, d, a, b):
+        tag = field(d)
+        a, b = OkElement(tag, *a), OkElement(tag, *b)
+        assert (a * b).norm() == a.norm() * b.norm()
 
 
 class TestIdeals:
