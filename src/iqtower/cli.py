@@ -29,6 +29,7 @@ from .okring import OkError, field, parse_element
 from .rayclass import CharacterSpec, anticyclotomic_tower, ray_class_group
 
 MAX_TOWER_DEPTH = 4
+MAX_TOWER_Q = 10 ** 8
 MAX_MODULUS_NORM = 10 ** 6
 MAX_TRUNCATION = 10 ** 8
 MAX_DISCRIMINANT = 10 ** 8
@@ -115,6 +116,8 @@ def _cmd_rayclass(args) -> None:
 def _cmd_tower(args) -> None:
     if args.depth > MAX_TOWER_DEPTH:
         raise ConfigError(f"tower depth {args.depth} exceeds the cap {MAX_TOWER_DEPTH}")
+    if args.q > MAX_TOWER_Q:
+        raise ConfigError(f"tower q {args.q} exceeds the cap {MAX_TOWER_Q}")
     tower = anticyclotomic_tower(field(args.d), args.q, args.depth)
     config = {"command": "tower", "d": args.d, "q": args.q, "depth": args.depth}
     records = []

@@ -15,10 +15,11 @@ One enumeration of ideals, in numpy rows of one representative per ideal,
 feeds both: the sum reads every row entry, the product the entries that
 generate prime ideals.  A nontrivial character is evaluated once per
 residue class of the modulus, in one table that both share and that grows
-only with the classes met.  Both carry rigorous tail bounds from the
-ideal-count estimate r_K(n) <= d(n) (valid for every imaginary quadratic
-field: r_K(n) = sum over m | n of chi_disc(m), a sum of n/m terms each at
-most 1).
+only with the classes met; each prime-power factor's discrete log runs
+once per residue class of that factor met.  Both carry rigorous tail bounds
+from the ideal-count estimate r_K(n) <= d(n) (valid for every imaginary
+quadratic field: r_K(n) = sum over m | n of chi_disc(m), a sum of n/m terms
+each at most 1).
 """
 
 from __future__ import annotations
@@ -335,21 +336,33 @@ def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
 
 @lru_cache(maxsize=4)
 def _chi_table(modulus: OkElement, chi: CharacterSpec):
-    """chi_row(y, xs) for a nontrivial chi: one discrete log per residue class
-    met, at its representative in the Hermite box (alpha, beta, gamma), keyed
-    r*alpha + (x - b*beta) mod alpha with b, r = divmod(y, gamma).  Memoised
-    like ray_class_group, so the Euler product reuses the sum's values."""
+    """chi_row(y, xs) for a nontrivial chi: one value per residue class met,
+    at its representative in the Hermite box (alpha, beta, gamma), keyed
+    r*alpha + (x - b*beta) mod alpha with b, r = divmod(y, gamma).  The unit
+    group's dlog is the concatenation of its prime-power factors' dlogs
+    (CRT), so each factor's dlog runs once per residue class of that factor
+    met, keyed the same way in the factor's own box.  Memoised like
+    ray_class_group, so the Euler product reuses the sum's values."""
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
     alpha, beta, gamma = _hnf_box(group.modulus)
     # keys lie below alpha*gamma; the margin to 2^63 leaves room for x - b*beta
     key_dtype = np.int64 if alpha * gamma < 2 ** 62 else object
     values: dict[int, complex] = {}
+    factors = [(f, *_hnf_box(f.modulus), {}) for f in group.units.factors]
 
     def chi_at(i: int) -> complex:
         # rows come from _coprime_rows, so dlog sees units only (it raises otherwise)
-        e = OkElement(group.tag, i % alpha, i // alpha)
-        cls = group.presentation.coords(group.units.dlog(e))
+        x, y = i % alpha, i // alpha
+        word: list[int] = []
+        for f, a, b, g, logs in factors:
+            q, r = divmod(y, g)
+            x_f = (x - q * b) % a
+            k = r * a + x_f
+            if k not in logs:
+                logs[k] = f.dlog(OkElement(group.tag, x_f, r))
+            word.extend(logs[k])
+        cls = group.presentation.coords(word)
         theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
         return cmath.exp(2j * cmath.pi * theta)
 

@@ -302,8 +302,8 @@ class TestParserBuiltOnce:
 
 class TestCaps:
     """The worst inputs with an inert or ramified factor that the modulus cap
-    (norm <= 10^6) admits build in bounded time, and so does a tower at a
-    seven-digit q."""
+    (norm <= 10^6) admits build in bounded time, and so do towers at a
+    seven-digit q and at the q cap."""
 
     SECONDS = 2.0
 
@@ -339,6 +339,35 @@ class TestCaps:
         assert [r["order"] for r in recs] == [1, 1000033]
         assert recs[1]["invariants"] == [1000033]
         assert elapsed < self.SECONDS, elapsed
+
+    def test_tower_q_at_cap(self):
+        # the slowest q measured below the cap at depth 4 over the nine fields
+        # (q - 1 = 2 * prime; q - 1 = 4 * prime in d = 1, 6 * prime in d = 3)
+        q = 99998819
+        assert q <= cli.MAX_TOWER_Q
+        script = ("import resource, sys, time\n"
+                  "from iqtower.cli import MAX_TOWER_DEPTH, main\n"
+                  "start = time.perf_counter()\n"
+                  f"code = main(['tower', '--d', '2', '--q', '{q}',\n"
+                  "             '--depth', str(MAX_TOWER_DEPTH)])\n"
+                  "print(code, time.perf_counter() - start,\n"
+                  "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        code, elapsed, rss_kb = proc.stderr.split()
+        assert code == "0"
+        recs = json.loads(proc.stdout)["records"]
+        assert [r["order"] for r in recs] == [q ** n for n in range(cli.MAX_TOWER_DEPTH + 1)]
+        assert float(elapsed) < self.SECONDS, elapsed
+        assert int(rss_kb) < 300 * 1024, rss_kb
+
+    def test_tower_q_past_cap_is_2(self, capsys, monkeypatch):
+        def no_tower(tag, q, depth):
+            raise AssertionError("built a tower past the cap")
+        monkeypatch.setattr("iqtower.cli.anticyclotomic_tower", no_tower)
+        code, out, err = run_cli(["tower", "--d", "2", "--q", str(cli.MAX_TOWER_Q + 1),
+                                  "--depth", "1"], capsys)
+        assert code == 2 and out == "" and "cap" in err
 
     def test_cmsearch_rbound_at_cap(self):
         # d = 163 is the slowest field at the cap: 16r^2 + 163 is prime for

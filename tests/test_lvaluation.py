@@ -381,6 +381,18 @@ class TestOneEnumeration:
         assert primes_above.cache_info().currsize == before
 
 
+def _count_dlogs(monkeypatch, owners) -> dict:
+    """Record the argument of every dlog call of each owner, a unit group or
+    one of its factors: owner -> list of arguments."""
+    calls = {o: [] for o in owners}
+    for o in owners:
+        def counting_dlog(e, args=calls[o], dlog=o.dlog):
+            args.append(e)
+            return dlog(e)
+        monkeypatch.setattr(o, "dlog", counting_dlog)
+    return calls
+
+
 class TestChiTable:
     """_chi_table evaluates chi once per residue class of the modulus."""
 
@@ -404,27 +416,49 @@ class TestChiTable:
                         (d, str(m), chi.exponents, y)
 
     def test_euler_product_adds_no_dlog(self, monkeypatch):
+        # (2+i) * 3 * (1+i)^3: one factor dlog per unit residue class of that
+        # factor met, 4 + 8 + 4, and no dlog of the whole modulus
         tag = field(1)
         m = OkElement(tag, 2, 1) * tag.from_int(3) * OkElement(tag, 1, 1) ** 3
         _chi_table.cache_clear()
         group = ray_class_group(m)
         chi = max(characters(group), key=lambda c: c.order)
-        calls = []
-        dlog = group.units.dlog
-
-        def counting_dlog(e):
-            calls.append(e)
-            return dlog(e)
-
-        monkeypatch.setattr(group.units, "dlog", counting_dlog)
+        calls = _count_dlogs(monkeypatch, [*group.units.factors, group.units])
         bound = 2000
         evaluate_imprimitive_L(tag, m, chi, 2.0, bound)
-        after_sum = len(calls)
+        after_sum = {f: len(c) for f, c in calls.items()}
         euler_product_L(tag, m, chi, 2.0, bound)
-        assert len(calls) == after_sum
-        met = {reduce_mod(OkElement(tag, x, y), group.modulus)
-               for y, xs, _ in _coprime_rows(tag, m, bound) for x in xs.tolist()}
-        assert after_sum == len(met)
+        assert {f: len(c) for f, c in calls.items()} == after_sum
+        assert after_sum[group.units] == 0
+        elements = [OkElement(tag, x, y) for y, xs, _ in _coprime_rows(tag, m, bound)
+                    for x in xs.tolist()]
+        for f in group.units.factors:
+            met = {reduce_mod(e, f.modulus) for e in elements}
+            assert {reduce_mod(e, f.modulus) for e in calls[f]} == met
+            assert after_sum[f] == len(met)
+        assert [after_sum[f] for f in group.units.factors] == [4, 8, 4]
+
+    def test_norm_cap_modulus(self, monkeypatch):
+        # pi_997 * pi_1009 in Z[i], norm 1,005,973: the sum at B = 10^5 meets
+        # 78,394 classes of the modulus, but a factor has only ell - 1 unit
+        # classes, so at most 996 + 1008 factor dlogs run
+        tag = field(1)
+        m = primes_above(tag, 997)[0].generator * primes_above(tag, 1009)[0].generator
+        group = ray_class_group(m)
+        assert group.presentation.invariants == (3, 83664)
+        chi = CharacterSpec((1, 1), 83664)
+        calls = _count_dlogs(monkeypatch, group.units.factors)
+        _chi_table.cache_clear()
+        start = time.perf_counter()
+        evaluate_imprimitive_L(tag, m, chi, 2.0, 10 ** 5)
+        elapsed = time.perf_counter() - start
+        n_logs = sum(map(len, calls.values()))
+        assert n_logs <= 996 + 1008, n_logs
+        assert elapsed < 1.5, elapsed
+        table = _chi_table(m, chi)
+        for y, xs, _ in _coprime_rows(tag, m, 300):
+            want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]
+            assert table(y, xs).tolist() == want, y
 
     def test_storage_grows_with_classes_met(self):
         # a split prime of norm about 10^12: (O_K/m)^x is cyclic of order

@@ -256,6 +256,21 @@ class TestUnitGroupDlog:
         assert U.power_word(U.dlog(x * y)) == reduce_mod(x * y, U.modulus)
 
 
+class TestFactorDlogs:
+    """What _chi_table's per-factor tables rest on: each prime-power factor's
+    dlog depends on the residue class modulo that factor alone, and the
+    factors' dlogs concatenate to the unit group's (CRT)."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(mixed_moduli().filter(lambda m: m.norm() <= 10 ** 5), big, big)
+    def test_factor_words_give_class_coords(self, modulus, a, b):
+        group = ray_class_group(modulus)
+        e = OkElement(modulus.tag, a, b)
+        assume(group.units.is_unit(e))
+        word = [c for f in group.units.factors for c in f.dlog(reduce_mod(e, f.modulus))]
+        assert group.presentation.coords(word) == group.ideal_class_coords(e)
+
+
 class TestChiTable:
     @SETTINGS
     @given(mixed_moduli().filter(lambda m: m.norm() <= 5000), st.data())
