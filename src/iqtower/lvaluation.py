@@ -11,15 +11,15 @@ i.e. nonzero vs zero in the residue field.
 
 The L-series side evaluates imprimitive Hecke L-functions of finite-order
 ray class characters as truncated ideal sums and truncated Euler products.
-One enumeration of ideals, in numpy rows of one representative per ideal,
-feeds both: the sum reads every row entry, the product the entries that
-generate prime ideals.  A nontrivial character is evaluated once per
-residue class of the modulus, in one table that both share and that grows
-only with the classes met; each prime-power factor's discrete log runs
-once per residue class of that factor met.  Both carry rigorous tail bounds
-from the ideal-count estimate r_K(n) <= d(n) (valid for every imaginary
-quadratic field: r_K(n) = sum over m | n of chi_disc(m), a sum of n/m terms
-each at most 1).
+One walk over the ideals, in numpy rows of one representative per ideal,
+computes both: each row's terms chi(a) N(a)^(-s) go into the sum, and the
+terms at entries that generate prime ideals into the product.  A nontrivial
+character is evaluated once per residue class of the modulus, in one table
+that grows only with the classes met; each prime-power factor's discrete
+log runs once per residue class of that factor met.  Both carry rigorous
+tail bounds from the ideal-count estimate r_K(n) <= d(n) (valid for every
+imaginary quadratic field: r_K(n) = sum over m | n of chi_disc(m), a sum of
+n/m terms each at most 1).
 """
 
 from __future__ import annotations
@@ -342,7 +342,7 @@ def _chi_table(modulus: OkElement, chi: CharacterSpec):
     group's dlog is the concatenation of its prime-power factors' dlogs
     (CRT), so each factor's dlog runs once per residue class of that factor
     met, keyed the same way in the factor's own box.  Memoised like
-    ray_class_group, so the Euler product reuses the sum's values."""
+    ray_class_group, so later walks with other s or bound reuse its values."""
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
     alpha, beta, gamma = _hnf_box(group.modulus)
@@ -404,15 +404,34 @@ def _prime_entries(tag: FieldTag, sieve: np.ndarray, y: int, xs: np.ndarray,
                      for x in xs.tolist()], dtype=bool)
 
 
+@lru_cache(maxsize=4)
+def _l_values(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
+              bound: int) -> tuple[LSeriesValue, LSeriesValue]:
+    """(Dirichlet sum, Euler product) from one walk over the coprime rows:
+    each row's terms are summed, and the terms at its prime-ideal entries
+    each divide the product.  Memoised like _chi_table, so whichever of the
+    two public functions runs second only looks its value up."""
+    total, chi_row = _character(modulus, chi, s, bound)
+    product = total + 1.0
+    sieve = _prime_sieve(bound)
+    for y, xs, norms in _coprime_rows(tag, modulus, bound):
+        terms = chi_row(y, xs) * norms.astype(np.float64) ** (-s)
+        total += np.sum(terms).item()
+        for f in (1.0 - terms[_prime_entries(tag, sieve, y, xs, norms)]).tolist():
+            product = product / f
+    log_tail = dirichlet_tail_bound(bound, s) / (1.0 - float(bound) ** (-s))
+    return (LSeriesValue(total, bound, dirichlet_tail_bound(bound, s)),
+            LSeriesValue(product, bound, abs(product) * math.expm1(log_tail)))
+
+
 def evaluate_imprimitive_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
                            s: float, bound: int) -> LSeriesValue:
     """Truncated Dirichlet sum over ideals of norm <= bound coprime to the
     modulus, with a rigorous tail bound.  chi must be a finite-order ray
-    class character (k = 0) modulo the given modulus."""
-    total, chi_row = _character(modulus, chi, s, bound)
-    for y, xs, norms in _coprime_rows(tag, modulus, bound):
-        total += np.sum(chi_row(y, xs) * norms.astype(np.float64) ** (-s)).item()
-    return LSeriesValue(total, bound, dirichlet_tail_bound(bound, s))
+    class character (k = 0) modulo the given modulus.  The walk computes the
+    Euler product too, so this alone pays for both, a prime sieve of
+    bound + 1 bytes included."""
+    return _l_values(tag, modulus, chi, s, bound)[0]
 
 
 def euler_product_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
@@ -420,15 +439,6 @@ def euler_product_L(tag: FieldTag, modulus: OkElement, chi: CharacterSpec,
     """The same L-value as a truncated Euler product over prime ideals of
     norm <= bound coprime to the modulus, each read once off the Dirichlet
     rows; chi of the row element is chi of the ideal, units being
-    quotiented out."""
-    zero, chi_row = _character(modulus, chi, s, bound)
-    total = zero + 1.0
-    sieve = _prime_sieve(bound)
-    for y, xs, norms in _coprime_rows(tag, modulus, bound):
-        keep = _prime_entries(tag, sieve, y, xs, norms)
-        factors = 1.0 - chi_row(y, xs[keep]) * norms[keep].astype(np.float64) ** (-s)
-        for f in factors.tolist():
-            total = total / f
-    log_tail = dirichlet_tail_bound(bound, s) / (1.0 - float(bound) ** (-s))
-    err = abs(total) * math.expm1(log_tail)
-    return LSeriesValue(total, bound, err)
+    quotiented out.  Computed in the same walk as the Dirichlet sum, so this
+    alone pays for both."""
+    return _l_values(tag, modulus, chi, s, bound)[1]

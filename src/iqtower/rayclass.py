@@ -98,13 +98,19 @@ def _crt_int(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m
 
 
-def _cyclic_tables(g: int, order: int, mod: int) -> list[tuple]:
+def _cyclic_tables(g: int, order: int, mod: int, ell: int) -> list[tuple]:
     """Pohlig-Hellman data for discrete logs base g, of the given order, in
-    (Z/mod)^x: per prime power r^a of the order, the cofactor, g^-cofactor,
-    and the baby steps and giant step of an element h of order r.  Built
-    once per group, so each log only looks values up."""
+    (Z/mod)^x with mod a power of the prime ell: per prime power r^a of the
+    order, the cofactor, g^-cofactor, and the baby steps and giant step of an
+    element h of order r.  Only the part of the order prime to ell, at most
+    ell - 1, is factored.  Built once per group, so each log only looks
+    values up."""
+    v = padic_val(order, ell)
+    primes = factorint(order // ell ** v)
+    if v:
+        primes[ell] = v
     tables = []
-    for r, a in factorint(order).items():
+    for r, a in primes.items():
         cof = order // r ** a
         gr = pow(g, cof, mod)
         h = pow(gr, r ** (a - 1), mod)   # order r
@@ -155,7 +161,7 @@ class _SplitFactor:
         self.root = omega_residue(self.modulus)
         self.gens_int, self.orders = self._unit_gens(ell, e)
         # the cyclic factor that dlog solves by Pohlig-Hellman comes last
-        self._tables = (_cyclic_tables(self.gens_int[-1], self.orders[-1], self.int_mod)
+        self._tables = (_cyclic_tables(self.gens_int[-1], self.orders[-1], self.int_mod, ell)
                         if self.orders else [])
         self.gens = [tag.from_int(g) for g in self.gens_int]
 

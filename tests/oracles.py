@@ -6,11 +6,12 @@ residues in the Hermite box of the modulus, class numbers come from ideal
 lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, ray class characters are evaluated ideal by ideal with one
-discrete log each, and the prime ideals of an Euler product come prime by
-prime from sympy's primerange and the primes above each.  The primes above a
-rational prime are the elements of that norm, found by scanning the norm
-form; Iwasawa growth laws through three points come from Gaussian
-elimination in exact rationals.  Binary quadratic forms compose through
+discrete log each, the Dirichlet sum and the Euler product come from two
+separate walks over the ideals, and the prime ideals of an Euler product
+come prime by prime from sympy's primerange and the primes above each.  The
+primes above a rational prime are the elements of that norm, found by
+scanning the norm form; Iwasawa growth laws through three points come from
+Gaussian elimination in exact rationals.  Binary quadratic forms compose through
 united forms, after a spiral search for an equivalent form whose leading
 coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
@@ -33,7 +34,8 @@ from sympy import divisors, factorint, primerange
 from iqtower.abgroup import GroupError, _pow
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
-from iqtower.lvaluation import unity_image
+from iqtower.lvaluation import (LSeriesValue, _character, _coprime_rows, _prime_entries,
+                                _prime_sieve, dirichlet_tail_bound, unity_image)
 from iqtower.okring import OkElement, canonical_associate, gcd_ok, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
@@ -533,6 +535,38 @@ def per_ideal_chi(group, chis, e: OkElement) -> list[complex]:
                                                    group.presentation.invariants))
               for chi in chis]
     return [cmath.exp(2j * cmath.pi * theta) for theta in thetas]
+
+
+# -- two-walk L-value oracle ---------------------------------------------------
+
+def two_walk_L(tag, modulus: OkElement, chi, s: float, bound: int):
+    """(Dirichlet sum, Euler product) as two separate walks over the coprime
+    rows, each with its own chi lookups and the product with its own sieve:
+    the floating-point operations of the one-walk _l_values, in the same
+    order, so the pairs agree exactly."""
+    return (_dirichlet_walk(tag, modulus, chi, s, bound),
+            _euler_walk(tag, modulus, chi, s, bound))
+
+
+def _dirichlet_walk(tag, modulus, chi, s, bound) -> LSeriesValue:
+    total, chi_row = _character(modulus, chi, s, bound)
+    for y, xs, norms in _coprime_rows(tag, modulus, bound):
+        total += np.sum(chi_row(y, xs) * norms.astype(np.float64) ** (-s)).item()
+    return LSeriesValue(total, bound, dirichlet_tail_bound(bound, s))
+
+
+def _euler_walk(tag, modulus, chi, s, bound) -> LSeriesValue:
+    zero, chi_row = _character(modulus, chi, s, bound)
+    total = zero + 1.0
+    sieve = _prime_sieve(bound)
+    for y, xs, norms in _coprime_rows(tag, modulus, bound):
+        keep = _prime_entries(tag, sieve, y, xs, norms)
+        factors = 1.0 - chi_row(y, xs[keep]) * norms[keep].astype(np.float64) ** (-s)
+        for f in factors.tolist():
+            total = total / f
+    log_tail = dirichlet_tail_bound(bound, s) / (1.0 - float(bound) ** (-s))
+    err = abs(total) * math.expm1(log_tail)
+    return LSeriesValue(total, bound, err)
 
 
 # -- prime ideal oracle --------------------------------------------------------

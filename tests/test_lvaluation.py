@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import time
@@ -7,10 +8,11 @@ import tracemalloc
 import pytest
 from sympy import isprime, n_order, primerange
 
+from iqtower.cli import main
 from iqtower.finitefield import finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
                                 ResidueEmbedding, _chi_table, _coprime_rows,
-                                _prime_entries, _prime_sieve, compute_N1,
+                                _l_values, _prime_entries, _prime_sieve, compute_N1,
                                 dirichlet_tail_bound, distinctness_check,
                                 euler_factor_vanishes, euler_product_L,
                                 evaluate_imprimitive_L, unity_image)
@@ -21,7 +23,7 @@ from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_clas
                               reduce_mod)
 
 from oracles import (DISTINCT_POWERS_MAX_DEGREE, distinct_unity_powers,
-                     euler_prime_ideals, lattice_zeta, per_ideal_chi)
+                     euler_prime_ideals, lattice_zeta, per_ideal_chi, two_walk_L)
 
 
 def _exact_order_roots(p, q, m):
@@ -367,6 +369,45 @@ class TestOneEnumeration:
                 assert len(got) == len(set(got)), (d, str(m), bound)
                 assert set(got) == euler_prime_ideals(tag, m, bound), (d, str(m), bound)
 
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_one_walk_equals_two_walks(self, d):
+        # the memoised pair against two separate walks: == on every value and
+        # error estimate, trivial character first, then up to 2 nontrivial
+        tag = field(d)
+        for m in _test_moduli(tag):
+            chars = characters(ray_class_group(m))
+            nontrivial = {c for c in (chars[len(chars) // 2], chars[-1]) if c.order > 1}
+            picks = [c for c in chars if c.order == 1] + sorted(nontrivial,
+                                                                key=lambda c: c.exponents)
+            for chi in picks:
+                for s in (1.5, 2.0, 3.0):
+                    for bound in (2, 3, 4, 25, 2000):
+                        got = (evaluate_imprimitive_L(tag, m, chi, s, bound),
+                               euler_product_L(tag, m, chi, s, bound))
+                        want = two_walk_L(tag, m, chi, s, bound)
+                        for g, w in zip(got, want):
+                            assert (g.value, g.error_estimate) == (w.value, w.error_estimate), \
+                                (d, str(m), chi.exponents, s, bound)
+
+    def test_cli_lseries_walks_once(self, monkeypatch, capsys):
+        # one lseries command prints both values from one enumeration and one sieve
+        calls = {"rows": 0, "sieve": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr("iqtower.lvaluation._coprime_rows", counted("rows", _coprime_rows))
+        monkeypatch.setattr("iqtower.lvaluation._prime_sieve", counted("sieve", _prime_sieve))
+        _l_values.cache_clear()
+        assert main(["lseries", "--d", "1", "--modulus", "5", "--s", "2.0", "--B", "2000",
+                     "--char", "1"]) == 0
+        rec = json.loads(capsys.readouterr().out)["records"][0]
+        assert {"dirichlet", "euler"} <= rec.keys()
+        assert calls == {"rows": 1, "sieve": 1}
+
     def test_sieve(self):
         sieve = _prime_sieve(3000)
         assert [n for n in range(3001) if sieve[n]] == [n for n in range(3001) if isprime(n)]
@@ -421,6 +462,7 @@ class TestChiTable:
         tag = field(1)
         m = OkElement(tag, 2, 1) * tag.from_int(3) * OkElement(tag, 1, 1) ** 3
         _chi_table.cache_clear()
+        _l_values.cache_clear()
         group = ray_class_group(m)
         chi = max(characters(group), key=lambda c: c.order)
         calls = _count_dlogs(monkeypatch, [*group.units.factors, group.units])
@@ -449,6 +491,7 @@ class TestChiTable:
         chi = CharacterSpec((1, 1), 83664)
         calls = _count_dlogs(monkeypatch, group.units.factors)
         _chi_table.cache_clear()
+        _l_values.cache_clear()
         start = time.perf_counter()
         evaluate_imprimitive_L(tag, m, chi, 2.0, 10 ** 5)
         elapsed = time.perf_counter() - start
@@ -468,6 +511,7 @@ class TestChiTable:
         group = ray_class_group(m)
         chi = CharacterSpec((1,), group.degree)
         _chi_table.cache_clear()
+        _l_values.cache_clear()
         tracemalloc.start()
         try:
             evaluate_imprimitive_L(tag, m, chi, 2.0, 2000)
@@ -487,6 +531,7 @@ class TestChiTable:
                    for y, xs, norms in _coprime_rows(tag, m, 200)
                    for x, n in zip(xs.tolist(), norms.tolist()))
         _chi_table.cache_clear()
+        _l_values.cache_clear()
         got = evaluate_imprimitive_L(tag, m, chi, 2.0, 200).value
         assert abs(got - want) < 1e-12
         assert cmath.isfinite(euler_product_L(tag, m, chi, 2.0, 200).value)
@@ -499,6 +544,7 @@ class TestChiTable:
         chi = characters(ray_class_group(five), exact_order=4)[0]
         for fn in (evaluate_imprimitive_L, euler_product_L):
             _chi_table.cache_clear()
+            _l_values.cache_clear()
             start = time.perf_counter()
             fn(tag, five, chi, 2.0, bound)
             elapsed = time.perf_counter() - start

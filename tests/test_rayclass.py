@@ -423,6 +423,22 @@ class TestAnticyclotomicTower:
         tw = anticyclotomic_tower(field(2), 11, 1)
         assert [lv.order for lv in tw.levels] == [1, 11]
 
+    def test_split_tables_leave_q_unfactored(self, monkeypatch):
+        # a split factor of q^(n+1) has unit group order (q - 1) * q^n; the
+        # Pohlig-Hellman tables factor q - 1 only, never a multiple of q
+        q = 99998819
+        args = []
+
+        def recording(n, *rest, **kw):
+            args.append(n)
+            return factorint(n, *rest, **kw)
+
+        monkeypatch.setattr("iqtower.rayclass.factorint", recording)
+        tw = anticyclotomic_tower(field(2), q, 4)
+        assert [lv.order for lv in tw.levels] == [q ** n for n in range(5)]
+        assert q - 1 in args
+        assert all(n % q for n in args), args
+
     def test_growth_three_smallest_split_q(self):
         for tag in ALL_TAGS:
             for q in smallest_split_primes(tag, 3):
