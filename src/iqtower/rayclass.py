@@ -5,18 +5,16 @@ the layers of anticyclotomic towers.
 For class number one the ray class group of conductor h is
 (O_K/h)^x modulo the image of the roots of unity mu_K, and its order is the
 degree of the ray class field over K.  Unit groups are assembled from
-prime-power factors of the modulus:
-
-    * factors at split primes are cyclic and handled through the ring
-      isomorphism O_K/p^e = Z/l^e, which sends omega to -x/y for
-      pi^e = x + y*omega (`okring.omega_residue`), with Pohlig-Hellman
-      discrete logs;
-    * factors at inert and ramified primes go through the filtration
-      (O_K/p^e)^x = (O_K/p)^x x (1+p)/(1+p^e) (H. Cohen, Advanced Topics in
-      Computational Number Theory, GTM 193, 4.2): a cyclic residue-field
-      part and 1-unit generators 1 + pi^i*b whose l-th powers give the
-      relations; no residue ring is enumerated and no generator is drawn at
-      random.
+prime-power factors of the modulus, each through the filtration
+(O_K/p^e)^x = (O_K/p)^x x (1+p)/(1+p^e) (H. Cohen, Advanced Topics in
+Computational Number Theory, GTM 193, 4.2), whatever the kind of p: a
+cyclic residue-field part with Pohlig-Hellman discrete logs, and 1-unit
+generators 1 + pi^i*b whose l-th powers give the relations.  A split p^e
+enters through the ring isomorphism O_K/p^e = Z/l^e, which sends omega to
+-x/y for pi^e = x + y*omega (`okring.omega_residue`), with uniformiser l.
+No residue ring is enumerated and no generator is drawn at random.  The
+layers of an anticyclotomic tower are all read off one unit group, that of
+its top layer.
 
 Residues are reduced to a fixed fundamental domain (rounding division
 against the lattice basis {h, h*omega}), which makes representatives
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
-from sympy import factorint, isprime, primitive_root
+from sympy import factorint, isprime
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
                       _pow, coords_order, padic_val)
@@ -93,184 +91,115 @@ def residues_mod(modulus: OkElement) -> list[OkElement]:
     return [OkElement(tag, x, y) for y in range(gamma) for x in range(alpha)]
 
 
-def _crt_int(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    m = m1 * m2
-    return (r1 + (r2 - r1) * pow(m1, -1, m2) % m2 * m1) % m, m
-
-
-def _cyclic_tables(g: int, order: int, mod: int, ell: int) -> list[tuple]:
-    """Pohlig-Hellman data for discrete logs base g, of the given order, in
-    (Z/mod)^x with mod a power of the prime ell: per prime power r^a of the
-    order, the cofactor, g^-cofactor, and the baby steps and giant step of an
-    element h of order r.  Only the part of the order prime to ell, at most
-    ell - 1, is factored.  Built once per group, so each log only looks
+def _cyclic_tables(g, primes: dict[int, int], mul, power) -> list[tuple]:
+    """Pohlig-Hellman data for discrete logs base g, of order prod r^a over
+    the factorisation `primes`, in a group with product `mul` and power
+    `power`: per prime power r^a, the cofactor, g^-cofactor, the baby steps
+    and giant step of an element h of order r, and the CRT coefficient that
+    lifts a log mod r^a.  Built once per group, so each log only looks
     values up."""
-    v = padic_val(order, ell)
-    primes = factorint(order // ell ** v)
-    if v:
-        primes[ell] = v
+    order = prod(r ** a for r, a in primes.items())
     tables = []
     for r, a in primes.items():
-        cof = order // r ** a
-        gr = pow(g, cof, mod)
-        h = pow(gr, r ** (a - 1), mod)   # order r
+        ra = r ** a
+        cof = order // ra
+        gr = power(g, cof)
+        h = power(gr, ra // r)   # order r
         step = isqrt(r - 1) + 1
-        baby, acc = {}, 1
+        baby, acc = {}, power(h, 0)
         for j in range(step):
             baby[acc] = j
-            acc = acc * h % mod
-        tables.append((r, a, cof, pow(gr, -1, mod), baby, step, pow(acc, -1, mod)))
+            acc = mul(acc, h)
+        tables.append((r, a, cof, power(gr, ra - 1), baby, step, power(acc, r - 1),
+                       cof * pow(cof, -1, ra)))
     return tables
 
 
-def _bsgs(t: int, r: int, baby: dict, step: int, giant: int, mod: int) -> int:
-    """Solve h^j = t mod `mod` for 0 <= j < r, h of order r with the baby
-    steps h^j (j < step) and the giant step h^-step."""
-    for i in range(step + 1):
-        if t in baby:
-            return (i * step + baby[t]) % r
-        t = t * giant % mod
-    raise GroupError("baby-step giant-step failed: element outside subgroup")
+def _cyclic_dlog(x, order: int, tables: list[tuple], mul, power) -> int:
+    """Discrete log of x in the cyclic group of the given order that
+    `tables` (from _cyclic_tables) describes: Pohlig-Hellman, one baby-step
+    giant-step search per base-r digit."""
+    out = 0
+    for r, a, cof, grinv, baby, step, giant, crt in tables:
+        xr = power(x, cof)
+        e, ri = 0, 1
+        for i in reversed(range(a)):
+            # t = (x^cof * g^(-cof*e))^(r^i) has order dividing r
+            t = mul(xr, power(grinv, e)) if e else xr
+            if i:
+                t = power(t, r ** i)
+            for j in range(step + 1):
+                if t in baby:
+                    break
+                t = mul(t, giant)
+            else:
+                raise GroupError("baby-step giant-step failed: element outside subgroup")
+            e += (j * step + baby[t]) % r * ri
+            ri *= r
+        out += e * crt
+    return out % order
 
 
-def _dlog_cyclic_int(x: int, mod: int, tables: list[tuple]) -> int:
-    """Discrete log of x in the cyclic subgroup of (Z/mod)^x that `tables`
-    (from _cyclic_tables) describes, by Pohlig-Hellman."""
-    res, mres = 0, 1
-    for r, a, cof, grinv, baby, step, giant in tables:
-        ra = r ** a
-        xr = pow(x, cof, mod)
-        e = 0
-        for i in range(a):
-            t = pow(xr * pow(grinv, e, mod) % mod, ra // r ** (i + 1), mod)
-            e += _bsgs(t, r, baby, step, giant, mod) * r ** i
-        res, mres = _crt_int(res, mres, e, ra)
-    return res
+class _Factor:
+    """(O_K/p^e)^x for a prime p over l, through the filtration
+    (O_K/p)^x x (1+p)/(1+p^e).
 
-
-class _SplitFactor:
-    """(O_K/p^e)^x for a split prime p over l, via O_K/p^e = Z/l^e."""
-
-    def __init__(self, p: OkPrime, e: int):
-        tag = p.tag
-        ell = p.residue_char
-        self.prime, self.e, self.ell = p, e, ell
-        self.modulus = p.generator ** e
-        self.int_mod = ell ** e
-        # the image of omega in O_K/p^e = Z/l^e
-        self.root = omega_residue(self.modulus)
-        self.gens_int, self.orders = self._unit_gens(ell, e)
-        # the cyclic factor that dlog solves by Pohlig-Hellman comes last
-        self._tables = (_cyclic_tables(self.gens_int[-1], self.orders[-1], self.int_mod, ell)
-                        if self.orders else [])
-        self.gens = [tag.from_int(g) for g in self.gens_int]
-
-    @staticmethod
-    def _unit_gens(ell: int, e: int) -> tuple[list[int], list[int]]:
-        mod = ell ** e
-        if ell == 2:
-            if e == 1:
-                return [], []
-            if e == 2:
-                return [3], [2]
-            return [mod - 1, 5], [2, mod // 4]
-        m = (ell - 1) * ell ** (e - 1)
-        g = int(primitive_root(ell))
-        if e > 1 and pow(g, ell - 1, ell * ell) == 1:
-            g += ell
-        return [g], [m]
-
-    def to_int(self, x: OkElement) -> int:
-        return (x.x + x.y * self.root) % self.int_mod
-
-    def dlog(self, x: OkElement) -> list[int]:
-        r = self.to_int(x)
-        if r % self.ell == 0:
-            raise GroupError(f"{x} is not a unit modulo {self.modulus}")
-        if not self.orders:
-            return []
-        if self.ell == 2:
-            if self.e == 2:
-                return [0 if r % 4 == 1 else 1]
-            sign = 0 if r % 4 == 1 else 1
-            if sign:
-                r = (-r) % self.int_mod
-            return [sign, _dlog_cyclic_int(r, self.int_mod, self._tables)]
-        return [_dlog_cyclic_int(r, self.int_mod, self._tables)]
-
-    def inverse(self, x: OkElement) -> OkElement:
-        r = self.to_int(x)
-        return x.tag.from_int(pow(r, -1, self.int_mod))
-
-
-class _NonsplitFactor:
-    """(O_K/p^e)^x for an inert or ramified prime p over l, through the
-    filtration (O_K/p)^x x (1+p)/(1+p^e).
-
-    Residues are integer pairs a + b*omega mod l^e; that ring maps onto
-    O_K/p^e.  The cyclic part has order N - 1 (N = Np) and is generated by
-    g^(N^(e-1)), g a generator of (O_K/p)^x; its dlog is Pohlig-Hellman in
-    O_K/p with one table per prime power of N - 1 (at most 2(l+1) entries).
-    The 1-units are generated by 1 + pi^i*b for 1 <= i < e and b in the
-    F_l-basis 1 (ramified) or 1, omega (inert) of O_K/p; the filtration walk
-    writes a 1-unit as a word in them, digit by digit, and the words of
-    their l-th powers are the relations whose Smith form gives the
-    generators and orders of (1+p)/(1+p^e).
+    Residues are integer pairs a + b*omega mod l^e.  That ring maps onto
+    O_K/p^e when p is inert or ramified; at a split p, O_K/p^e = Z/l^e
+    through omega -> s (`okring.omega_residue`), so a residue is the pair
+    ((x + y*s) mod l^e, 0) and l is the uniformiser.  The cyclic part has
+    order N - 1 (N = Np) and is generated by g^(N^(e-1)), g the first
+    element of order N - 1 of the residue field O_K/p in residue order;
+    its dlog is Pohlig-Hellman in O_K/p, on ints mod l (F_l) or on pairs
+    mod l (F_l^2).  The 1-units are generated by 1 + pi^i*b for 1 <= i < e
+    and b in the F_l-basis 1 (split, ramified) or 1, omega (inert) of
+    O_K/p; the filtration walk writes a 1-unit as a word in them, digit by
+    digit, and the words of their l-th powers are the relations whose Smith
+    form gives the generators and orders of (1+p)/(1+p^e).
     """
 
     def __init__(self, p: OkPrime, e: int):
         tag = p.tag
         ell = p.residue_char
-        self.prime, self.e, self.ell = p, e, ell
+        self.ell = ell
         self.modulus = p.generator ** e
         self.t, self.n = tag.min_poly
         self.int_mod = ell ** e
-        # image of omega in O_K/p = Z/l when p is ramified
-        self.root = None if p.kind == "inert" else omega_residue(p.generator)
+        self.split = p.kind == "split"
+        # image of omega in O_K/p^e = Z/l^e (split) or in O_K/p = Z/l (ramified)
+        self.root = None if p.kind == "inert" else omega_residue(self.modulus if self.split
+                                                                 else p.generator)
         self.order_res = p.norm() - 1
-        res_primes = sorted(factorint(self.order_res).items())
+        res_primes = factorint(self.order_res)
         if self.root is None:
-            # the first element of order l^2 - 1 in residues_mod(p) order
-            # (the Hermite box of (l) is [0, l) x [0, l), y outermost)
-            g = next((x, y) for y in range(ell) for x in range(ell)
-                     if (x, y) != (0, 0) and
-                     all(self._pow((x, y), self.order_res // r, ell) != (1, 0)
-                         for r, _ in res_primes))
+            # the Hermite box of (l) is [0, l) x [0, l), y outermost
+            candidates = ((x, y) for y in range(ell) for x in range(ell) if (x, y) != (0, 0))
+            self._fmul = lambda u, v: self._mul(u, v, ell)
+            self._fpow = lambda u, k: self._pow(u, k, ell)
         else:
-            g = (int(primitive_root(ell)), 0)
-        self._tables = []
-        for r, a in res_primes:
-            ra = r ** a
-            cof = self.order_res // ra
-            gamma = self._pow(g, cof, ell)
-            table, acc = {}, (1, 0)
-            for j in range(ra):
-                table[acc] = j
-                acc = self._mul(acc, gamma, ell)
-            self._tables.append((cof, table, cof * pow(cof, -1, ra) % self.order_res))
+            candidates = range(1, ell)
+            self._fmul = lambda u, v: u * v % ell
+            self._fpow = lambda u, k: pow(u, k, ell)
+        one = (1, 0) if self.root is None else 1
+        g = next(c for c in candidates
+                 if all(self._fpow(c, self.order_res // r) != one for r in res_primes))
+        self._tables = _cyclic_tables(g, res_primes, self._fmul, self._fpow)
         # g^(N^(e-1)) = g mod p, and its order is exactly N - 1
-        g0 = self._pow(g, p.norm() ** (e - 1))
+        g0 = self._pow(g if self.root is None else (g, 0), p.norm() ** (e - 1))
         self._g0_inv = self._inverse(g0)
         # 1-unit generators, level by level; mu = l/pi turns division by pi^i
         # into multiplication by mu^i and exact division by l^i
-        pi = (p.generator.x, p.generator.y)
-        mu = tag.from_int(ell).divide_exact(p.generator)
+        pi, mu = ((tag.from_int(ell), tag.one()) if self.split else
+                  (p.generator, tag.from_int(ell).divide_exact(p.generator)))
         basis = [(1, 0)] if self.root is not None else [(1, 0), (0, 1)]
         self._units, self._levels = [], []
         for i in range(1, e):
-            pi_i = self._pow(pi, i)
-            level = []
-            for b in basis:
-                a0, a1 = self._mul(pi_i, b)
-                h = ((a0 + 1) % self.int_mod, a1)
-                self._units.append(h)
-                # h^-c for every digit c: one multiply clears a digit
-                h_inv, acc, row = self._inverse(h), (1, 0), []
-                for _ in range(ell):
-                    row.append(acc)
-                    acc = self._mul(acc, h_inv)
-                level.append(row)
-            self._levels.append((self._pow((mu.x, mu.y), i), ell ** i, level))
+            pi_i = self._pow((pi.x, pi.y), i)
+            units = [((a0 + 1) % self.int_mod, a1)
+                     for a0, a1 in (self._mul(pi_i, b) for b in basis)]
+            self._units.extend(units)
+            self._levels.append((self._pow((mu.x, mu.y), i), ell ** i,
+                                 [self._inverse(h) for h in units]))
         rels = []
         for j, h in enumerate(self._units):
             rel = [-c for c in self._walk(self._pow(h, ell))]
@@ -290,20 +219,30 @@ class _NonsplitFactor:
 
     def _mul(self, u, v, m: int = 0) -> tuple[int, int]:
         """(a + b*omega)(c + d*omega) mod m, by default mod l^e; mod l it is
-        the product in O_K/p of pairs reduced by _residue."""
+        the product in O_K/p = F_l^2 of an inert p."""
         a, b = u
         c, d = v
         m = m or self.int_mod
         return (a * c - self.n * b * d) % m, (a * d + b * c + self.t * b * d) % m
 
     def _pow(self, u, k: int, m: int = 0) -> tuple[int, int]:
-        return _pow(u, k, lambda x, y: self._mul(x, y, m), (1, 0))
+        """u^k mod m by square-and-multiply, the products of _mul written out."""
+        t, n = self.t, self.n
+        m = m or self.int_mod
+        a, b = u
+        ra, rb = 1, 0
+        while k:
+            if k & 1:
+                ra, rb = (ra * a - n * rb * b) % m, (ra * b + rb * a + t * rb * b) % m
+            k >>= 1
+            if k:
+                a, b = (a * a - n * b * b) % m, (2 * a * b + t * b * b) % m
+        return ra, rb
 
-    def _residue(self, u) -> tuple[int, int]:
-        """Image in O_K/p: a pair mod l (inert), or (a + b*s mod l, 0)."""
-        if self.root is None:
-            return u[0] % self.ell, u[1] % self.ell
-        return (u[0] + u[1] * self.root) % self.ell, 0
+    def _pair(self, x: OkElement) -> tuple[int, int]:
+        if self.split:
+            return (x.x + x.y * self.root) % self.int_mod, 0
+        return x.x % self.int_mod, x.y % self.int_mod
 
     def _inverse(self, u) -> tuple[int, int]:
         """conj(u) * N(u)^-1 mod l^e."""
@@ -314,32 +253,35 @@ class _NonsplitFactor:
     def _walk(self, u) -> list[int]:
         """Exponents of the 1-unit generators in a word equal to the 1-unit
         u modulo p^e: at level i, the digits of (u - 1)/pi^i mod p are read
-        off and cleared by the level-i generators.  The dlog's hot loop,
-        so the pair arithmetic is written out."""
+        off and each digit k is cleared by h^-k, h its level-i generator.
+        The dlog's hot loop, so the pair arithmetic is written out."""
         t, n, m, ell, s = self.t, self.n, self.int_mod, self.ell, self.root
         a, b = u
         word = []
-        for (c, d), ell_i, rows in self._levels:
+        for (c, d), ell_i, inverses in self._levels:
             # z = (u - 1) * mu^i / l^i
             z0 = ((a - 1) * c - n * b * d) % m // ell_i
             z1 = ((a - 1) * d + b * c + t * b * d) % m // ell_i
             digits = (z0 % ell, z1 % ell) if s is None else ((z0 + z1 * s) % ell,)
-            for row, k in zip(rows, digits):
-                if k:
-                    c2, d2 = row[k]
-                    a, b = (a * c2 - n * b * d2) % m, (a * d2 + b * c2 + t * b * d2) % m
             word.extend(digits)
+            if ell_i == m // ell:
+                break            # the last level's digits need no clearing
+            for h_inv, k in zip(inverses, digits):
+                if k:
+                    c2, d2 = self._pow(h_inv, k)
+                    a, b = (a * c2 - n * b * d2) % m, (a * d2 + b * c2 + t * b * d2) % m
         return word
 
     def dlog(self, x: OkElement) -> list[int]:
-        u = (x.x % self.int_mod, x.y % self.int_mod)
-        r = self._residue(u)
-        if r == (0, 0):
+        u = self._pair(x)
+        # the image in O_K/p: a pair mod l (inert), or a + b*s mod l
+        ell, s = self.ell, self.root
+        r = (u[0] % ell, u[1] % ell) if s is None else (u[0] + u[1] * s) % ell
+        if r in (0, (0, 0)):
             raise GroupError(f"{x} is not a unit modulo {self.modulus}")
         out = []
         if self._tables:
-            a = sum(table[self._pow(r, cof, self.ell)] * c
-                    for cof, table, c in self._tables) % self.order_res
+            a = _cyclic_dlog(r, self.order_res, self._tables, self._fmul, self._fpow)
             out.append(a)
             if self._units:
                 u = self._mul(u, self._pow(self._g0_inv, a))
@@ -348,7 +290,7 @@ class _NonsplitFactor:
         return out
 
     def inverse(self, x: OkElement) -> OkElement:
-        return OkElement(x.tag, *self._inverse((x.x, x.y)))
+        return OkElement(x.tag, *self._inverse(self._pair(x)))
 
 
 class UnitGroup:
@@ -361,12 +303,7 @@ class UnitGroup:
         self.modulus = canonical_associate(modulus)
         fac = factor(self.modulus)
         self.prime_powers = fac.factors
-        self.factors = []
-        for p, e in self.prime_powers:
-            if p.kind == "split":
-                self.factors.append(_SplitFactor(p, e))
-            else:
-                self.factors.append(_NonsplitFactor(p, e))
+        self.factors = [_Factor(p, e) for p, e in self.prime_powers]
         self.orders: list[int] = []
         self.gens: list[OkElement] = []
         for i, f in enumerate(self.factors):
@@ -595,31 +532,20 @@ class AnticyclotomicTower:
     levels: tuple[TowerLevel, ...]
 
 
-def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
-    """q-primary part S of (O_K/h)^x modulo {x*conj(x)}, for a
-    conjugation-stable modulus h."""
-    U = UnitGroup(modulus)
-    if canonical_associate(modulus.conj()) != U.modulus:
-        raise OkError(f"modulus {modulus} is not conjugation-stable")
-
+def _minus_relations(U: UnitGroup, q: int):
+    """The q-primary part S of U: its cyclic orders, its discrete log, and
+    the relations x*conj(x) for x running over its generators."""
     # reduce after every product: g ** k unreduced has k times the digits of g
     def mul(a: OkElement, b: OkElement) -> OkElement:
         return reduce_mod(a * b, U.modulus)
 
-    syl_idx = []
-    syl_orders = []
-    syl_gens = []
-    for i, (g, o) in enumerate(zip(U.gens, U.orders)):
-        qpart = q ** padic_val(o, q)
-        if qpart > 1:
-            syl_idx.append(i)
-            syl_orders.append(qpart)
-            syl_gens.append(_pow(g, o // qpart, mul, U.tag.one()))
+    syl = [(i, q ** padic_val(o, q)) for i, o in enumerate(U.orders) if o % q == 0]
+    orders = [qpart for _, qpart in syl]
 
     def sylow_dlog(e: OkElement) -> list[int]:
         full = U.dlog(e)
         vec = []
-        for i, qpart in zip(syl_idx, syl_orders):
+        for i, qpart in syl:
             cof = U.orders[i] // qpart
             if full[i] % cof:
                 raise GroupError(f"{e} is not in the {q}-primary part")
@@ -627,27 +553,43 @@ def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
         return vec
 
     rels = []
-    for h in syl_gens:
-        norm_elt = mul(h, h.conj())
-        rels.append(sylow_dlog(norm_elt))
-    return QuotientPresentation.from_relations(syl_orders, rels)
+    for i, qpart in syl:
+        h = _pow(U.gens[i], U.orders[i] // qpart, mul, U.tag.one())
+        rels.append(sylow_dlog(mul(h, h.conj())))
+    return orders, sylow_dlog, rels
+
+
+def minus_quotient(modulus: OkElement, q: int) -> QuotientPresentation:
+    """q-primary part S of (O_K/h)^x modulo {x*conj(x)}, for a
+    conjugation-stable modulus h."""
+    if canonical_associate(modulus.conj()) != canonical_associate(modulus):
+        raise OkError(f"modulus {modulus} is not conjugation-stable")
+    orders, _, rels = _minus_relations(UnitGroup(modulus), q)
+    return QuotientPresentation.from_relations(orders, rels)
 
 
 def anticyclotomic_tower(tag: FieldTag, q: int, depth: int) -> AnticyclotomicTower:
     """Layers 0..depth of the anticyclotomic tower over K at a split prime
     q >= 5: the minus quotient of the q-primary part of (O_K/q^(n+1))^x,
-    whose order is the degree q^n of the n-th layer."""
+    whose order is the degree q^n of the n-th layer.
+
+    One unit group is built, for q^(depth+1).  For an odd unramified q the
+    kernel of its reduction to q^(n+1) is generated by 1 + q^(n+1) and
+    1 + q^(n+1)*omega, which lie in its q-primary part; layer n is that
+    part's minus quotient divided further by those two classes."""
     if not isprime(q) or q < 5:
         raise OkError("q must be a prime >= 5")
     if split_type(tag, q) != "split":
         raise OkError(f"{q} does not split in Q(sqrt(-{tag.d}))")
     if depth < 0:
         raise OkError("depth must be nonnegative")
+    orders, sylow_dlog, rels = _minus_relations(UnitGroup(tag.from_int(q) ** (depth + 1)), q)
     levels = []
     prev_order = None
     for n in range(depth + 1):
-        modulus = tag.from_int(q) ** (n + 1)
-        pres = minus_quotient(modulus, q)
+        qn = q ** (n + 1)
+        kernel = [sylow_dlog(OkElement(tag, 1 + qn, 0)), sylow_dlog(OkElement(tag, 1, qn))]
+        pres = QuotientPresentation.from_relations(orders, rels + kernel)
         deg = 1 if prev_order is None else pres.order // prev_order
         levels.append(TowerLevel(n, pres.order, pres.invariants, deg))
         prev_order = pres.order

@@ -2,7 +2,9 @@
 
 Nothing here reuses the structure-recovery paths under test: unit groups
 are counted by raw residue enumeration, their torsion by multiplying
-residues in the Hermite box of the modulus, class numbers come from ideal
+residues in the Hermite box of the modulus, the unit group at a split
+prime power is cyclic (or {-1, 5} at l = 2) through O_K/p^e = Z/l^e with
+one Pohlig-Hellman over its whole order, class numbers come from ideal
 lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, ray class characters are evaluated ideal by ideal with one
@@ -29,14 +31,14 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import divisors, factorint, primerange
+from sympy import divisors, factorint, primerange, primitive_root
 
 from iqtower.abgroup import GroupError, _pow
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
 from iqtower.lvaluation import (LSeriesValue, _character, _coprime_rows, _prime_entries,
                                 _prime_sieve, dirichlet_tail_bound, unity_image)
-from iqtower.okring import OkElement, canonical_associate, gcd_ok, primes_above
+from iqtower.okring import OkElement, canonical_associate, gcd_ok, omega_residue, primes_above
 from iqtower.rayclass import reduce_mod, residues_mod
 
 
@@ -273,6 +275,103 @@ def brute_torsion_counts(modulus: OkElement) -> dict[int, int]:
         images[k] = [tables[r][i] for i in images[k // r]]
     unit_index = index[one]
     return {k: img.count(unit_index) for k, img in images.items()}
+
+
+# -- split-factor oracle ---------------------------------------------------------
+# (O_K/p^e)^x at a split prime as the cyclic group (Z/l^e)^x (times -1 at
+# l = 2), with a primitive root mod l^e and Pohlig-Hellman over its whole
+# order, l-part included: the reference for the filtration factor.
+
+def _int_cyclic_tables(g: int, order: int, mod: int) -> list[tuple]:
+    """Per prime power r^a of the order: the cofactor, g^-cofactor, and the
+    baby steps and giant step of an element h of order r, mod `mod`."""
+    tables = []
+    for r, a in factorint(order).items():
+        cof = order // r ** a
+        gr = pow(g, cof, mod)
+        h = pow(gr, r ** (a - 1), mod)
+        step = isqrt(r - 1) + 1
+        baby, acc = {}, 1
+        for j in range(step):
+            baby[acc] = j
+            acc = acc * h % mod
+        tables.append((r, a, cof, pow(gr, -1, mod), baby, step, pow(acc, -1, mod)))
+    return tables
+
+
+def _bsgs(t: int, r: int, baby: dict, step: int, giant: int, mod: int) -> int:
+    """Solve h^j = t mod `mod` for 0 <= j < r, h of order r with the baby
+    steps h^j (j < step) and the giant step h^-step."""
+    for i in range(step + 1):
+        if t in baby:
+            return (i * step + baby[t]) % r
+        t = t * giant % mod
+    raise GroupError("baby-step giant-step failed: element outside subgroup")
+
+
+def _dlog_cyclic_int(x: int, mod: int, tables: list[tuple]) -> int:
+    """Discrete log of x in the cyclic subgroup of (Z/mod)^x that `tables`
+    describes, by Pohlig-Hellman and the Chinese remainder theorem."""
+    res, mres = 0, 1
+    for r, a, cof, grinv, baby, step, giant in tables:
+        ra = r ** a
+        xr = pow(x, cof, mod)
+        e = 0
+        for i in range(a):
+            t = pow(xr * pow(grinv, e, mod) % mod, ra // r ** (i + 1), mod)
+            e += _bsgs(t, r, baby, step, giant, mod) * r ** i
+        res = res + (e - res) * pow(mres, -1, ra) % ra * mres
+        mres *= ra
+    return res % mres
+
+
+class ReferenceSplitFactor:
+    """(O_K/p^e)^x for a split prime p over l, via O_K/p^e = Z/l^e."""
+
+    def __init__(self, p, e: int):
+        ell = p.residue_char
+        self.ell, self.e = ell, e
+        self.modulus = p.generator ** e
+        self.int_mod = ell ** e
+        # the image of omega in O_K/p^e = Z/l^e
+        self.root = omega_residue(self.modulus)
+        self.gens_int, self.orders = self._unit_gens(ell, e)
+        # the cyclic factor that dlog solves by Pohlig-Hellman comes last
+        self._tables = (_int_cyclic_tables(self.gens_int[-1], self.orders[-1], self.int_mod)
+                        if self.orders else [])
+        self.gens = [p.tag.from_int(g) for g in self.gens_int]
+
+    @staticmethod
+    def _unit_gens(ell: int, e: int) -> tuple[list[int], list[int]]:
+        mod = ell ** e
+        if ell == 2:
+            if e == 1:
+                return [], []
+            if e == 2:
+                return [3], [2]
+            return [mod - 1, 5], [2, mod // 4]
+        g = int(primitive_root(ell))
+        if e > 1 and pow(g, ell - 1, ell * ell) == 1:
+            g += ell
+        return [g], [(ell - 1) * ell ** (e - 1)]
+
+    def to_int(self, x: OkElement) -> int:
+        return (x.x + x.y * self.root) % self.int_mod
+
+    def dlog(self, x: OkElement) -> list[int]:
+        r = self.to_int(x)
+        if r % self.ell == 0:
+            raise GroupError(f"{x} is not a unit modulo {self.modulus}")
+        if not self.orders:
+            return []
+        if self.ell == 2:
+            sign = 0 if r % 4 == 1 else 1
+            if self.e == 2:
+                return [sign]
+            if sign:
+                r = (-r) % self.int_mod
+            return [sign, _dlog_cyclic_int(r, self.int_mod, self._tables)]
+        return [_dlog_cyclic_int(r, self.int_mod, self._tables)]
 
 
 # -- group-structure oracle ----------------------------------------------------

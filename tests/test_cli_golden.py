@@ -13,7 +13,13 @@ The closed-form unit groups at inert and ramified primes changed the
 unit-group basis, hence the printed `generators` and the character that
 `lseries --char` names, for five of the moduli with such a factor.  Their
 other fields are pinned to the earlier output by
-`test_non_generator_fields_pinned`."""
+`test_non_generator_fields_pinned`.
+
+Building the unit group at a split prime power through the same filtration
+changed the basis at split p^e with e >= 2: a generator of order l - 1
+and the Smith generators of the 1-units, not one cyclic generator of order
+(l - 1)*l^(e-1).  Of the goldens only `rayclass-d11-split-square` has such
+a factor; its `generators` changed and its other fields are pinned."""
 
 import hashlib
 import json
@@ -82,7 +88,7 @@ DIGESTS = {
     "rayclass-d3-mixed": "4a3e4313ab760a011f014724a574f259c200acb5cb108a324de7ee9d0f80f88e",
     "rayclass-d2-inert": "b96d2747b128dcb64d091e355f62897523d80e114431cf309389cdade21990c3",
     "rayclass-d7-mixed": "e505f9944065d468279e0e4cbeb170e2e5c30c840d63869b1aec1fd548f5999b",
-    "rayclass-d11-split-square": "dfe05c9c7b20877d12688f6bed326eedd1a3517356844942d550a4dd4424736f",
+    "rayclass-d11-split-square": "0f79cb2eba5a4cd191c9f6d761182e30f39d4a1a37a64527bee318ad90863996",
     "rayclass-d43-split": "c02927bea9794b896d6470ef946b5de587e4a760166ef81a0c1db2530fa090c4",
     "lseries-d1-mixed-char": "cb5131bb366d1f980ca24ed93bd77a42c9b80da3d8664663ea8e7e12414bd683",
     "lseries-d2-inert-char": "64f4fdf52bd37dfde9b5707eac3b4c2125acfec8eedb4147c06720221aafcc43",
@@ -110,7 +116,8 @@ def test_stdout_digest(name, argv, tmp_path, capsys):
 
 
 # Everything but the basis-dependent fields of the moduli with an inert or
-# ramified factor, as printed before the unit groups went closed-form:
+# ramified factor, or a split one with e >= 2, as printed before the unit
+# groups went closed-form and before the split factor joined the filtration:
 # `generators` (rayclass) and the L-values and the Euler error (lseries,
 # whose --char exponents are read against the new basis) are left out.
 PINNED = {
@@ -132,6 +139,8 @@ PINNED = {
                           "unit_group_invariants": [24]},
     "rayclass-d7-mixed": {"modulus": "d=7:14+0*w", "invariants": [21], "order": 21,
                           "unit_group_invariants": [42]},
+    "rayclass-d11-split-square": {"modulus": "d=11:9+0*w", "invariants": [3, 6], "order": 18,
+                                  "unit_group_invariants": [6, 6]},
     "lseries-d1-mixed-char": {"B": 3000, "d": 1, "modulus": "d=1:6+3*w", "s": 2.0,
                               "dirichlet_error": 0.07407407407407407},
     "lseries-d2-inert-char": {"B": 2000, "d": 2, "modulus": "d=2:5+0*w", "s": 1.5,

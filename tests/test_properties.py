@@ -8,13 +8,13 @@ from math import floor, gcd, prod
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, divisors
+from sympy import Matrix, divisors, nextprime
 
 from iqtower.abgroup import _pow, coords_order, padic_val, smith_normal_form
 from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
-                            factor, field, gcd_ok, primes_above)
+                            factor, field, gcd_ok, primes_above, split_type)
 from iqtower.lvaluation import _chi_table, _coprime_rows
 from iqtower.rayclass import CharacterSpec, UnitGroup, lcm_ideal, ray_class_group, reduce_mod
 from iqtower.selmerrank import _solve_growth
@@ -26,6 +26,7 @@ SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 fields = st.sampled_from(CLASS_NUMBER_ONE_DS).map(field)
 small = st.integers(-40, 40)
 big = st.integers(-10 ** 6, 10 ** 6)
+huge = st.integers(-10 ** 61, 10 ** 61)
 
 
 def _nonzero(tag, x: int, y: int) -> OkElement:
@@ -246,14 +247,49 @@ class TestUnitGroupDlog:
     @example(OkElement(field(3), 4, 0) * OkElement(field(3), -1, 2) ** 3 * OkElement(field(3), 7, 0),
              5, 1, 13, -2)
     def test_homomorphism_and_power_word(self, modulus, a, b, c, d):
-        U = UnitGroup(modulus)
-        x, y = OkElement(modulus.tag, a, b), OkElement(modulus.tag, c, d)
-        if not (U.is_unit(x) and U.is_unit(y)):
-            return
-        vx, vy = U.dlog(x), U.dlog(y)
-        assert U.dlog(x * y) == [(i + j) % o for i, j, o in zip(vx, vy, U.orders)]
-        assert U.power_word(vx) == reduce_mod(x, U.modulus)
-        assert U.power_word(U.dlog(x * y)) == reduce_mod(x * y, U.modulus)
+        _assert_dlog_homomorphism(modulus, a, b, c, d)
+
+
+def _assert_dlog_homomorphism(modulus, a, b, c, d):
+    """dlog(xy) = dlog(x) + dlog(y) and power_word inverts dlog, for the
+    units x = a + b*omega and y = c + d*omega (others are skipped)."""
+    U = UnitGroup(modulus)
+    x, y = OkElement(modulus.tag, a, b), OkElement(modulus.tag, c, d)
+    if not (U.is_unit(x) and U.is_unit(y)):
+        return
+    vx, vy = U.dlog(x), U.dlog(y)
+    assert U.dlog(x * y) == [(i + j) % o for i, j, o in zip(vx, vy, U.orders)]
+    assert U.power_word(vx) == reduce_mod(x, U.modulus)
+    assert U.power_word(U.dlog(x * y)) == reduce_mod(x * y, U.modulus)
+
+
+@st.composite
+def split_prime_powers(draw):
+    """p^e for a split prime p over l: l up to about 10^12 and e <= 5 in any
+    of the nine fields, or l = 2 in d = 7 (where 2 splits) and e <= 10."""
+    if draw(st.booleans()):
+        tag, ell, e = field(7), 2, draw(st.integers(1, 10))
+    else:
+        tag = draw(fields)
+        digits = draw(st.integers(1, 12))       # log-uniform up to 10^12
+        ell = nextprime(draw(st.integers(10 ** (digits - 1), 10 ** digits)))
+        while split_type(tag, ell) != "split":
+            ell = nextprime(ell)
+        e = draw(st.integers(1, 5))
+    return draw(st.sampled_from(primes_above(tag, ell))).generator ** e
+
+
+class TestSplitFactorDlog:
+    """The filtration factor at split prime powers far beyond the every-unit
+    sweeps: residues drawn from the whole of Z/l^e."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(split_prime_powers(), huge, huge, huge, huge)
+    @example(primes_above(field(7), 2)[0].generator ** 10, 3, 0, -1, 2)
+    @example(primes_above(field(1), 1010523706733)[1].generator ** 5,
+             10 ** 61 - 1, 7, -3, 10 ** 60 + 11)
+    def test_homomorphism_and_power_word(self, modulus, a, b, c, d):
+        _assert_dlog_homomorphism(modulus, a, b, c, d)
 
 
 class TestFactorDlogs:

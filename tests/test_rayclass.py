@@ -1,10 +1,12 @@
 import random
+import time
+import tracemalloc
 from math import gcd, prod
 
 import pytest
 from sympy import factorint, primerange
 
-from iqtower.abgroup import GroupError, _pow, padic_val
+from iqtower.abgroup import GroupError, QuotientPresentation, _pow, coords_order, padic_val
 from iqtower.classforms import class_group
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
@@ -17,8 +19,8 @@ from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
                               ray_class_group, reduce_mod, residues_mod,
                               unit_group_structure)
 
-from oracles import (brute_euler_phi, brute_ray_degree, brute_torsion_counts,
-                     sylow_structure)
+from oracles import (ReferenceSplitFactor, brute_euler_phi, brute_ray_degree,
+                     brute_torsion_counts, sylow_structure)
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -208,6 +210,22 @@ class TestSplitFactors:
                 assert tuple(U.dlog(x)) == vec, (str(p), e, vec)
                 count += 1
             assert count == U.order == euler_phi(U.modulus)
+
+    def test_smith_invariants_equal_reference_factor(self):
+        """The filtration factor and the closed-form reference factor give
+        the same group at every split p^e with l^e <= 2000, and sampled units
+        have the same order under both discrete logs."""
+        rng = random.Random(11)
+        for p, e in _split_powers(2000):
+            U = UnitGroup(p.generator ** e)
+            ref = ReferenceSplitFactor(p, e)
+            assert (unit_group_structure(U.modulus).invariants
+                    == QuotientPresentation.from_relations(ref.orders, []).invariants), (str(p), e)
+            for _ in range(8):
+                x = OkElement(p.tag, rng.randrange(ref.int_mod), rng.randrange(ref.int_mod))
+                if U.is_unit(x):
+                    assert (coords_order(U.dlog(x), U.orders)
+                            == coords_order(ref.dlog(x), ref.orders)), (str(p), e, str(x))
 
 
 def _scanned_root(p):
@@ -452,7 +470,6 @@ class TestAnticyclotomicTower:
     def test_enumeration_oracle_d1_q5(self):
         # independent route: enumerate (O_K/5^3)^x outright, recover its
         # structure, and form the same minus quotient
-        from iqtower.abgroup import QuotientPresentation
         tag = field(1)
         modulus = tag.from_int(125)
         # units mod 5^3: avoid both primes above 5, cut out by the roots
@@ -508,6 +525,41 @@ class TestAnticyclotomicTower:
         assert len(units) == euler_phi(modulus)
         fast = minus_quotient(modulus, 11)
         assert fast.order == 11 and fast.invariants == (11,)
+
+    def test_layers_equal_per_level_minus_quotients(self):
+        """Each layer read off the unit group of q^5 against the minus
+        quotient built at its own level, q^(n+1)."""
+        for tag in ALL_TAGS:
+            for q in smallest_split_primes(tag, 2):
+                tw = anticyclotomic_tower(tag, q, 4)
+                for lv in tw.levels:
+                    pres = minus_quotient(tag.from_int(q) ** (lv.n + 1), q)
+                    assert (lv.order, lv.invariants) == (pres.order, pres.invariants), \
+                        (tag.d, q, lv.n)
+
+    def test_large_q_in_bounded_time_and_memory(self):
+        # q - 1 = 2^2 * 6301 * 6311 * 6353: the q-part is read digit by
+        # digit, so no table grows with q
+        q = 1010523706733
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            tw = anticyclotomic_tower(field(1), q, 4)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [lv.order for lv in tw.levels] == [q ** n for n in range(5)]
+        assert elapsed < 1.0, elapsed
+        assert peak < 5 * 2 ** 20, peak
+
+    def test_minus_quotient_rejects_unstable_modulus_first(self, monkeypatch):
+        def no_unit_group(modulus):
+            raise AssertionError("unit group built for a rejected modulus")
+
+        monkeypatch.setattr("iqtower.rayclass.UnitGroup", no_unit_group)
+        with pytest.raises(OkError, match="conjugation-stable"):
+            minus_quotient(OkElement(field(1), 2, 1), 5)    # (2+i) is not (2-i)
 
     def test_preconditions(self):
         with pytest.raises(OkError):
