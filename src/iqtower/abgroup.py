@@ -8,6 +8,7 @@ form).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -183,14 +184,21 @@ def coords_order(coords, invariants) -> int:
 
 
 def _pow(x, k: int, op, identity):
-    out = identity
+    """x^k under op for k >= 0, by square-and-multiply; x itself at k = 1."""
+    out = None
     while k:
         if k & 1:
-            out = op(out, x)
+            out = x if out is None else op(out, x)
         k >>= 1
         if k:
             x = op(x, x)
-    return out
+    return identity if out is None else out
+
+
+def _word_product(basis, word, op, identity):
+    """The product of basis_i^word_i under op, for exponents word_i >= 0."""
+    powers = [_pow(x, k, op, identity) for x, k in zip(basis, word) if k]
+    return reduce(op, powers) if powers else identity
 
 
 def abelian_structure(elements: list, op, identity) -> tuple[list, QuotientPresentation, dict]:

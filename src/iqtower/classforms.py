@@ -24,7 +24,7 @@ from math import gcd, isqrt
 
 from sympy import isprime, sqrt_mod
 
-from .abgroup import (AbelianGroupStructure, QuotientPresentation, _pow,
+from .abgroup import (AbelianGroupStructure, QuotientPresentation, _word_product,
                       abelian_structure)
 
 
@@ -177,13 +177,8 @@ def _structure(disc: int, basis, pres: QuotientPresentation) -> AbelianGroupStru
     """Smith-chain structure of a quotient of a class group, each new
     generator expanded as a reduced form from its word in `basis`."""
     e = principal_form(disc)
-    gens = []
-    for word in pres.generator_words():
-        g = e
-        for base, k in zip(basis, word):
-            g = _compose(g, _pow(base, k, _compose, e))
-        gens.append(g)
-    return AbelianGroupStructure(pres.invariants, tuple(gens))
+    gens = tuple(_word_product(basis, word, _compose, e) for word in pres.generator_words())
+    return AbelianGroupStructure(pres.invariants, gens)
 
 
 @lru_cache(maxsize=4)

@@ -20,9 +20,9 @@ import sys
 
 from . import cmsearch as cms
 from . import selmerrank as sr
-from .abgroup import GroupError
+from .abgroup import GroupError, QuotientPresentation, coords_order
 from .classforms import FormError, class_group, p_rank, s_class_group
-from .finitefield import FieldError, finite_field
+from .finitefield import FieldError
 from .lvaluation import (ResidueEmbedding, compute_N1, distinctness_check,
                          euler_product_L, evaluate_imprimitive_L)
 from .okring import OkError, field, parse_element
@@ -107,7 +107,8 @@ def _cmd_rayclass(args) -> None:
     g = ray_class_group(m)
     config = {"command": "rayclass", "d": args.d, "modulus": str(g.modulus)}
     rec = g.to_dict()
-    rec["unit_group_invariants"] = list(g.units.structure.invariants)
+    rec["unit_group_invariants"] = list(
+        QuotientPresentation.from_relations(g.units.orders, []).invariants)
     rec["generators"] = [str(x) for x in g.structure.generators]
     _emit(config, [rec], ["modulus", "invariants", "order",
                           "unit_group_invariants", "generators"], args)
@@ -150,8 +151,7 @@ def _cmd_nonvanish(args) -> None:
     if emb.embed(lam) == 0:
         raise OkError(f"lambda {lam} lies in the chosen prime above {args.p}; "
                       f"pick the other root with --root")
-    f1 = finite_field(args.p, 1)
-    n1 = compute_N1(emb, lam, args.k, f1.one(), args.q)
+    n1 = compute_N1(emb, lam, args.k, 1, args.q)
     residue = lam.norm() * pow(emb.embed(lam), -args.k, args.p) % args.p
     distinct = distinctness_check(args.p, args.q, 3)
     config = {"command": "nonvanish", "d": args.d, "p": args.p, "q": args.q,
@@ -175,7 +175,7 @@ def _cmd_lseries(args) -> None:
     g = ray_class_group(m)
     exps = tuple(int(x) for x in args.char.split(",")) if args.char else \
         (0,) * len(g.presentation.invariants)
-    chi = CharacterSpec(exps, 1)
+    chi = CharacterSpec(exps, coords_order(exps, g.presentation.invariants))
     vd = evaluate_imprimitive_L(tag, m, chi, args.s, args.B)
     ve = euler_product_L(tag, m, chi, args.s, args.B)
     config = {"command": "lseries", "d": args.d, "modulus": str(g.modulus),

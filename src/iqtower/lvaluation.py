@@ -11,15 +11,15 @@ i.e. nonzero vs zero in the residue field.
 
 The L-series side evaluates imprimitive Hecke L-functions of finite-order
 ray class characters as truncated ideal sums and truncated Euler products.
-One walk over the ideals, in numpy rows of one representative per ideal,
-computes both: each row's terms chi(a) N(a)^(-s) go into the sum, and the
-terms at entries that generate prime ideals into the product.  A nontrivial
-character is evaluated once per residue class of the modulus, in one table
-that grows only with the classes met; each prime-power factor's discrete
-log runs once per residue class of that factor met.  Both carry rigorous
-tail bounds from the ideal-count estimate r_K(n) <= d(n) (valid for every
-imaginary quadratic field: r_K(n) = sum over m | n of chi_disc(m), a sum of
-n/m terms each at most 1).
+One walk over the ideals, in okring's numpy rows of one representative per
+ideal, computes both: each row's terms chi(a) N(a)^(-s) go into the sum,
+and the terms at entries that generate prime ideals into the product.  A
+nontrivial character is evaluated once per residue class of the modulus,
+in one table that grows only with the classes met; each prime-power
+factor's discrete log runs once per residue class of that factor met.
+Both carry rigorous tail bounds from the ideal-count estimate
+r_K(n) <= d(n) (valid for every imaginary quadratic field: r_K(n) = sum
+over m | n of chi_disc(m), a sum of n/m terms each at most 1).
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from sympy.ntheory import sqrt_mod
 
 from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
-from .okring import FieldTag, OkElement, OkError, factor, omega_residue, split_type
+from .okring import (FieldTag, OkElement, OkError, _ideal_rows, factor, omega_residue,
+                     split_type)
 from .rayclass import CharacterSpec, _hnf_box, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
@@ -157,30 +158,19 @@ def distinctness_check(p: int, q: int, m: int) -> bool:
     return True
 
 
-def _as_field_element(value, field: FiniteField) -> FFElement:
-    if isinstance(value, FFElement):
-        if value.field is field:
-            return value
-        if value.field.t == 1:
-            return field.lift(value.coeffs[0])
-        raise FieldError("cannot mix elements of different extension fields")
-    return field.lift(int(value))
-
-
-def _common_field(p: int, *values) -> FiniteField:
-    exts = []
-    for v in values:
-        if isinstance(v, FFElement):
-            if v.field.p != p:
-                raise FieldError("wrong characteristic")
-            if v.field.t > 1:
-                exts.append(v.field)
-    if not exts:
-        return finite_field(p, 1)
+def _field_images(p: int, *values) -> tuple[FiniteField, list[FFElement]]:
+    """The common field of the images, F_p unless some lie in one extension
+    F_{p^t}, and the images in it: ints and F_p elements are lifted."""
+    if any(isinstance(v, FFElement) and v.field.p != p for v in values):
+        raise FieldError("wrong characteristic")
+    exts = [v.field for v in values if isinstance(v, FFElement) and v.field.t > 1]
     if any(F is not exts[0] for F in exts[1:]):
         raise FieldError("incompatible extension fields; construct the images "
                          "in one common field")
-    return exts[0]
+    F = exts[0] if exts else finite_field(p, 1)
+    return F, [v if isinstance(v, FFElement) and v.field is F
+               else F.lift(v.coeffs[0] if isinstance(v, FFElement) else int(v))
+               for v in values]
 
 
 def euler_factor_vanishes(emb: ResidueEmbedding, lam: OkElement, k: int,
@@ -191,9 +181,7 @@ def euler_factor_vanishes(emb: ResidueEmbedding, lam: OkElement, k: int,
     a0 = emb.embed(lam)
     if a0 == 0:
         raise OkError(f"{lam} lies in the chosen prime above {emb.p}")
-    F = _common_field(emb.p, phi0_image, eta_image)
-    phi0 = _as_field_element(phi0_image, F)
-    eta = _as_field_element(eta_image, F)
+    F, (phi0, eta) = _field_images(emb.p, phi0_image, eta_image)
     if phi0.is_zero() or eta.is_zero():
         raise OkError("character images must be units")
     lhs = F.lift(lam.norm() % emb.p)
@@ -216,8 +204,7 @@ def compute_N1(emb: ResidueEmbedding, lam: OkElement, k: int, phi0_image,
     a0 = emb.embed(lam)
     if a0 == 0:
         raise OkError(f"{lam} lies in the chosen prime above {emb.p}")
-    F = _common_field(emb.p, phi0_image)
-    phi0 = _as_field_element(phi0_image, F)
+    F, (phi0,) = _field_images(emb.p, phi0_image)
     if phi0.is_zero():
         raise OkError("phi0 image must be a unit")
     a = F.lift(lam.norm() % emb.p) * F.lift(pow(a0, k, emb.p)).inverse() * phi0.inverse()
@@ -284,36 +271,6 @@ def _prime_sieve(bound: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p::p] = False
     return sieve
-
-
-def _ideal_rows(tag: FieldTag, bound: int):
-    """Yield (y, xs, norms) numpy rows covering each nonzero ideal of norm <=
-    bound exactly once: representatives are canonical up to units.
-
-    For the two-unit fields these are y >= 1 (any x) plus y = 0, x >= 1; for
-    d = 1 and d = 3 the sector x >= 1, y >= 0 is a transversal of the unit
-    orbits.
-    """
-    t, n = tag.min_poly
-    quarter = tag.num_units >= 4
-    ymax = isqrt(4 * bound // (4 * n - t * t))
-    for y in range(0, ymax + 1):
-        c = n * y * y - bound
-        disc = t * t * y * y - 4 * c
-        if disc < 0:
-            continue
-        r = math.sqrt(float(disc))
-        lo = int(math.floor((-t * y - r) / 2)) - 1
-        hi = int(math.ceil((-t * y + r) / 2)) + 1
-        if y == 0 or quarter:
-            lo = max(lo, 1)
-        if hi < lo:
-            continue
-        xs = np.arange(lo, hi + 1, dtype=np.int64)
-        norms = xs * xs + t * xs * y + n * y * y
-        keep = (norms >= 1) & (norms <= bound)
-        if keep.any():
-            yield y, xs[keep], norms[keep]
 
 
 def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):

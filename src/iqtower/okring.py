@@ -13,6 +13,9 @@ Conventions:
       omega's minimal polynomial mod l.  Its generator is the shortest
       vector of that lattice, and s is read back off a generator
       x + y*omega as -x/y mod l.
+    * The ideals of norm <= B are numpy rows of one representative per
+      ideal (`_ideal_rows`), shared by `elements_up_to_norm` and the
+      L-value walk of `lvaluation`.
     * Text form: "d=<n>:<u>+<v>*w" where w stands for sqrt(-d); for the
       d = 3 mod 4 fields the coordinates may be exact halves ("-1/2-1/2*w").
       The parser also accepts "<x>+<y>*o" with o = omega.
@@ -22,12 +25,14 @@ All values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isqrt
 
+import numpy as np
 from sympy import factorint, isprime, sqrt_mod
 
 from .abgroup import _pow
@@ -367,36 +372,31 @@ def factor(e: OkElement) -> PrimeFactorization:
     sorted by (residue characteristic, generator coordinates)."""
     if e.is_zero():
         raise OkError("cannot factor zero")
-    tag = e.tag
     rest = e
     found: list[tuple[OkPrime, int]] = []
+    # ell ascending and each split pair sorted by (x, y): found needs no sort
     for ell in sorted(factorint(e.norm())):
-        for p in primes_above(tag, ell):
-            k = 0
-            while True:
-                q = rest.divide_exact(p.generator)
-                if q is None:
-                    break
-                rest = q
-                k += 1
+        for p in primes_above(e.tag, ell):
+            k, rest = _strip(rest, p)
             if k:
                 found.append((p, k))
     if not rest.is_unit():
         raise OkError(f"factorization of {e} left non-unit remainder {rest}")
-    found.sort(key=lambda pk: (pk[0].residue_char, pk[0].generator.x, pk[0].generator.y))
     return PrimeFactorization(rest, tuple(found))
+
+
+def _strip(e: OkElement, p: OkPrime) -> tuple[int, OkElement]:
+    """(k, e / p^k) for the largest k with p^k dividing the nonzero e."""
+    k = 0
+    while (q := e.divide_exact(p.generator)) is not None:
+        e, k = q, k + 1
+    return k, e
 
 
 def valuation(e: OkElement, p: OkPrime) -> int:
     if e.is_zero():
         raise OkError("valuation of zero is infinite")
-    k = 0
-    while True:
-        q = e.divide_exact(p.generator)
-        if q is None:
-            return k
-        e = q
-        k += 1
+    return _strip(e, p)[0]
 
 
 def gcd_ok(a: OkElement, b: OkElement) -> OkElement:
@@ -425,25 +425,42 @@ def is_coprime(a: OkElement, b: OkElement) -> bool:
     return gcd_ok(a, b).is_unit()
 
 
-def elements_up_to_norm(tag: FieldTag, bound: int) -> list[OkElement]:
-    """Canonical ideal generators of norm in [1, bound], sorted by
-    (norm, x, y).  One element per nonzero ideal."""
+def _ideal_rows(tag: FieldTag, bound: int):
+    """Yield (y, xs, norms) numpy rows covering each nonzero ideal of norm <=
+    bound exactly once: representatives are canonical up to units.
+
+    For the two-unit fields these are y >= 1 (any x) plus y = 0, x >= 1; for
+    d = 1 and d = 3 the sector x >= 1, y >= 0 is a transversal of the unit
+    orbits.
+    """
     t, n = tag.min_poly
-    out = []
-    ymax = isqrt(4 * bound // (4 * n - t * t))  # from the positive definite norm form
-    for y in range(-ymax - 1, ymax + 2):
-        # x^2 + t x y + n y^2 <= bound
-        disc = t * t * y * y - 4 * (n * y * y - bound)
+    quarter = tag.num_units >= 4
+    ymax = isqrt(4 * bound // (4 * n - t * t))
+    for y in range(0, ymax + 1):
+        c = n * y * y - bound
+        disc = t * t * y * y - 4 * c
         if disc < 0:
             continue
-        r = isqrt(disc)
-        lo = (-t * y - r - 2) // 2
-        hi = (-t * y + r + 2) // 2
-        for x in range(lo, hi + 1):
-            e = OkElement(tag, x, y)
-            nm = e.norm()
-            if 1 <= nm <= bound and canonical_associate(e) == e:
-                out.append(e)
+        r = math.sqrt(float(disc))
+        lo = int(math.floor((-t * y - r) / 2)) - 1
+        hi = int(math.ceil((-t * y + r) / 2)) + 1
+        if y == 0 or quarter:
+            lo = max(lo, 1)
+        if hi < lo:
+            continue
+        xs = np.arange(lo, hi + 1, dtype=np.int64)
+        norms = xs * xs + t * xs * y + n * y * y
+        keep = (norms >= 1) & (norms <= bound)
+        if keep.any():
+            yield y, xs[keep], norms[keep]
+
+
+def elements_up_to_norm(tag: FieldTag, bound: int) -> list[OkElement]:
+    """Canonical ideal generators of norm in [1, bound], sorted by
+    (norm, x, y): the canonical associates of the _ideal_rows entries, one
+    per nonzero ideal."""
+    out = [canonical_associate(OkElement(tag, x, y))
+           for y, xs, _ in _ideal_rows(tag, bound) for x in xs.tolist()]
     out.sort(key=lambda e: (e.norm(), e.x, e.y))
     return out
 

@@ -31,7 +31,7 @@ from math import isqrt, prod
 from sympy import factorint, isprime
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
-                      _pow, coords_order, padic_val)
+                      _pow, _word_product, coords_order, padic_val)
 from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
                      factor, gcd_ok, omega_residue, split_type)
 
@@ -207,12 +207,8 @@ class _Factor:
             rels.append(rel)
         # l^e is a multiple of every 1-unit's order: (1 + pi^i*y)^l lies in 1 + p^(i+1)
         self._pres = pres = QuotientPresentation.from_relations([self.int_mod] * len(rels), rels)
-        smith = []
-        for word in pres.generator_words():
-            acc = (1, 0)
-            for h, c in zip(self._units, word):
-                acc = self._mul(acc, self._pow(h, c))
-            smith.append(acc)
+        smith = [_word_product(self._units, word, self._mul, (1, 0))
+                 for word in pres.generator_words()]
         cyclic = self.order_res > 1      # (O_K/p)^x is trivial when Np = 2
         self.gens = [OkElement(tag, *u) for u in [g0] * cyclic + smith]
         self.orders = [self.order_res] * cyclic + list(pres.invariants)
@@ -341,11 +337,8 @@ class UnitGroup:
     def power_word(self, exponents) -> OkElement:
         def mul(a, b):
             return reduce_mod(a * b, self.modulus)
-        one = reduce_mod(self.tag.one(), self.modulus)
-        out = one
-        for g, v, o in zip(self.gens, exponents, self.orders):
-            out = mul(out, _pow(g, v % o, mul, one))
-        return out
+        return _word_product(self.gens, [v % o for v, o in zip(exponents, self.orders)],
+                             mul, reduce_mod(self.tag.one(), self.modulus))
 
     def mu_image_vector(self) -> list[int]:
         return self.dlog(self.tag.unit_gen())

@@ -6,7 +6,8 @@ Hom(Cl_S, (Z/p)^2d), so its p-rank is 2d times the p-rank of the S-class
 group; everything else is bounded through the four-term-sequence rank lemma
 and the kernel sizes of the mod-p control maps.  Groups of the shape
 (Q_p/Z_p)^s + T enter as explicit (corank, torsion) models; no Galois
-cohomology is computed here.
+cohomology is computed here.  Prime counts in the layers of a cyclotomic
+Z_q-tower come in closed form from the one valuation v_q(ell^(q-1) - 1).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from sympy import isprime, n_order
+from sympy import isprime
 
 from .abgroup import padic_val
 
@@ -119,7 +120,10 @@ def decomposition_counts(ell: int, q: int, n_max: int) -> list[int]:
     The layer of degree q^n sits inside Q(zeta_{q^(n+1)}); for ell != q the
     Frobenius at ell generates the image of ell in the Z/q^n quotient of
     (Z/q^(n+1))^x, whose order is the q-part of ord(ell mod q^(n+1)); the
-    prime count is q^n divided by that order.  ell = q is totally ramified.
+    prime count is q^n divided by that order.  For odd q that order is
+    ord(ell mod q) * q^max(0, n + 1 - v) with v = v_q(ell^(q-1) - 1)
+    (Washington, GTM 83), so the count is q^min(n, v - 1).  ell = q is
+    totally ramified.
     """
     if not isprime(ell) or not isprime(q) or q == 2:
         raise ValueError("ell must be prime and q an odd prime")
@@ -127,11 +131,10 @@ def decomposition_counts(ell: int, q: int, n_max: int) -> list[int]:
         raise ValueError("n_max must be nonnegative")
     if ell == q:
         return [1] * (n_max + 1)
-    out = [1]
-    for n in range(1, n_max + 1):
-        t = int(n_order(ell, q ** (n + 1)))
-        out.append(q ** n // q ** padic_val(t, q))
-    return out
+    top = q ** (n_max + 1)
+    # mod q^(n_max+1) every v > n_max reads as n_max + 1: the same counts
+    v = padic_val(pow(ell, q - 1, top) - 1 or top, q)
+    return [q ** min(n, v - 1) for n in range(n_max + 1)]
 
 
 def fit_iwasawa(e: list[int], q: int) -> tuple[int, int, int, int] | None:

@@ -12,8 +12,11 @@ discrete log each, the Dirichlet sum and the Euler product come from two
 separate walks over the ideals, and the prime ideals of an Euler product
 come prime by prime from sympy's primerange and the primes above each.  The
 primes above a rational prime are the elements of that norm, found by
-scanning the norm form; Iwasawa growth laws through three points come from
-Gaussian elimination in exact rationals.  Binary quadratic forms compose through
+scanning the norm form, and the ideals up to a norm bound are the lattice
+points under it that are their own canonical associates.  Iwasawa growth
+laws through three points come from Gaussian elimination in exact
+rationals, and the primes above ell in a cyclotomic Z_q-layer from one
+multiplicative order per layer.  Binary quadratic forms compose through
 united forms, after a spiral search for an equivalent form whose leading
 coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
@@ -31,9 +34,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import numpy as np
-from sympy import divisors, factorint, primerange, primitive_root
+from sympy import divisors, factorint, n_order, primerange, primitive_root
 
-from iqtower.abgroup import GroupError, _pow
+from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
 from iqtower.lvaluation import (LSeriesValue, _character, _coprime_rows, _prime_entries,
@@ -688,6 +691,26 @@ def brute_primes_above(tag, ell: int) -> set[OkElement]:
     return out or {tag.from_int(ell)}
 
 
+def scanned_elements_up_to_norm(tag, bound: int) -> list[OkElement]:
+    """Canonical ideal generators of norm in [1, bound], sorted by
+    (norm, x, y): every lattice point under the norm bound is scanned and
+    kept when it is its own canonical associate."""
+    t, n = tag.min_poly
+    out = []
+    ymax = isqrt(4 * bound // (4 * n - t * t))
+    for y in range(-ymax - 1, ymax + 2):
+        disc = t * t * y * y - 4 * (n * y * y - bound)
+        if disc < 0:
+            continue
+        r = isqrt(disc)
+        for x in range((-t * y - r - 2) // 2, (-t * y + r + 2) // 2 + 1):
+            e = OkElement(tag, x, y)
+            if 1 <= e.norm() <= bound and canonical_associate(e) == e:
+                out.append(e)
+    out.sort(key=lambda e: (e.norm(), e.x, e.y))
+    return out
+
+
 # -- binary quadratic form oracles -------------------------------------------
 
 def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
@@ -762,7 +785,20 @@ def scanned_prime_form(disc: int, ell: int) -> QuadForm | None:
     return None
 
 
-# -- growth-law oracle ---------------------------------------------------------
+# -- growth-law oracles --------------------------------------------------------
+
+def per_level_decomposition_counts(ell: int, q: int, n_max: int) -> list[int]:
+    """Primes above ell in layers 0..n_max of the cyclotomic Z_q-extension of
+    Q, one multiplicative order per layer: q^n over the q-part of
+    ord(ell mod q^(n+1)); 1 throughout for ell = q."""
+    if ell == q:
+        return [1] * (n_max + 1)
+    out = [1]
+    for n in range(1, n_max + 1):
+        t = int(n_order(ell, q ** (n + 1)))
+        out.append(q ** n // q ** padic_val(t, q))
+    return out
+
 
 def solve_growth(pts, q: int) -> tuple[int, int, int] | None:
     """Exact solve of mu*q^n + lambda*n + nu = e over three points (n, e) by

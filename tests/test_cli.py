@@ -14,7 +14,7 @@ import iqtower
 from iqtower import cli
 from iqtower.cli import main
 from iqtower.okring import field, parse_element
-from iqtower.rayclass import euler_phi, ray_class_group
+from iqtower.rayclass import UnitGroup, euler_phi, ray_class_group
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -88,6 +88,21 @@ class TestSubcommands:
         assert code == 0
         rec = json.loads(out)["records"][0]
         assert rec["order"] == 29 and rec["invariants"] == [29]
+
+    def test_rayclass_realizes_only_the_printed_generators(self, capsys, monkeypatch):
+        # the unit group's invariants need no realized generators
+        words = []
+        power_word = UnitGroup.power_word
+
+        def recorded(self, exponents):
+            words.append(exponents)
+            return power_word(self, exponents)
+
+        monkeypatch.setattr(UnitGroup, "power_word", recorded)
+        code, out, _ = run_cli(["rayclass", "--d", "1", "--modulus", "35"], capsys)
+        rec = json.loads(out)["records"][0]
+        assert code == 0 and len(rec["unit_group_invariants"]) == 3
+        assert len(words) == len(rec["generators"]) == len(rec["invariants"]) == 2
 
     def test_tower(self, capsys):
         code, out, _ = run_cli(["tower", "--d", "1", "--q", "5", "--depth", "2"], capsys)

@@ -9,7 +9,7 @@ import pytest
 from sympy import isprime, n_order, primerange
 
 from iqtower.cli import main
-from iqtower.finitefield import finite_field
+from iqtower.finitefield import FieldError, finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
                                 ResidueEmbedding, _chi_table, _coprime_rows,
                                 _l_values, _prime_entries, _prime_sieve, compute_N1,
@@ -218,6 +218,54 @@ class TestEulerFactor:
                 assert len(orders_with_vanishing) <= 1
 
 
+class TestImageLifts:
+    """The character images that euler_factor_vanishes and compute_N1 take:
+    ints and elements of F_p or of one extension F_{p^t}."""
+
+    emb = ResidueEmbedding.create(field(1), 5, 3)
+    lam = OkElement(field(1), 3, 2)   # norm 13, coprime to 5
+
+    def test_wrong_characteristic(self):
+        good, bad = finite_field(5, 1).one(), finite_field(7, 1).one()
+        calls = [lambda: euler_factor_vanishes(self.emb, self.lam, 0, bad, good),
+                 lambda: euler_factor_vanishes(self.emb, self.lam, 0, 1, bad),
+                 lambda: euler_factor_vanishes(self.emb, self.lam, 0,
+                                               finite_field(5, 2).one(),
+                                               finite_field(7, 2).one()),
+                 lambda: compute_N1(self.emb, self.lam, 0, bad, 3),
+                 lambda: compute_N1(self.emb, self.lam, 0, finite_field(7, 2).one(), 3)]
+        for call in calls:
+            with pytest.raises(FieldError) as exc:
+                call()
+            assert str(exc.value) == "wrong characteristic"
+
+    def test_two_extension_fields(self):
+        with pytest.raises(FieldError) as exc:
+            euler_factor_vanishes(self.emb, self.lam, 0, finite_field(5, 2).one(),
+                                  finite_field(5, 4).one())
+        assert str(exc.value) == ("incompatible extension fields; construct the "
+                                  "images in one common field")
+
+    def test_fp_element_and_int_lift_into_extension(self):
+        F, F1 = finite_field(5, 2), finite_field(5, 1)
+        seen = set()
+        for k in range(4):
+            for c in range(1, 5):
+                for z in F.iter_elements():
+                    if z.is_zero():
+                        continue
+                    want = euler_factor_vanishes(self.emb, self.lam, k, F.lift(c), z)
+                    for image in (F1.lift(c), c):
+                        assert euler_factor_vanishes(self.emb, self.lam, k, image, z) is want
+                        assert euler_factor_vanishes(self.emb, self.lam, k, z, image) is \
+                            euler_factor_vanishes(self.emb, self.lam, k, z, F.lift(c))
+                    seen.add(want)
+                want = compute_N1(self.emb, self.lam, k, F.lift(c), 3)
+                assert compute_N1(self.emb, self.lam, k, F1.lift(c), 3) == want
+                assert compute_N1(self.emb, self.lam, k, c, 3) == want
+        assert seen == {False, True}
+
+
 class TestComputeN1:
     def test_a_equal_one(self):
         emb = ResidueEmbedding.create(field(1), 5)
@@ -407,6 +455,19 @@ class TestOneEnumeration:
         rec = json.loads(capsys.readouterr().out)["records"][0]
         assert {"dirichlet", "euler"} <= rec.keys()
         assert calls == {"rows": 1, "sieve": 1}
+
+    def test_cli_lseries_passes_the_character_order(self, monkeypatch, capsys):
+        # --char 2,3 against the invariants (3, 12) of 13 in Z[i] has order 12
+        seen = []
+
+        def recorded(*args):
+            seen.append(args[2])
+            return _l_values(*args)
+
+        monkeypatch.setattr("iqtower.lvaluation._l_values", recorded)
+        assert main(["lseries", "--d", "1", "--modulus", "13", "--s", "2.0", "--B", "300",
+                     "--char", "2,3"]) == 0
+        assert {(chi.exponents, chi.order) for chi in seen} == {((2, 3), 12)}
 
     def test_sieve(self):
         sieve = _prime_sieve(3000)

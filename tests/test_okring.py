@@ -8,7 +8,7 @@ from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             field, gcd_ok, parse_element, primes_above,
                             split_type, valuation)
 
-from oracles import brute_primes_above
+from oracles import brute_primes_above, scanned_elements_up_to_norm
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -210,6 +210,13 @@ class TestNormAndFactor:
         e = K1.from_int(30)  # 2 * 3 * 5
         chars = [p.residue_char for p, _ in factor(e).factors]
         assert chars == sorted(chars)
+        # factor sorts nothing itself: the order comes from the ascending
+        # ell and from primes_above's sorted split pairs
+        for tag in ALL_TAGS:
+            for e in elements_up_to_norm(tag, 2000):
+                keys = [(p.residue_char, p.generator.x, p.generator.y)
+                        for p, _ in factor(e).factors]
+                assert keys == sorted(set(keys)), (tag.d, str(e))
 
     def test_zero_rejected(self):
         with pytest.raises(OkError):
@@ -289,6 +296,11 @@ class TestTextForm:
 
 
 class TestElementsUpToNorm:
+    @pytest.mark.parametrize("bound", [0, 1, 2, 3, 50, 777, 3000])
+    def test_equals_lattice_scan(self, bound):
+        for tag in ALL_TAGS:
+            assert elements_up_to_norm(tag, bound) == scanned_elements_up_to_norm(tag, bound)
+
     def test_one_generator_per_ideal(self):
         # ideal counts: r_K(n) = sum of chi_disc over divisors
         from sympy import divisors, jacobi_symbol

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix, divisors, nextprime
 
-from iqtower.abgroup import _pow, coords_order, padic_val, smith_normal_form
+from iqtower.abgroup import _pow, _word_product, coords_order, padic_val, smith_normal_form
 from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
@@ -110,6 +110,37 @@ class TestSharedPower:
         for _ in range(k):
             expected = expected * x % m
         assert _pow(x % m, k, lambda a, b: a * b % m, 1 % m) == expected
+
+    @SETTINGS
+    @given(st.integers(0, 10 ** 6), st.integers(0, 200))
+    def test_no_product_by_identity(self, x, k):
+        identity = object()
+
+        def op(a, b):
+            assert a is not identity and b is not identity
+            return a * b % 1000003
+        out = _pow(x, k, op, identity)
+        assert out is identity if k == 0 else out == pow(x, k, 1000003)
+
+    @SETTINGS
+    @given(st.integers(2, 10 ** 6),
+           st.lists(st.tuples(big, st.sampled_from([0, 0, 1, 2, 3, 17, 60])), max_size=6))
+    @example(7, [])
+    @example(7, [(3, 0), (5, 0)])
+    @example(7, [(3, 0), (5, 2), (6, 0)])
+    def test_word_product_equals_naive_product(self, m, terms):
+        identity = object()
+
+        def op(a, b):
+            assert a is not identity and b is not identity
+            return a * b % m
+        expected = 1 % m
+        for x, k in terms:
+            for _ in range(k):
+                expected = expected * x % m
+        word = [k for _, k in terms]
+        out = _word_product([x % m for x, _ in terms], word, op, identity)
+        assert out is identity if not any(word) else out == expected
 
     @SETTINGS
     @given(fields, small, small, st.integers(0, 20))

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from sympy import primerange
 
 from iqtower.selmerrank import (CofinPGroup, MonotonicityError,
                                 RankConsistencyError, SchemaError,
@@ -11,6 +12,8 @@ from iqtower.selmerrank import (CofinPGroup, MonotonicityError,
                                 fit_iwasawa, ingest_tower, rank_gap_bound,
                                 rank_gap_reports, series_stabilization,
                                 stabilization_detect)
+
+from oracles import per_level_decomposition_counts
 
 
 # -- explicit finite abelian p-group helpers for the brute-force checks -------
@@ -222,6 +225,15 @@ class TestDecompositionCounts:
                     j //= q
                     f *= q
                 assert counts[n] == q ** n // f, (ell, q, n)
+
+    def test_closed_form_equals_per_level_orders(self):
+        pairs = 0
+        for q in primerange(3, 60):
+            for ell in primerange(2, 3000):
+                assert decomposition_counts(ell, q, 6) == \
+                    per_level_decomposition_counts(ell, q, 6), (ell, q)
+                pairs += 1
+        assert pairs == 6880
 
     def test_monotone_eventually_constant_power_of_q(self):
         for (ell, q) in ((17, 3), (5, 7), (13, 11), (23, 5), (101, 3)):
