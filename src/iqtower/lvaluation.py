@@ -14,9 +14,9 @@ ray class characters as truncated ideal sums and truncated Euler products.
 One walk over the ideals, in okring's numpy rows of one representative per
 ideal, computes both: each row's terms chi(a) N(a)^(-s) go into the sum,
 and the terms at entries that generate prime ideals into the product.  A
-nontrivial character is evaluated once per residue class of the modulus,
-in one table that grows only with the classes met; each prime-power
-factor's discrete log runs once per residue class of that factor met.
+nontrivial character is evaluated a chunk of rows at a time, in numpy:
+each prime-power factor's discrete logs run once per chunk, on its
+distinct residues modulo that factor, and nothing is kept between chunks.
 Both carry rigorous tail bounds from the ideal-count estimate
 r_K(n) <= d(n) (valid for every imaginary quadratic field: r_K(n) = sum
 over m | n of chi_disc(m), a sum of n/m terms each at most 1).
@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from numbers import Integral
 
 import numpy as np
 from sympy import isprime, n_order
@@ -38,10 +39,12 @@ from .abgroup import padic_val
 from .finitefield import FFElement, FieldError, FiniteField, finite_field
 from .okring import (FieldTag, OkElement, OkError, _ideal_rows, factor, omega_residue,
                      split_type)
-from .rayclass import CharacterSpec, _hnf_box, ray_class_group
+from .rayclass import CharacterSpec, _hnf_box, _smith_coords, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
 EXPLICIT_FIELD_DEGREE_CAP = 400
+# the L-walk evaluates chi on chunks of about this many ideals at a time
+CHUNK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,8 @@ def distinctness_check(p: int, q: int, m: int) -> bool:
 def _field_images(p: int, *values) -> tuple[FiniteField, list[FFElement]]:
     """The common field of the images, F_p unless some lie in one extension
     F_{p^t}, and the images in it: ints and F_p elements are lifted."""
+    if not all(isinstance(v, (Integral, FFElement)) for v in values):
+        raise FieldError("images must be integers or finite field elements")
     if any(isinstance(v, FFElement) and v.field.p != p for v in values):
         raise FieldError("wrong characteristic")
     exts = [v.field for v in values if isinstance(v, FFElement) and v.field.t > 1]
@@ -232,16 +237,8 @@ class LSeriesValue:
 
     def to_dict(self) -> dict:
         v = self.value
-        out: dict = {"B": self.truncation_bound, "error": self.error_estimate}
-        if isinstance(v, complex):
-            out["value"] = [v.real, v.imag]
-        else:
-            out["value"] = v
-        return out
-
-
-def _zeta_upper(s: float) -> float:
-    return 1.0 + 1.0 / (s - 1.0)
+        return {"B": self.truncation_bound, "error": self.error_estimate,
+                "value": [v.real, v.imag] if isinstance(v, complex) else v}
 
 
 def _check_truncation(s: float, bound: int) -> None:
@@ -253,13 +250,11 @@ def _check_truncation(s: float, bound: int) -> None:
 
 
 def dirichlet_tail_bound(bound: int, s: float) -> float:
-    """Rigorous bound on sum over n > bound of r_K(n) n^(-s), via
-    r_K(n) <= d(n) and sum_{ab > B} (ab)^(-s) <= 2 zeta(s) sum_{b > sqrt(B)}
-    b^(-s)."""
+    """Rigorous bound on sum over n > bound of r_K(n) n^(-s), via r_K(n) <=
+    d(n), sum_{ab > B} (ab)^(-s) <= 2 zeta(s) sum_{b > sqrt(B)} b^(-s),
+    zeta(s) <= 1 + 1/(s - 1) and sum_{b > x} b^(-s) <= x^(1-s)/(s - 1)."""
     _check_truncation(s, bound)
-    x = math.isqrt(bound)
-    tail = x ** (1.0 - s) / (s - 1.0)
-    return 2.0 * _zeta_upper(s) * tail
+    return 2.0 * (1.0 + 1.0 / (s - 1.0)) * (math.isqrt(bound) ** (1.0 - s) / (s - 1.0))
 
 
 def _prime_sieve(bound: int) -> np.ndarray:
@@ -271,6 +266,19 @@ def _prime_sieve(bound: int) -> np.ndarray:
         if sieve[p]:
             sieve[p * p::p] = False
     return sieve
+
+
+def _chunks(rows):
+    """Consecutive rows, grouped until a group holds CHUNK_ENTRIES entries."""
+    chunk, size = [], 0
+    for row in rows:
+        chunk.append(row)
+        size += len(row[1])
+        if size >= CHUNK_ENTRIES:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
 
 
 def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
@@ -293,60 +301,47 @@ def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
 
 @lru_cache(maxsize=4)
 def _chi_table(modulus: OkElement, chi: CharacterSpec):
-    """chi_row(y, xs) for a nontrivial chi: one value per residue class met,
-    at its representative in the Hermite box (alpha, beta, gamma), keyed
-    r*alpha + (x - b*beta) mod alpha with b, r = divmod(y, gamma).  The unit
-    group's dlog is the concatenation of its prime-power factors' dlogs
-    (CRT), so each factor's dlog runs once per residue class of that factor
-    met, keyed the same way in the factor's own box.  Memoised like
-    ray_class_group, so later walks with other s or bound reuse its values."""
+    """chi_at(ys, xs): a nontrivial chi at the ideals (x + y*omega) coprime
+    to the modulus, on arrays (or an int y).  The unit group's dlog is the
+    concatenation of its prime-power factors' (CRT): each factor's dlogs
+    runs on the distinct keys (y mod g)*a + (x - (y // g)*c) mod a of its
+    Hermite box (a, c, g); the words give the Smith coordinates in one
+    integer product, and each distinct theta one cmath.exp."""
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
-    alpha, beta, gamma = _hnf_box(group.modulus)
-    # keys lie below alpha*gamma; the margin to 2^63 leaves room for x - b*beta
-    key_dtype = np.int64 if alpha * gamma < 2 ** 62 else object
-    values: dict[int, complex] = {}
-    factors = [(f, *_hnf_box(f.modulus), {}) for f in group.units.factors]
+    factors = [(f, *_hnf_box(f.modulus)) for f in group.units.factors]
+    # c*v/n in float64 rounds as Python's int division while c*v and n stay below 2^53
+    dtype = (np.int64 if all(abs(v) * n < 2 ** 53 for v, n in zip(chi.exponents, invariants))
+             else object)
 
-    def chi_at(i: int) -> complex:
-        # rows come from _coprime_rows, so dlog sees units only (it raises otherwise)
-        x, y = i % alpha, i // alpha
-        word: list[int] = []
-        for f, a, b, g, logs in factors:
-            q, r = divmod(y, g)
-            x_f = (x - q * b) % a
-            k = r * a + x_f
-            if k not in logs:
-                logs[k] = f.dlog(OkElement(group.tag, x_f, r))
-            word.extend(logs[k])
-        cls = group.presentation.coords(word)
-        theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
-        return cmath.exp(2j * cmath.pi * theta)
+    def chi_at(ys, xs: np.ndarray) -> np.ndarray:
+        # rows come from _coprime_rows, so dlogs sees units only (it raises otherwise)
+        words = []
+        for f, a, c, g in factors:
+            y_f = np.asarray(ys).astype(f.dtype)
+            keys, inverse = np.unique(y_f % g * a + (xs.astype(f.dtype) - y_f // g * c) % a,
+                                      return_inverse=True)
+            words.append(f.dlogs(keys % a, keys // a)[inverse])
+        cls = _smith_coords(group.presentation, np.concatenate(words, axis=1)).astype(dtype)
+        theta = sum(cls[:, j] * v / n for j, (v, n) in enumerate(zip(chi.exponents, invariants)))
+        thetas, inverse = np.unique(theta.astype(np.float64), return_inverse=True)
+        # 2j*pi*theta is (+-0, 2pi*theta) in numpy as in Python, one rounding each
+        return np.array(list(map(cmath.exp, (2j * cmath.pi * thetas).tolist())))[inverse]
 
-    def chi_row(y: int, xs: np.ndarray) -> np.ndarray:
-        b, r = divmod(y, gamma)
-        idx = (xs.astype(key_dtype, copy=False) - b * beta % alpha) % alpha + r * alpha
-        keys, inverse = np.unique(idx, return_inverse=True)
-        row = [values[i] if i in values else values.setdefault(i, chi_at(i))
-               for i in keys.tolist()]
-        return np.array(row)[inverse]
-
-    return chi_row
+    return chi_at
 
 
 def _character(modulus: OkElement, chi: CharacterSpec, s: float, bound: int):
-    """Validate an L-value request; returns (zero, chi_row) where chi_row(y, xs)
-    is chi at the ideals (x + y*omega), x in xs, coprime to the modulus: the
-    float 1.0 for the trivial character, so real sums stay real, and
-    _chi_table's lookup otherwise.  zero is 0.0 or 0j accordingly."""
+    """Validate an L-value request; returns (zero, chi_at) with chi_at(ys, xs)
+    chi at the ideals (x + y*omega) coprime to the modulus: 1.0 for the
+    trivial chi, so real sums stay real, and _chi_table's otherwise."""
     _check_truncation(s, bound)
     if chi.k != 0:
         raise OkError("only finite-order characters (k = 0) are evaluated")
-    invariants = ray_class_group(modulus).presentation.invariants
-    if len(chi.exponents) != len(invariants):
+    if len(chi.exponents) != len(ray_class_group(modulus).presentation.invariants):
         raise OkError("character exponent vector does not match the group")
     if all(e == 0 for e in chi.exponents):
-        return 0.0, lambda y, xs: 1.0
+        return 0.0, lambda ys, xs: np.broadcast_to(1.0, xs.shape)
     return 0j, _chi_table(modulus, chi)
 
 
@@ -365,17 +360,22 @@ def _prime_entries(tag: FieldTag, sieve: np.ndarray, y: int, xs: np.ndarray,
 def _l_values(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
               bound: int) -> tuple[LSeriesValue, LSeriesValue]:
     """(Dirichlet sum, Euler product) from one walk over the coprime rows:
-    each row's terms are summed, and the terms at its prime-ideal entries
-    each divide the product.  Memoised like _chi_table, so whichever of the
-    two public functions runs second only looks its value up."""
-    total, chi_row = _character(modulus, chi, s, bound)
+    chi runs once per chunk of rows, then each row's terms are summed, and
+    the terms at its prime-ideal entries each divide the product.  Memoised
+    like _chi_table, so whichever of the two public functions runs second
+    only looks its value up."""
+    total, chi_at = _character(modulus, chi, s, bound)
     product = total + 1.0
     sieve = _prime_sieve(bound)
-    for y, xs, norms in _coprime_rows(tag, modulus, bound):
-        terms = chi_row(y, xs) * norms.astype(np.float64) ** (-s)
-        total += np.sum(terms).item()
-        for f in (1.0 - terms[_prime_entries(tag, sieve, y, xs, norms)]).tolist():
-            product = product / f
+    for rows in _chunks(_coprime_rows(tag, modulus, bound)):
+        ys, xss, _ = zip(*rows)
+        lengths = [len(xs) for xs in xss]
+        values = chi_at(np.repeat(ys, lengths), np.concatenate(xss))
+        for (y, xs, norms), chis in zip(rows, np.split(values, np.cumsum(lengths)[:-1])):
+            terms = chis * norms.astype(np.float64) ** (-s)
+            total += np.sum(terms).item()
+            for f in (1.0 - terms[_prime_entries(tag, sieve, y, xs, norms)]).tolist():
+                product = product / f
     log_tail = dirichlet_tail_bound(bound, s) / (1.0 - float(bound) ** (-s))
     return (LSeriesValue(total, bound, dirichlet_tail_bound(bound, s)),
             LSeriesValue(product, bound, abs(product) * math.expm1(log_tail)))

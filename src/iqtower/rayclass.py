@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from math import isqrt, prod
 
+import numpy as np
 from sympy import factorint, isprime
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
@@ -91,13 +92,13 @@ def residues_mod(modulus: OkElement) -> list[OkElement]:
     return [OkElement(tag, x, y) for y in range(gamma) for x in range(alpha)]
 
 
-def _cyclic_tables(g, primes: dict[int, int], mul, power) -> list[tuple]:
+def _cyclic_tables(g, primes: dict[int, int], mul, power, min_baby: int = 0) -> list[tuple]:
     """Pohlig-Hellman data for discrete logs base g, of order prod r^a over
     the factorisation `primes`, in a group with product `mul` and power
     `power`: per prime power r^a, the cofactor, g^-cofactor, the baby steps
-    and giant step of an element h of order r, and the CRT coefficient that
-    lifts a log mod r^a.  Built once per group, so each log only looks
-    values up."""
+    (isqrt(r - 1) + 1 of them, or min(r, min_baby) if more) and giant step of
+    an element h of order r, and the CRT coefficient that lifts a log mod
+    r^a.  Built once per group, so each log only looks values up."""
     order = prod(r ** a for r, a in primes.items())
     tables = []
     for r, a in primes.items():
@@ -105,7 +106,7 @@ def _cyclic_tables(g, primes: dict[int, int], mul, power) -> list[tuple]:
         cof = order // ra
         gr = power(g, cof)
         h = power(gr, ra // r)   # order r
-        step = isqrt(r - 1) + 1
+        step = max(isqrt(r - 1) + 1, min(r, min_baby))
         baby, acc = {}, power(h, 0)
         for j in range(step):
             baby[acc] = j
@@ -140,6 +141,37 @@ def _cyclic_dlog(x, order: int, tables: list[tuple], mul, power) -> int:
     return out % order
 
 
+def _smith_coords(pres: QuotientPresentation, words: np.ndarray) -> np.ndarray:
+    """pres.coords on each row of an int array of words with entries in
+    [0, pres.orders[i]): one integer product with the rows of U at the
+    nontrivial invariants, each reduced mod its invariant, so that int64
+    holds while no sum can reach 2^63 and Python ints take over beyond."""
+    rows = [([u % d for u in row], d) for row, d in zip(pres.U, pres.invariants_full) if d > 1]
+    big = max((d for _, d in rows), default=1) * sum(pres.orders) >= 2 ** 63
+    dtype = object if big or words.dtype == object else np.int64
+    U = np.array([row for row, _ in rows], dtype=dtype).reshape(len(rows), len(pres.orders))
+    return words.astype(dtype) @ U.T % np.array([d for _, d in rows], dtype=dtype)
+
+
+def _mod(v, m: int):
+    """v % m for an int m > 0: numpy divides an int64 array by a scalar
+    through libdivide, which its % does not use, so this is about twice as
+    fast; on Python ints it is the same value."""
+    return v - v // m * m
+
+
+def _pow_each(g, ks: np.ndarray, mul, one):
+    """g^k for each k in the array ks >= 0, g an element (a tuple of
+    components) and mul a product that also takes arrays of them."""
+    out = tuple(np.full(ks.shape, c, dtype=ks.dtype) for c in one)
+    while ks.any():
+        bit = (ks & 1).astype(bool)
+        out = tuple(np.where(bit, new, old) for new, old in zip(mul(out, g), out))
+        ks = ks >> 1
+        g = mul(g, g)
+    return out
+
+
 class _Factor:
     """(O_K/p^e)^x for a prime p over l, through the filtration
     (O_K/p)^x x (1+p)/(1+p^e).
@@ -165,6 +197,8 @@ class _Factor:
         self.modulus = p.generator ** e
         self.t, self.n = tag.min_poly
         self.int_mod = ell ** e
+        # dlogs' arrays: int64 while every product of two residues fits
+        self.dtype = np.int64 if self.int_mod ** 2 < 2 ** 63 else object
         self.split = p.kind == "split"
         # image of omega in O_K/p^e = Z/l^e (split) or in O_K/p = Z/l (ramified)
         self.root = None if p.kind == "inert" else omega_residue(self.modulus if self.split
@@ -184,6 +218,7 @@ class _Factor:
         g = next(c for c in candidates
                  if all(self._fpow(c, self.order_res // r) != one for r in res_primes))
         self._tables = _cyclic_tables(g, res_primes, self._fmul, self._fpow)
+        self._cyclic_args = g, res_primes
         # g^(N^(e-1)) = g mod p, and its order is exactly N - 1
         g0 = self._pow(g if self.root is None else (g, 0), p.norm() ** (e - 1))
         self._g0_inv = self._inverse(g0)
@@ -284,6 +319,93 @@ class _Factor:
         if self._units:
             out.extend(self._pres.coords(self._walk(u)))
         return out
+
+    def _amul(self, u, v, m: int) -> tuple:
+        """_mul on arrays of pairs: each product is reduced mod m before it
+        is summed, so int64 holds while m^2 < 2^63."""
+        a, b = u
+        c, d = v
+        bd = _mod(b * d, m)
+        return (_mod(_mod(a * c, m) - self.n * bd, m),
+                _mod(_mod(a * d, m) + _mod(b * c, m) + self.t * bd, m))
+
+    @cached_property
+    def _sorted_tables(self) -> list[tuple]:
+        """_tables for dlogs, built on first use with up to 2^12 baby steps,
+        so that a digit takes one lookup for r <= 2^12: elements as tuples
+        of components, (a,) mod l or the pair (a, b) of an inert p, and the
+        baby steps as their keys a or a*l + b, sorted, with the exponents."""
+        ell, wrap = self.ell, (lambda v: v) if self.root is None else (lambda v: (v,))
+        out = []
+        for r, a, cof, grinv, baby, step, giant, crt in _cyclic_tables(
+                *self._cyclic_args, self._fmul, self._fpow, min_baby=2 ** 12):
+            keys = np.array([v if self.root is not None else v[0] * ell + v[1] for v in baby],
+                            dtype=self.dtype)
+            js = np.argsort(keys)
+            out.append((r, a, cof, wrap(grinv), keys[js], js, step, wrap(giant), crt))
+        return out
+
+    def dlogs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """dlog on arrays: row i is dlog(xs[i] + ys[i]*omega), for int arrays
+        of units (int64, or object arrays of Python ints).  The same
+        Pohlig-Hellman and filtration walk as dlog, each step over all rows
+        at once, the baby-step lookups through np.searchsorted; in int64
+        while (l^e)^2 < 2^63, in object arrays beyond."""
+        m, ell, s = self.int_mod, self.ell, self.root
+        xs, ys = (_mod(np.asarray(v).astype(self.dtype), m) for v in (xs, ys))
+        u = (_mod(xs + ys * s, m), np.zeros_like(xs)) if self.split else (xs, ys)
+        umul = partial(self._amul, m=m)
+        if s is None:
+            r, one = (_mod(u[0], ell), _mod(u[1], ell)), (1, 0)
+            mul, key = partial(self._amul, m=ell), (lambda v: v[0] * ell + v[1])
+        else:
+            r, one = (_mod(u[0] + u[1] * s, ell),), (1,)
+            mul, key = (lambda v, w: (_mod(v[0] * w[0], ell),)), (lambda v: v[0])
+        if (key(r) == 0).any():
+            raise GroupError(f"a residue is not a unit modulo {self.modulus}")
+        cols = []
+        if self._tables:
+            # Pohlig-Hellman: per prime power r^a, the base-r digits of the log
+            a_log = 0
+            for q, a, cof, grinv, keys, js, step, giant, crt in self._sorted_tables:
+                xq, e, qi = _pow(r, cof, mul, one), 0, 1
+                for i in reversed(range(a)):
+                    t = mul(xq, _pow_each(grinv, e, mul, one)) if qi > 1 else xq
+                    t = _pow(t, q ** i, mul, one) if i else t
+                    digit, rows = np.zeros_like(xs), np.arange(len(xs))
+                    for j in range(step + 1):
+                        k = key(t)
+                        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+                        hit = keys[pos] == k
+                        digit[rows[hit]] = _mod(j * step + js[pos[hit]], q)
+                        rows, t = rows[~hit], tuple(c[~hit] for c in t)
+                        if not len(rows):
+                            break
+                        t = mul(t, giant)
+                    else:
+                        raise GroupError("baby-step giant-step failed: element outside subgroup")
+                    e, qi = e + digit * qi, qi * q
+                # a_log + e * crt < (order + 1)^2: Python ints where that leaves int64
+                if (self.order_res + 1) ** 2 >= 2 ** 63:
+                    e = e.astype(object)
+                a_log = _mod(a_log + e * crt, self.order_res)
+            cols.append(a_log)
+            if self._units:
+                u = umul(u, _pow_each(self._g0_inv, a_log, umul, (1, 0)))
+        if self._units:
+            # the filtration walk: at level i the digits of (u - 1)/pi^i mod p
+            digits = []
+            for (c, d), ell_i, inverses in self._levels:
+                z0, z1 = (z // ell_i for z in umul((u[0] - 1, u[1]), (c, d)))
+                level = (_mod(z0, ell), _mod(z1, ell)) if s is None else (_mod(z0 + z1 * s, ell),)
+                digits.extend(level)
+                if ell_i == m // ell:
+                    break
+                for h_inv, k in zip(inverses, level):
+                    u = umul(u, _pow_each(h_inv, k, umul, (1, 0)))
+            words = np.array(digits, dtype=self.dtype).reshape(len(digits), len(xs)).T
+            cols.extend(_smith_coords(self._pres, words).T)
+        return np.array(cols, dtype=self.dtype).reshape(len(cols), len(xs)).T
 
     def inverse(self, x: OkElement) -> OkElement:
         return OkElement(x.tag, *self._inverse(self._pair(x)))

@@ -8,7 +8,8 @@ one Pohlig-Hellman over its whole order, class numbers come from ideal
 lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, ray class characters are evaluated ideal by ideal with one
-discrete log each, the Dirichlet sum and the Euler product come from two
+discrete log each or residue class by residue class with one scalar
+discrete log per factor class, the Dirichlet sum and the Euler product come from two
 separate walks over the ideals, and the prime ideals of an Euler product
 come prime by prime from sympy's primerange and the primes above each.  The
 primes above a rational prime are the elements of that norm, found by
@@ -42,7 +43,7 @@ from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
 from iqtower.lvaluation import (LSeriesValue, _character, _coprime_rows, _prime_entries,
                                 _prime_sieve, dirichlet_tail_bound, unity_image)
 from iqtower.okring import OkElement, canonical_associate, gcd_ok, omega_residue, primes_above
-from iqtower.rayclass import reduce_mod, residues_mod
+from iqtower.rayclass import _hnf_box, ray_class_group, reduce_mod, residues_mod
 
 
 # -- residue-ring oracle -----------------------------------------------------
@@ -637,6 +638,46 @@ def per_ideal_chi(group, chis, e: OkElement) -> list[complex]:
                                                    group.presentation.invariants))
               for chi in chis]
     return [cmath.exp(2j * cmath.pi * theta) for theta in thetas]
+
+
+def per_class_chi_row(modulus: OkElement, chi):
+    """chi_row(y, xs) for a nontrivial chi, one scalar discrete log at a
+    time: one value per residue class of the modulus met, at its
+    representative in the Hermite box (alpha, beta, gamma), keyed
+    r*alpha + (x - b*beta) mod alpha with b, r = divmod(y, gamma), and one
+    scalar factor dlog per residue class of that factor met, keyed the same
+    way in the factor's own box.  Both tables only grow."""
+    group = ray_class_group(modulus)
+    invariants = group.presentation.invariants
+    alpha, beta, gamma = _hnf_box(group.modulus)
+    # keys lie below alpha*gamma; the margin to 2^63 leaves room for x - b*beta
+    key_dtype = np.int64 if alpha * gamma < 2 ** 62 else object
+    values: dict[int, complex] = {}
+    factors = [(f, *_hnf_box(f.modulus), {}) for f in group.units.factors]
+
+    def chi_at(i: int) -> complex:
+        x, y = i % alpha, i // alpha
+        word: list[int] = []
+        for f, a, b, g, logs in factors:
+            q, r = divmod(y, g)
+            x_f = (x - q * b) % a
+            k = r * a + x_f
+            if k not in logs:
+                logs[k] = f.dlog(OkElement(group.tag, x_f, r))
+            word.extend(logs[k])
+        cls = group.presentation.coords(word)
+        theta = sum(c * v / inv for c, v, inv in zip(cls, chi.exponents, invariants))
+        return cmath.exp(2j * cmath.pi * theta)
+
+    def chi_row(y: int, xs: np.ndarray) -> np.ndarray:
+        b, r = divmod(y, gamma)
+        idx = (xs.astype(key_dtype, copy=False) - b * beta % alpha) % alpha + r * alpha
+        keys, inverse = np.unique(idx, return_inverse=True)
+        row = [values[i] if i in values else values.setdefault(i, chi_at(i))
+               for i in keys.tolist()]
+        return np.array(row)[inverse]
+
+    return chi_row
 
 
 # -- two-walk L-value oracle ---------------------------------------------------

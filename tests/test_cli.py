@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -318,7 +319,8 @@ class TestParserBuiltOnce:
 class TestCaps:
     """The worst inputs with an inert or ramified factor that the modulus cap
     (norm <= 10^6) admits build in bounded time, and so do towers at a
-    seven-digit q and at the q cap."""
+    seven-digit q and at the q cap, and an L-value at the largest split
+    prime under the modulus cap."""
 
     SECONDS = 2.0
 
@@ -401,6 +403,26 @@ class TestCaps:
         assert len(recs) == sum(isprime(16 * r * r + 163)
                                 for r in range(1, cli.MAX_RBOUND + 1))
         assert all(r["degree"] == (r["norm"] - 1) // 2 for r in recs)
+        assert float(elapsed) < self.SECONDS, elapsed
+        assert int(rss_kb) < 300 * 1024, rss_kb
+
+    def test_lseries_largest_split_prime(self):
+        # a prime of norm 999,961, the largest split prime under the norm cap:
+        # chi of order 249,990 meets nearly every residue class at B = 10^6.
+        # The digest is the output of the per-class dict path it replaced.
+        script = ("import resource, sys, time\n"
+                  "from iqtower.cli import main\n"
+                  "start = time.perf_counter()\n"
+                  "code = main(['lseries', '--d', '1', '--modulus', '765+644*w', '--char', '1',\n"
+                  "             '--s', '2', '--B', '1000000'])\n"
+                  "print(code, time.perf_counter() - start,\n"
+                  "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        code, elapsed, rss_kb = proc.stderr.split()
+        assert code == "0"
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+            "d0bbc43c1c081284f514f701ed3f287b830b4be2e67d12ad467898eb31f1a009"
         assert float(elapsed) < self.SECONDS, elapsed
         assert int(rss_kb) < 300 * 1024, rss_kb
 

@@ -5,13 +5,14 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from sympy import isprime, n_order, primerange
 
 from iqtower.cli import main
 from iqtower.finitefield import FieldError, finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
-                                ResidueEmbedding, _chi_table, _coprime_rows,
+                                ResidueEmbedding, _chi_table, _chunks, _coprime_rows,
                                 _l_values, _prime_entries, _prime_sieve, compute_N1,
                                 dirichlet_tail_bound, distinctness_check,
                                 euler_factor_vanishes, euler_product_L,
@@ -23,7 +24,8 @@ from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_clas
                               reduce_mod)
 
 from oracles import (DISTINCT_POWERS_MAX_DEGREE, distinct_unity_powers,
-                     euler_prime_ideals, lattice_zeta, per_ideal_chi, two_walk_L)
+                     euler_prime_ideals, lattice_zeta, per_class_chi_row, per_ideal_chi,
+                     two_walk_L)
 
 
 def _exact_order_roots(p, q, m):
@@ -265,6 +267,26 @@ class TestImageLifts:
                 assert compute_N1(self.emb, self.lam, k, c, 3) == want
         assert seen == {False, True}
 
+    @pytest.mark.parametrize("image", [2.7, 2.0, "2", None, 1 + 0j])
+    def test_non_integer_image_rejected(self, image):
+        # a float was truncated by int() (2.7 gave the value for 2), a str
+        # raised int()'s bare ValueError
+        one = finite_field(5, 1).one()
+        calls = [lambda: compute_N1(self.emb, self.lam, 0, image, 3),
+                 lambda: euler_factor_vanishes(self.emb, self.lam, 0, image, one),
+                 lambda: euler_factor_vanishes(self.emb, self.lam, 0, one, image)]
+        for call in calls:
+            with pytest.raises(FieldError) as exc:
+                call()
+            assert str(exc.value) == "images must be integers or finite field elements"
+
+    def test_numpy_and_bool_integers_lift(self):
+        for image in (np.int64(2), np.int32(-3), True):
+            assert compute_N1(self.emb, self.lam, 1, image, 3) == \
+                compute_N1(self.emb, self.lam, 1, int(image), 3)
+            assert euler_factor_vanishes(self.emb, self.lam, 1, image, 1) is \
+                euler_factor_vanishes(self.emb, self.lam, 1, int(image), 1)
+
 
 class TestComputeN1:
     def test_a_equal_one(self):
@@ -483,20 +505,48 @@ class TestOneEnumeration:
         assert primes_above.cache_info().currsize == before
 
 
-def _count_dlogs(monkeypatch, owners) -> dict:
-    """Record the argument of every dlog call of each owner, a unit group or
-    one of its factors: owner -> list of arguments."""
+def _assert_chunk_equals_per_class(tag, m, chi, bound):
+    """_chi_table on the whole walk up to bound as one chunk, and on each row
+    alone, equals the per-class dict path row by row, bit for bit."""
+    rows = list(_coprime_rows(tag, m, bound))
+    oracle = per_class_chi_row(m, chi)
+    want = [oracle(y, xs).tolist() for y, xs, _ in rows]
+    table = _chi_table(m, chi)
+    got = table(np.repeat([y for y, _, _ in rows], [len(xs) for _, xs, _ in rows]),
+                np.concatenate([xs for _, xs, _ in rows])).tolist()
+    assert got == [v for row in want for v in row], (str(m), chi.exponents)
+    assert [table(y, xs).tolist() for y, xs, _ in rows] == want, (str(m), chi.exponents)
+
+
+def _record_calls(monkeypatch, owners, name: str) -> dict:
+    """Record the arguments of every call of the method `name` of each
+    owner, a unit group or one of its factors: owner -> list of argument
+    tuples."""
     calls = {o: [] for o in owners}
     for o in owners:
-        def counting_dlog(e, args=calls[o], dlog=o.dlog):
-            args.append(e)
-            return dlog(e)
-        monkeypatch.setattr(o, "dlog", counting_dlog)
+        def recording(*args, seen=calls[o], method=getattr(o, name)):
+            seen.append(args)
+            return method(*args)
+        monkeypatch.setattr(o, name, recording)
     return calls
 
 
+def _assert_dlogs_once_per_chunk(tag, m, bound, calls):
+    """Each factor's dlogs ran once per chunk of the walk, on the distinct
+    unit residues modulo that factor of the chunk's entries, each once."""
+    chunks = list(_chunks(_coprime_rows(tag, m, bound)))
+    for f, seen in calls.items():
+        assert len(seen) == len(chunks)
+        for (xs, ys), rows in zip(seen, chunks):
+            got = [reduce_mod(OkElement(tag, x, y), f.modulus)
+                   for x, y in zip(xs.tolist(), ys.tolist())]
+            met = {reduce_mod(OkElement(tag, x, y), f.modulus)
+                   for y, row, _ in rows for x in row.tolist()}
+            assert len(set(got)) == len(got) and set(got) == met
+
+
 class TestChiTable:
-    """_chi_table evaluates chi once per residue class of the modulus."""
+    """_chi_table evaluates chi a chunk of the walk at a time."""
 
     @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
     def test_lookup_equals_per_ideal_oracle(self, d):
@@ -517,52 +567,74 @@ class TestChiTable:
                     assert table(y, xs).tolist() == [w[k] for w in want], \
                         (d, str(m), chi.exponents, y)
 
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_chunk_equals_per_class_oracle(self, d):
+        # the moduli and characters of the per-ideal sweep, each walk up to
+        # B = 300 evaluated as one chunk against the per-class dict path
+        tag = field(d)
+        for m in elements_up_to_norm(tag, 200)[1:]:
+            nontrivial = [c for c in characters(ray_class_group(m)) if c.order > 1]
+            for i in sorted({0, len(nontrivial) // 2, len(nontrivial) - 1}) if nontrivial else ():
+                _assert_chunk_equals_per_class(tag, m, nontrivial[i], 300)
+
+    @pytest.mark.parametrize("ell, e", [(1010523706733, 1), (1010523706733, 2),
+                                        (16210220612075905069, 1)])
+    def test_object_band_equals_per_class_oracle(self, ell, e):
+        # (l^e)^2 >= 2^63: residues, words and coordinates in Python ints
+        tag = field(1)
+        m = primes_above(tag, ell)[0].generator ** e
+        assert ray_class_group(m).units.factors[0].dtype is object
+        _assert_chunk_equals_per_class(tag, m, CharacterSpec((1,), 0), 300)
+        _assert_chunk_equals_per_class(tag, m, CharacterSpec((ell - 2,), 0), 300)
+
     def test_euler_product_adds_no_dlog(self, monkeypatch):
-        # (2+i) * 3 * (1+i)^3: one factor dlog per unit residue class of that
-        # factor met, 4 + 8 + 4, and no dlog of the whole modulus
+        # (2+i) * 3 * (1+i)^3: each factor's dlogs sees the chunk's 4, 8 and 4
+        # unit residue classes once; no scalar dlog of a factor or of the
+        # whole modulus runs, and the product adds no dlogs call
         tag = field(1)
         m = OkElement(tag, 2, 1) * tag.from_int(3) * OkElement(tag, 1, 1) ** 3
         _chi_table.cache_clear()
         _l_values.cache_clear()
         group = ray_class_group(m)
         chi = max(characters(group), key=lambda c: c.order)
-        calls = _count_dlogs(monkeypatch, [*group.units.factors, group.units])
+        scalar = _record_calls(monkeypatch, [*group.units.factors, group.units], "dlog")
+        calls = _record_calls(monkeypatch, group.units.factors, "dlogs")
         bound = 2000
         evaluate_imprimitive_L(tag, m, chi, 2.0, bound)
-        after_sum = {f: len(c) for f, c in calls.items()}
+        after_sum = {f: list(c) for f, c in calls.items()}
         euler_product_L(tag, m, chi, 2.0, bound)
-        assert {f: len(c) for f, c in calls.items()} == after_sum
-        assert after_sum[group.units] == 0
-        elements = [OkElement(tag, x, y) for y, xs, _ in _coprime_rows(tag, m, bound)
-                    for x in xs.tolist()]
-        for f in group.units.factors:
-            met = {reduce_mod(e, f.modulus) for e in elements}
-            assert {reduce_mod(e, f.modulus) for e in calls[f]} == met
-            assert after_sum[f] == len(met)
-        assert [after_sum[f] for f in group.units.factors] == [4, 8, 4]
+        assert calls == after_sum
+        assert not any(scalar.values())
+        _assert_dlogs_once_per_chunk(tag, m, bound, calls)
+        assert [[len(xs) for xs, _ in calls[f]] for f in group.units.factors] == [[4], [8], [4]]
+        _assert_chunk_equals_per_class(tag, m, chi, bound)
 
     def test_norm_cap_modulus(self, monkeypatch):
         # pi_997 * pi_1009 in Z[i], norm 1,005,973: the sum at B = 10^5 meets
-        # 78,394 classes of the modulus, but a factor has only ell - 1 unit
-        # classes, so at most 996 + 1008 factor dlogs run
+        # 78,394 classes of the modulus in several chunks; each chunk's dlogs
+        # sees at most 996 and 1008 residues, and no scalar dlog runs
         tag = field(1)
         m = primes_above(tag, 997)[0].generator * primes_above(tag, 1009)[0].generator
         group = ray_class_group(m)
         assert group.presentation.invariants == (3, 83664)
         chi = CharacterSpec((1, 1), 83664)
-        calls = _count_dlogs(monkeypatch, group.units.factors)
+        scalar = _record_calls(monkeypatch, [*group.units.factors, group.units], "dlog")
+        calls = _record_calls(monkeypatch, group.units.factors, "dlogs")
         _chi_table.cache_clear()
         _l_values.cache_clear()
         start = time.perf_counter()
         evaluate_imprimitive_L(tag, m, chi, 2.0, 10 ** 5)
         elapsed = time.perf_counter() - start
-        n_logs = sum(map(len, calls.values()))
-        assert n_logs <= 996 + 1008, n_logs
         assert elapsed < 1.5, elapsed
+        assert not any(scalar.values())
+        assert len(list(_chunks(_coprime_rows(tag, m, 10 ** 5)))) > 1
+        _assert_dlogs_once_per_chunk(tag, m, 10 ** 5, calls)
+        assert [max(len(xs) for xs, _ in calls[f]) for f in group.units.factors] == [996, 1008]
         table = _chi_table(m, chi)
         for y, xs, _ in _coprime_rows(tag, m, 300):
             want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]
             assert table(y, xs).tolist() == want, y
+        _assert_chunk_equals_per_class(tag, m, chi, 3000)
 
     def test_storage_grows_with_classes_met(self):
         # a split prime of norm about 10^12: (O_K/m)^x is cyclic of order

@@ -5,6 +5,7 @@ counts, so every run draws the same cases."""
 from fractions import Fraction
 from math import floor, gcd, prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,8 @@ from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
                             factor, field, gcd_ok, primes_above, split_type)
 from iqtower.lvaluation import _chi_table, _coprime_rows
-from iqtower.rayclass import CharacterSpec, UnitGroup, lcm_ideal, ray_class_group, reduce_mod
+from iqtower.rayclass import (CharacterSpec, UnitGroup, _Factor, lcm_ideal, ray_class_group,
+                              reduce_mod)
 from iqtower.selmerrank import _solve_growth
 
 from oracles import per_ideal_chi, solve_growth, united_form_compose
@@ -336,6 +338,66 @@ class TestFactorDlogs:
         assume(group.units.is_unit(e))
         word = [c for f in group.units.factors for c in f.dlog(reduce_mod(e, f.modulus))]
         assert group.presentation.coords(word) == group.ideal_class_coords(e)
+
+
+@st.composite
+def factor_prime_powers(draw):
+    """(p, e) for a prime p of one of the nine fields and 1 <= e <= 5: p
+    split or inert over a prime l < 3000, or the ramified prime."""
+    tag = draw(fields)
+    kind = draw(st.sampled_from(["split", "inert", "ramified"]))
+    if kind == "ramified":
+        ell = 2 if tag.d in (1, 2) else tag.d
+    else:
+        ell = nextprime(draw(st.integers(1, 3000)))
+        while split_type(tag, ell) != kind:
+            ell = nextprime(ell)
+    return draw(st.sampled_from(primes_above(tag, ell))), draw(st.integers(1, 5))
+
+
+def _factor_examples():
+    """l = 2 split (d = 7), ramified (d = 1) and inert (d = 3) at e = 1 and 5;
+    the split prime of norm about 10^12; a split l > 2^63; and the split
+    primes of Z[i] next to the int64 band edge (l^e)^2 = 2^63 of dlogs."""
+    two = [(field(d), e) for d in (7, 1, 3) for e in (1, 5)]
+    out = [(primes_above(tag, 2)[0], e) for tag, e in two]
+    out += [(primes_above(field(1), 1010523706733)[i], e) for i, e in ((0, 1), (1, 5))]
+    out += [(primes_above(field(1), ell)[0], 1)
+            for ell in (16210220612075905069, 3037000493, 3037000537)]
+    return out
+
+
+def _with_factor_examples(test):
+    for pe in _factor_examples():
+        test = example(pe, [(3, 1), (-2, 7), (10 ** 18, -(10 ** 17)), (1, 0)])(test)
+    return test
+
+
+class TestFactorDlogsArray:
+    """_Factor.dlogs, Pohlig-Hellman and the filtration walk over arrays,
+    equals the scalar dlog element by element, on both sides of its int64
+    band."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(factor_prime_powers(), st.lists(st.tuples(huge, huge), min_size=1, max_size=12))
+    @_with_factor_examples
+    def test_dlogs_equals_dlog(self, pe, coords):
+        p, e = pe
+        f = _Factor(p, e)
+        assert (f.dtype is np.int64) == (f.int_mod ** 2 < 2 ** 63)
+        if f.dtype is np.int64:       # int64 inputs must fit int64, of either sign
+            coords = [(x % 2 ** 63 - 2 ** 62, y % 2 ** 63 - 2 ** 62) for x, y in coords]
+        units = [(x, y) for x, y in coords if not p.divides(OkElement(p.tag, x, y))]
+        assume(units)
+        xs, ys = (np.array(vals, dtype=f.dtype) for vals in zip(*units))
+        got = f.dlogs(xs, ys)
+        assert got.shape == (len(units), len(f.orders))
+        assert got.tolist() == [f.dlog(OkElement(p.tag, x, y)) for x, y in units]
+
+    def test_band_edge(self):
+        below, above = (_Factor(primes_above(field(1), ell)[0], 1)
+                        for ell in (3037000493, 3037000537))
+        assert below.dtype is np.int64 and above.dtype is object
 
 
 class TestChiTable:
