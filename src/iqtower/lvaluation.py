@@ -123,16 +123,9 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
     F = finite_field(p, t)
     cof = (F.order - 1) // qm
     qm1 = qm // q
-    w = None
-    for z in _projection_candidates(F):
-        if z.is_zero():
-            continue
-        cand = z ** cof
-        if not (cand ** qm1 == F.one()):
-            w = cand
-            break
-    if w is None:
-        raise OkError("no primitive root found; degree bookkeeping is wrong")
+    # the scan reaches a generator of F^x, whose cof-th power has order q^m
+    w = next(c for c in (z ** cof for z in _projection_candidates(F) if not z.is_zero())
+             if not (c ** qm1 == F.one()))
     # enumerate mu_{q^m} and take the lex-smallest element of exact order
     best = None
     acc = F.one()
@@ -299,7 +292,6 @@ def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
             yield y, xs[mask], norms[mask]
 
 
-@lru_cache(maxsize=4)
 def _chi_table(modulus: OkElement, chi: CharacterSpec):
     """chi_at(ys, xs): a nontrivial chi at the ideals (x + y*omega) coprime
     to the modulus, on arrays (or an int y).  The unit group's dlog is the
@@ -362,8 +354,8 @@ def _l_values(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
     """(Dirichlet sum, Euler product) from one walk over the coprime rows:
     chi runs once per chunk of rows, then each row's terms are summed, and
     the terms at its prime-ideal entries each divide the product.  Memoised
-    like _chi_table, so whichever of the two public functions runs second
-    only looks its value up."""
+    for the last four requests, so whichever of the two public functions
+    runs second only looks its value up."""
     total, chi_at = _character(modulus, chi, s, bound)
     product = total + 1.0
     sieve = _prime_sieve(bound)

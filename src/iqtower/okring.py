@@ -380,8 +380,6 @@ def factor(e: OkElement) -> PrimeFactorization:
             k, rest = _strip(rest, p)
             if k:
                 found.append((p, k))
-    if not rest.is_unit():
-        raise OkError(f"factorization of {e} left non-unit remainder {rest}")
     return PrimeFactorization(rest, tuple(found))
 
 

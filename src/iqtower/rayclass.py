@@ -80,8 +80,6 @@ def _hnf_box(modulus: OkElement) -> tuple[int, int, int]:
     if gamma < 0:
         beta, gamma = -beta, -gamma
     beta %= alpha
-    if alpha * gamma != modulus.norm():
-        raise OkError("Hermite basis does not match the modulus norm")
     return alpha, beta, gamma
 
 
@@ -133,8 +131,6 @@ def _cyclic_dlog(x, order: int, tables: list[tuple], mul, power) -> int:
                 if t in baby:
                     break
                 t = mul(t, giant)
-            else:
-                raise GroupError("baby-step giant-step failed: element outside subgroup")
             e += (j * step + baby[t]) % r * ri
             ri *= r
         out += e * crt
@@ -188,6 +184,11 @@ class _Factor:
     O_K/p; the filtration walk writes a 1-unit as a word in them, digit by
     digit, and the words of their l-th powers are the relations whose Smith
     form gives the generators and orders of (1+p)/(1+p^e).
+
+    Two entry points share that walk: dlog on one element, for UnitGroup's
+    callers (3-30 us a call), and dlogs on arrays, for the chunks of the
+    L-walk.  Neither replaces the other: a dlogs call costs 0.1-1.1 ms
+    however few its rows, and a chunk holds thousands of residues.
     """
 
     def __init__(self, p: OkPrime, e: int):
@@ -237,7 +238,7 @@ class _Factor:
                                  [self._inverse(h) for h in units]))
         rels = []
         for j, h in enumerate(self._units):
-            rel = [-c for c in self._walk(self._pow(h, ell))]
+            rel = [-c for c in self._walk(self._pow(h, ell), self._mul, self._pow)]
             rel[j] += ell
             rels.append(rel)
         # l^e is a multiple of every 1-unit's order: (1 + pi^i*y)^l lies in 1 + p^(i+1)
@@ -281,26 +282,24 @@ class _Factor:
         nu = a * a + self.t * a * b + self.n * b * b
         return self._mul((a + self.t * b, -b), (pow(nu, -1, self.int_mod), 0))
 
-    def _walk(self, u) -> list[int]:
+    def _walk(self, u, mul, power) -> list:
         """Exponents of the 1-unit generators in a word equal to the 1-unit
         u modulo p^e: at level i, the digits of (u - 1)/pi^i mod p are read
         off and each digit k is cleared by h^-k, h its level-i generator.
-        The dlog's hot loop, so the pair arithmetic is written out."""
-        t, n, m, ell, s = self.t, self.n, self.int_mod, self.ell, self.root
-        a, b = u
+        u is a pair of ints with mul = _mul and power = _pow, or a pair of
+        int arrays with their array forms; the digits come out alike."""
+        m, ell, s = self.int_mod, self.ell, self.root
         word = []
-        for (c, d), ell_i, inverses in self._levels:
+        for mu_i, ell_i, inverses in self._levels:
             # z = (u - 1) * mu^i / l^i
-            z0 = ((a - 1) * c - n * b * d) % m // ell_i
-            z1 = ((a - 1) * d + b * c + t * b * d) % m // ell_i
-            digits = (z0 % ell, z1 % ell) if s is None else ((z0 + z1 * s) % ell,)
+            z0, z1 = mul((u[0] - 1, u[1]), mu_i)
+            z0, z1 = z0 // ell_i, z1 // ell_i
+            digits = (_mod(z0, ell), _mod(z1, ell)) if s is None else (_mod(z0 + z1 * s, ell),)
             word.extend(digits)
             if ell_i == m // ell:
                 break            # the last level's digits need no clearing
             for h_inv, k in zip(inverses, digits):
-                if k:
-                    c2, d2 = self._pow(h_inv, k)
-                    a, b = (a * c2 - n * b * d2) % m, (a * d2 + b * c2 + t * b * d2) % m
+                u = mul(u, power(h_inv, k))
         return word
 
     def dlog(self, x: OkElement) -> list[int]:
@@ -317,7 +316,7 @@ class _Factor:
             if self._units:
                 u = self._mul(u, self._pow(self._g0_inv, a))
         if self._units:
-            out.extend(self._pres.coords(self._walk(u)))
+            out.extend(self._pres.coords(self._walk(u, self._mul, self._pow)))
         return out
 
     def _amul(self, u, v, m: int) -> tuple:
@@ -348,13 +347,16 @@ class _Factor:
     def dlogs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """dlog on arrays: row i is dlog(xs[i] + ys[i]*omega), for int arrays
         of units (int64, or object arrays of Python ints).  The same
-        Pohlig-Hellman and filtration walk as dlog, each step over all rows
-        at once, the baby-step lookups through np.searchsorted; in int64
-        while (l^e)^2 < 2^63, in object arrays beyond."""
+        Pohlig-Hellman as dlog, each step over all rows at once, the
+        baby-step lookups through np.searchsorted, then dlog's _walk with
+        the array product and _pow_each; in int64 while (l^e)^2 < 2^63, in
+        object arrays beyond.  dlog stays beside it for single elements,
+        which this call's fixed cost would make dearer."""
         m, ell, s = self.int_mod, self.ell, self.root
         xs, ys = (_mod(np.asarray(v).astype(self.dtype), m) for v in (xs, ys))
         u = (_mod(xs + ys * s, m), np.zeros_like(xs)) if self.split else (xs, ys)
         umul = partial(self._amul, m=m)
+        upow = partial(_pow_each, mul=umul, one=(1, 0))
         if s is None:
             r, one = (_mod(u[0], ell), _mod(u[1], ell)), (1, 0)
             mul, key = partial(self._amul, m=ell), (lambda v: v[0] * ell + v[1])
@@ -382,8 +384,6 @@ class _Factor:
                         if not len(rows):
                             break
                         t = mul(t, giant)
-                    else:
-                        raise GroupError("baby-step giant-step failed: element outside subgroup")
                     e, qi = e + digit * qi, qi * q
                 # a_log + e * crt < (order + 1)^2: Python ints where that leaves int64
                 if (self.order_res + 1) ** 2 >= 2 ** 63:
@@ -391,19 +391,10 @@ class _Factor:
                 a_log = _mod(a_log + e * crt, self.order_res)
             cols.append(a_log)
             if self._units:
-                u = umul(u, _pow_each(self._g0_inv, a_log, umul, (1, 0)))
+                u = umul(u, upow(self._g0_inv, a_log))
         if self._units:
-            # the filtration walk: at level i the digits of (u - 1)/pi^i mod p
-            digits = []
-            for (c, d), ell_i, inverses in self._levels:
-                z0, z1 = (z // ell_i for z in umul((u[0] - 1, u[1]), (c, d)))
-                level = (_mod(z0, ell), _mod(z1, ell)) if s is None else (_mod(z0 + z1 * s, ell),)
-                digits.extend(level)
-                if ell_i == m // ell:
-                    break
-                for h_inv, k in zip(inverses, level):
-                    u = umul(u, _pow_each(h_inv, k, umul, (1, 0)))
-            words = np.array(digits, dtype=self.dtype).reshape(len(digits), len(xs)).T
+            word = self._walk(u, umul, upow)
+            words = np.array(word, dtype=self.dtype).reshape(len(word), len(xs)).T
             cols.extend(_smith_coords(self._pres, words).T)
         return np.array(cols, dtype=self.dtype).reshape(len(cols), len(xs)).T
 
@@ -435,8 +426,6 @@ class UnitGroup:
         """u = 1 mod factor i, u = 0 mod the complementary part."""
         f = self.factors[i]
         cof = self.modulus.divide_exact(f.modulus)
-        if cof is None:
-            raise GroupError("factor modulus does not divide the modulus")
         if cof.is_unit():
             return self.tag.one()
         inv = f.inverse(cof)
@@ -659,13 +648,7 @@ def _minus_relations(U: UnitGroup, q: int):
 
     def sylow_dlog(e: OkElement) -> list[int]:
         full = U.dlog(e)
-        vec = []
-        for i, qpart in syl:
-            cof = U.orders[i] // qpart
-            if full[i] % cof:
-                raise GroupError(f"{e} is not in the {q}-primary part")
-            vec.append(full[i] // cof % qpart)
-        return vec
+        return [full[i] // (U.orders[i] // qpart) % qpart for i, qpart in syl]
 
     rels = []
     for i, qpart in syl:

@@ -593,7 +593,6 @@ class TestChiTable:
         # whole modulus runs, and the product adds no dlogs call
         tag = field(1)
         m = OkElement(tag, 2, 1) * tag.from_int(3) * OkElement(tag, 1, 1) ** 3
-        _chi_table.cache_clear()
         _l_values.cache_clear()
         group = ray_class_group(m)
         chi = max(characters(group), key=lambda c: c.order)
@@ -620,7 +619,6 @@ class TestChiTable:
         chi = CharacterSpec((1, 1), 83664)
         scalar = _record_calls(monkeypatch, [*group.units.factors, group.units], "dlog")
         calls = _record_calls(monkeypatch, group.units.factors, "dlogs")
-        _chi_table.cache_clear()
         _l_values.cache_clear()
         start = time.perf_counter()
         evaluate_imprimitive_L(tag, m, chi, 2.0, 10 ** 5)
@@ -643,7 +641,6 @@ class TestChiTable:
         m = primes_above(tag, 1010523706733)[0].generator
         group = ray_class_group(m)
         chi = CharacterSpec((1,), group.degree)
-        _chi_table.cache_clear()
         _l_values.cache_clear()
         tracemalloc.start()
         try:
@@ -663,7 +660,6 @@ class TestChiTable:
         want = sum(per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] / n ** 2
                    for y, xs, norms in _coprime_rows(tag, m, 200)
                    for x, n in zip(xs.tolist(), norms.tolist()))
-        _chi_table.cache_clear()
         _l_values.cache_clear()
         got = evaluate_imprimitive_L(tag, m, chi, 2.0, 200).value
         assert abs(got - want) < 1e-12
@@ -676,7 +672,6 @@ class TestChiTable:
         five = tag.from_int(5)
         chi = characters(ray_class_group(five), exact_order=4)[0]
         for fn in (evaluate_imprimitive_L, euler_product_L):
-            _chi_table.cache_clear()
             _l_values.cache_clear()
             start = time.perf_counter()
             fn(tag, five, chi, 2.0, bound)

@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from math import gcd, prod
 
+import numpy as np
 import pytest
 from sympy import factorint, primerange
 
@@ -149,12 +150,12 @@ class TestNonsplitFactors:
         total = 0
         for p, e in NONSPLIT_POWERS:
             U = UnitGroup(p.generator ** e)
-            count = 0
-            for vec, x in _every_word(U):
+            words = list(_every_word(U))
+            for vec, x in words:
                 assert tuple(U.dlog(x)) == vec, (str(p), e, vec)
-                count += 1
-            assert count == U.order == euler_phi(U.modulus)
-            total += count
+            _assert_dlogs_rows_are_words(U, words)
+            assert len(words) == U.order == euler_phi(U.modulus)
+            total += len(words)
         assert total == 58188
 
     def test_non_unit_rejected(self):
@@ -195,6 +196,17 @@ def _every_word(U):
     yield from walk(0, (), reduce_mod(U.tag.one(), U.modulus))
 
 
+def _assert_dlogs_rows_are_words(U, words):
+    """Each factor's array dlogs, run once on all the units of an every-word
+    sweep, against the power words: U has a single factor, so a row is the
+    whole word, and the words come from products of the generators, which
+    share no code with the filtration walk."""
+    (f,) = U.factors
+    rows = f.dlogs(np.array([x.x for _, x in words]), np.array([x.y for _, x in words]))
+    assert rows.shape == (len(words), len(U.orders)), str(U.modulus)
+    assert [tuple(r) for r in rows.tolist()] == [vec for vec, _ in words], str(U.modulus)
+
+
 class TestSplitFactors:
     def test_dlog_inverts_power_word_on_every_unit(self):
         """dlog(power_word(v)) == v for every v is the every-unit sweep
@@ -205,11 +217,11 @@ class TestSplitFactors:
         assert len(powers) == 333      # all 303 primes l <= 2000 split somewhere
         for p, e in powers:
             U = UnitGroup(p.generator ** e)
-            count = 0
-            for vec, x in _every_word(U):
+            words = list(_every_word(U))
+            for vec, x in words:
                 assert tuple(U.dlog(x)) == vec, (str(p), e, vec)
-                count += 1
-            assert count == U.order == euler_phi(U.modulus)
+            _assert_dlogs_rows_are_words(U, words)
+            assert len(words) == U.order == euler_phi(U.modulus)
 
     def test_smith_invariants_equal_reference_factor(self):
         """The filtration factor and the closed-form reference factor give
