@@ -149,7 +149,7 @@ class QuotientPresentation:
 
     @property
     def order(self) -> int:
-        return prod(self.invariants_full) if self.invariants_full else 1
+        return prod(self.invariants_full)
 
     def coords(self, exponents: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates in the quotient (nontrivial Smith positions only)."""
@@ -256,7 +256,7 @@ class AbelianGroupStructure:
 
     @property
     def order(self) -> int:
-        return prod(self.invariants) if self.invariants else 1
+        return prod(self.invariants)
 
     def to_dict(self) -> dict:
         return {"invariants": list(self.invariants),

@@ -24,7 +24,7 @@ from .abgroup import GroupError, QuotientPresentation, coords_order
 from .classforms import FormError, class_group, p_rank, s_class_group
 from .finitefield import FieldError
 from .lvaluation import (ResidueEmbedding, compute_N1, distinctness_check,
-                         euler_product_L, evaluate_imprimitive_L)
+                         euler_product_L, euler_residue, evaluate_imprimitive_L)
 from .okring import OkError, field, parse_element
 from .rayclass import CharacterSpec, anticyclotomic_tower, ray_class_group
 
@@ -152,7 +152,7 @@ def _cmd_nonvanish(args) -> None:
         raise OkError(f"lambda {lam} lies in the chosen prime above {args.p}; "
                       f"pick the other root with --root")
     n1 = compute_N1(emb, lam, args.k, 1, args.q)
-    residue = lam.norm() * pow(emb.embed(lam), -args.k, args.p) % args.p
+    residue = euler_residue(emb, lam, args.k)
     distinct = distinctness_check(args.p, args.q, 3)
     config = {"command": "nonvanish", "d": args.d, "p": args.p, "q": args.q,
               "lambda": str(lam), "k": args.k, "root": emb.root}

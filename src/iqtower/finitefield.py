@@ -48,7 +48,7 @@ def _poly_eval(coeffs, x: int, p: int) -> int:
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
-    """Monic gcd in F_p[x]; numpy-vectorized long division steps."""
+    """Monic gcd in F_p[x] of a and b, not both zero, by numpy long division."""
     a = np.array(a, dtype=dtype) % p
     b = np.array(b, dtype=dtype) % p
 
@@ -68,8 +68,6 @@ def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
             while da >= 0 and a[da] == 0:
                 da -= 1
         a, b, da, db = b, a, db, da
-    if da < 0:
-        return [0]
     inv = pow(int(a[da]), -1, p)
     return [int(c) * inv % p for c in a[:da + 1]]
 
@@ -212,7 +210,7 @@ class FFElement:
 
 
 def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    """Monic f = x^t + sum coeffs[i] x^i irreducible over F_p?
+    """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?
 
     Linear factors are pre-screened by evaluation, which settles t <= 3.
     Beyond that, Rabin's test: f is irreducible iff x^(p^t) = x mod f and
@@ -221,8 +219,6 @@ def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     run only for the few f that pass the first condition.
     """
     t = len(coeffs)
-    if t == 1:
-        return True
     if coeffs[0] == 0:
         return False
     for a in range(p):

@@ -101,6 +101,16 @@ def _projection_candidates(F: FiniteField):
     yield from F.iter_elements()
 
 
+def _check_pqm(p: int, q: int, m: int) -> None:
+    """Primes p != q and an exponent m >= 0."""
+    if not isprime(q) or not isprime(p):
+        raise OkError("p and q must be prime")
+    if q == p:
+        raise OkError("q = p is excluded: roots of unity collapse mod p")
+    if m < 0:
+        raise OkError("m must be >= 0")
+
+
 @lru_cache(maxsize=None)
 def unity_image(p: int, q: int, m: int) -> FFElement:
     """A fixed primitive q^m-th root of unity in F_{p^t}, t = ord(p mod q^m):
@@ -109,13 +119,10 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
     The q^m-torsion of F_{p^t}^x is unique, so the choice does not depend on
     how the subgroup is first reached.
     """
-    if not isprime(q) or not isprime(p):
-        raise OkError("p and q must be prime")
-    if q == p:
-        raise OkError("q = p is excluded: roots of unity collapse mod p")
-    qm = q ** m
+    _check_pqm(p, q, m)
     if m == 0:
         return finite_field(p, 1).one()
+    qm = q ** m
     t = int(n_order(p, qm))
     if t > EXPLICIT_FIELD_DEGREE_CAP:
         raise OkError(f"splitting field degree {t} exceeds the explicit cap "
@@ -145,12 +152,7 @@ def distinctness_check(p: int, q: int, m: int) -> bool:
     p, since p does not divide q^m, so its derivative q^m x^(q^m - 1) has
     only the root 0, which is not a root of x^(q^m) - 1.
     """
-    if not isprime(q) or not isprime(p):
-        raise OkError("p and q must be prime")
-    if q == p:
-        raise OkError("q = p is excluded")
-    if m < 0:
-        raise OkError("m must be >= 0")
+    _check_pqm(p, q, m)
     return True
 
 
@@ -171,20 +173,24 @@ def _field_images(p: int, *values) -> tuple[FiniteField, list[FFElement]]:
                for v in values]
 
 
+def euler_residue(emb: ResidueEmbedding, lam: OkElement, k: int) -> int:
+    """N(lambda) * lambda^(-k) in F_p, for lambda outside the chosen prime."""
+    a0 = emb.embed(lam)
+    if a0 == 0:
+        raise OkError(f"{lam} lies in the chosen prime above {emb.p}")
+    return lam.norm() * pow(a0, -k, emb.p) % emb.p
+
+
 def euler_factor_vanishes(emb: ResidueEmbedding, lam: OkElement, k: int,
                           phi0_image, eta_image) -> bool:
     """True iff N(lambda) = lambda^k * phi0 * eta in the residue field,
     i.e. the factor N(lambda) - lambda^k*phi(sigma_lambda) has positive
     valuation.  False is the non-vanishing case."""
-    a0 = emb.embed(lam)
-    if a0 == 0:
-        raise OkError(f"{lam} lies in the chosen prime above {emb.p}")
+    c = euler_residue(emb, lam, k)
     F, (phi0, eta) = _field_images(emb.p, phi0_image, eta_image)
     if phi0.is_zero() or eta.is_zero():
         raise OkError("character images must be units")
-    lhs = F.lift(lam.norm() % emb.p)
-    rhs = F.lift(pow(a0, k, emb.p)) * phi0 * eta
-    return lhs == rhs
+    return F.lift(c) == phi0 * eta
 
 
 def compute_N1(emb: ResidueEmbedding, lam: OkElement, k: int, phi0_image,
@@ -195,27 +201,21 @@ def compute_N1(emb: ResidueEmbedding, lam: OkElement, k: int, phi0_image,
     only when eta(sigma_lambda), a primitive q^m-th root of unity, equals a;
     that pins a single exact order q^m0.  Returns m0 + 1 when a has exact
     q-power order q^m0 (so vanishing is impossible for all eta of exact
-    order >= q^(m0+1)), and 0 when a is not a q-power root of unity at all.
+    order >= q^(m0+1)), and 0 when it has none: a^(q^v) != 1, v = v_q(|F^x|).
     """
     if not isprime(q) or q == emb.p:
         raise OkError("q must be a prime different from p")
-    a0 = emb.embed(lam)
-    if a0 == 0:
-        raise OkError(f"{lam} lies in the chosen prime above {emb.p}")
+    c = euler_residue(emb, lam, k)
     F, (phi0,) = _field_images(emb.p, phi0_image)
     if phi0.is_zero():
         raise OkError("phi0 image must be a unit")
-    a = F.lift(lam.norm() % emb.p) * F.lift(pow(a0, k, emb.p)).inverse() * phi0.inverse()
-    one = F.one()
-    if a == one:
-        return 1
-    v = padic_val(F.order - 1, q)
-    if not (a ** (q ** v) == one):
-        return 0
-    m0 = 1
-    while not (a ** (q ** m0) == one):
-        m0 += 1
-    return m0 + 1
+    a, one = F.lift(c) * phi0.inverse(), F.one()
+    for m0 in range(padic_val(F.order - 1, q) + 1):
+        if m0:
+            a = a ** q
+        if a == one:
+            return m0 + 1
+    return 0
 
 
 # ---------------------------------------------------------------------------

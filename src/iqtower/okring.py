@@ -436,9 +436,8 @@ def _ideal_rows(tag: FieldTag, bound: int):
     ymax = isqrt(4 * bound // (4 * n - t * t))
     for y in range(0, ymax + 1):
         c = n * y * y - bound
+        # disc = 4*bound - (4n - t^2)*y^2 >= 0 by the choice of ymax
         disc = t * t * y * y - 4 * c
-        if disc < 0:
-            continue
         r = math.sqrt(float(disc))
         lo = int(math.floor((-t * y - r) / 2)) - 1
         hi = int(math.ceil((-t * y + r) / 2)) + 1

@@ -12,9 +12,10 @@ cyclic residue-field part with Pohlig-Hellman discrete logs, and 1-unit
 generators 1 + pi^i*b whose l-th powers give the relations.  A split p^e
 enters through the ring isomorphism O_K/p^e = Z/l^e, which sends omega to
 -x/y for pi^e = x + y*omega (`okring.omega_residue`), with uniformiser l.
-No residue ring is enumerated and no generator is drawn at random.  The
-layers of an anticyclotomic tower are all read off one unit group, that of
-its top layer.
+A word in the generators is evaluated in each factor's own arithmetic and
+lifted to O_K/h once by CRT; generators are realised on demand.  No residue
+ring is enumerated and no generator is drawn at random.  The layers of an
+anticyclotomic tower are all read off one unit group, that of its top layer.
 
 Residues are reduced to a fixed fundamental domain (rounding division
 against the lattice basis {h, h*omega}), which makes representatives
@@ -246,8 +247,13 @@ class _Factor:
         smith = [_word_product(self._units, word, self._mul, (1, 0))
                  for word in pres.generator_words()]
         cyclic = self.order_res > 1      # (O_K/p)^x is trivial when Np = 2
-        self.gens = [OkElement(tag, *u) for u in [g0] * cyclic + smith]
+        self._gens = [g0] * cyclic + smith
         self.orders = [self.order_res] * cyclic + list(pres.invariants)
+
+    def power_word(self, word) -> tuple[int, int]:
+        """The product of the generators to the exponents `word`, a pair."""
+        return _word_product(self._gens, [v % o for v, o in zip(word, self.orders)],
+                             self._mul, (1, 0))
 
     def _mul(self, u, v, m: int = 0) -> tuple[int, int]:
         """(a + b*omega)(c + d*omega) mod m, by default mod l^e; mod l it is
@@ -403,37 +409,25 @@ class _Factor:
 
 
 class UnitGroup:
-    """(O_K/h)^x with concrete generators, orders and discrete logs."""
+    """(O_K/h)^x, the CRT product of its prime-power factors: orders,
+    discrete logs, and words evaluated per factor and lifted once; the
+    generators are realised as residues when `gens` is first read."""
 
     def __init__(self, modulus: OkElement):
         if modulus.is_zero():
             raise OkError("zero modulus")
         self.tag = modulus.tag
         self.modulus = canonical_associate(modulus)
-        fac = factor(self.modulus)
-        self.prime_powers = fac.factors
+        self.prime_powers = factor(self.modulus).factors
         self.factors = [_Factor(p, e) for p, e in self.prime_powers]
-        self.orders: list[int] = []
-        self.gens: list[OkElement] = []
-        for i, f in enumerate(self.factors):
-            lift = self._crt_idempotent(i)
-            for g, o in zip(f.gens, f.orders):
-                self.gens.append(reduce_mod(self.tag.one() + lift * (g - self.tag.one()),
-                                            self.modulus))
-                self.orders.append(o)
-
-    def _crt_idempotent(self, i: int) -> OkElement:
-        """u = 1 mod factor i, u = 0 mod the complementary part."""
-        f = self.factors[i]
-        cof = self.modulus.divide_exact(f.modulus)
-        if cof.is_unit():
-            return self.tag.one()
-        inv = f.inverse(cof)
-        return reduce_mod(cof * inv, self.modulus)
+        self.orders = [o for f in self.factors for o in f.orders]
+        # per factor, unreduced: 1 modulo it and 0 modulo the complementary part
+        cofactors = [self.modulus.divide_exact(f.modulus) for f in self.factors]
+        self._idempotents = [c * f.inverse(c) for f, c in zip(self.factors, cofactors)]
 
     @property
     def order(self) -> int:
-        return prod(self.orders) if self.orders else 1
+        return prod(self.orders)
 
     def is_unit(self, e: OkElement) -> bool:
         return not any(p.divides(e) for p, _ in self.prime_powers)
@@ -446,10 +440,19 @@ class UnitGroup:
         return out
 
     def power_word(self, exponents) -> OkElement:
-        def mul(a, b):
-            return reduce_mod(a * b, self.modulus)
-        return _word_product(self.gens, [v % o for v, o in zip(exponents, self.orders)],
-                             mul, reduce_mod(self.tag.one(), self.modulus))
+        """The product of the generators to the exponents: per factor f its
+        word x_f, lifted as 1 + sum e_f*(x_f - 1) and reduced once."""
+        one, lift, i = self.tag.one(), self.tag.one(), 0
+        for f, idem in zip(self.factors, self._idempotents):
+            x = OkElement(self.tag, *f.power_word(exponents[i:i + len(f.orders)]))
+            lift, i = lift + idem * (x - one), i + len(f.orders)
+        return reduce_mod(lift, self.modulus)
+
+    @cached_property
+    def gens(self) -> list[OkElement]:
+        """The generators as residues, realised on first read."""
+        k = len(self.orders)
+        return [self.power_word([int(i == j) for j in range(k)]) for i in range(k)]
 
     def mu_image_vector(self) -> list[int]:
         return self.dlog(self.tag.unit_gen())
@@ -512,8 +515,8 @@ class RayClassGroup:
         self.units = UnitGroup(modulus)
         self.modulus = self.units.modulus
         self.tag = self.units.tag
-        rels = [self.units.mu_image_vector()] if self.units.orders else []
-        self.presentation = QuotientPresentation.from_relations(self.units.orders, rels)
+        self.presentation = QuotientPresentation.from_relations(
+            self.units.orders, [self.units.mu_image_vector()])
         self.degree = self.presentation.order
 
     # groups built separately for one (canonical) modulus are the same group,
@@ -601,7 +604,7 @@ def characters(group, *, exact_order: int | None = None,
         invariants = group.presentation.invariants
     else:
         invariants = tuple(group)
-    total = prod(invariants) if invariants else 1
+    total = prod(invariants)
     if total > limit:
         raise GroupError(f"character group of order {total} exceeds limit {limit}")
     out = []
@@ -639,10 +642,6 @@ class AnticyclotomicTower:
 def _minus_relations(U: UnitGroup, q: int):
     """The q-primary part S of U: its cyclic orders, its discrete log, and
     the relations x*conj(x) for x running over its generators."""
-    # reduce after every product: g ** k unreduced has k times the digits of g
-    def mul(a: OkElement, b: OkElement) -> OkElement:
-        return reduce_mod(a * b, U.modulus)
-
     syl = [(i, q ** padic_val(o, q)) for i, o in enumerate(U.orders) if o % q == 0]
     orders = [qpart for _, qpart in syl]
 
@@ -652,8 +651,8 @@ def _minus_relations(U: UnitGroup, q: int):
 
     rels = []
     for i, qpart in syl:
-        h = _pow(U.gens[i], U.orders[i] // qpart, mul, U.tag.one())
-        rels.append(sylow_dlog(mul(h, h.conj())))
+        h = U.power_word([U.orders[i] // qpart if j == i else 0 for j in range(len(U.orders))])
+        rels.append(sylow_dlog(h * h.conj()))
     return orders, sylow_dlog, rels
 
 

@@ -378,6 +378,21 @@ class ReferenceSplitFactor:
         return [_dlog_cyclic_int(r, self.int_mod, self._tables)]
 
 
+def crt_lifted_gens(U) -> list[OkElement]:
+    """The generators of the unit group U, each factor's generators lifted
+    one at a time: the factor's CRT idempotent, reduced mod h (1 for a
+    single factor), then 1 + lift*(g - 1) reduced mod h for each of the
+    factor's generators g, the pairs of its filtration."""
+    one = U.tag.one()
+    out = []
+    for f in U.factors:
+        cof = U.modulus.divide_exact(f.modulus)
+        lift = one if cof.is_unit() else reduce_mod(cof * f.inverse(cof), U.modulus)
+        for g in f._gens:
+            out.append(reduce_mod(one + lift * (OkElement(U.tag, *g) - one), U.modulus))
+    return out
+
+
 # -- group-structure oracle ----------------------------------------------------
 # Structure recovery by Sylow counting, the oracle for the relation walk of
 # `abgroup.abelian_structure`: prime-power orders from torsion counts, then a

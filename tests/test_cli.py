@@ -188,6 +188,25 @@ class TestExitCodes:
         code, _, err = run_cli(["classgroup", "--disc", "-6"], capsys)
         assert code == 3
 
+    def test_nonvanish_lambda_in_the_chosen_prime_is_3(self, capsys):
+        # the default root 2 of -1 mod 5 sends 1 + 2i to 1 + 2*2 = 0
+        code, out, err = run_cli(["nonvanish", "--d", "1", "--p", "5", "--q", "3",
+                                  "--lambda", "1+2*w"], capsys)
+        assert code == 3 and out == "" and "--root" in err
+        code, _, _ = run_cli(["nonvanish", "--d", "1", "--p", "5", "--q", "3",
+                              "--lambda", "1+2*w", "--root", "3"], capsys)
+        assert code == 0
+
+    def test_lseries_character_of_the_wrong_length_is_3(self, capsys):
+        # the ray class group of 3 in Z[i] is cyclic of order 2: one exponent
+        code, out, err = run_cli(["lseries", "--d", "1", "--modulus", "3", "--s", "2.0",
+                                  "--B", "200", "--char", "1,1"], capsys)
+        assert code == 3 and out == "" and "does not match" in err
+
+    def test_tower_negative_depth_is_3(self, capsys):
+        code, out, err = run_cli(["tower", "--d", "1", "--q", "5", "--depth", "-1"], capsys)
+        assert code == 3 and out == "" and "nonnegative" in err
+
     @pytest.mark.parametrize("S", [["4", "6"], ["0"], ["-5"], ["2", "9"]])
     def test_classgroup_non_prime_s_is_3(self, capsys, S):
         code, out, err = run_cli(["classgroup", "--disc", "-471", "--S", *S], capsys)

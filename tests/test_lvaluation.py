@@ -122,6 +122,19 @@ class TestUnityImage:
         with pytest.raises(OkError):
             unity_image(5, 5, 1)
 
+    def test_negative_m_rejected(self):
+        with pytest.raises(OkError, match="m must be >= 0"):
+            unity_image(5, 3, -1)
+
+    def test_degree_cap(self, monkeypatch):
+        def no_field(p, t):
+            raise AssertionError(f"F_{p}^{t} built")
+        monkeypatch.setattr("iqtower.lvaluation.finite_field", no_field)
+        # 2 is a primitive root mod 5^4, so F_2(mu_625) has degree 500
+        assert n_order(2, 5 ** 4) == 500 > EXPLICIT_FIELD_DEGREE_CAP
+        with pytest.raises(OkError, match="exceeds the explicit cap"):
+            unity_image(2, 5, 4)
+
     def test_exact_order(self):
         for (p, q, m) in ((5, 3, 2), (7, 3, 3), (11, 5, 1), (13, 3, 2)):
             z = unity_image(p, q, m)

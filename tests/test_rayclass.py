@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from sympy import factorint, primerange
 
+from iqtower import rayclass
 from iqtower.abgroup import GroupError, QuotientPresentation, _pow, coords_order, padic_val
 from iqtower.classforms import class_group
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
@@ -21,7 +22,7 @@ from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
                               unit_group_structure)
 
 from oracles import (ReferenceSplitFactor, brute_euler_phi, brute_ray_degree,
-                     brute_torsion_counts, sylow_structure)
+                     brute_torsion_counts, crt_lifted_gens, sylow_structure)
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -102,6 +103,44 @@ class TestUnitGroupStructure:
                 assert reduce_mod(U.power_word(vec), m) == reduce_mod(e, m)
 
 
+class TestGeneratorsOnDemand:
+    def test_gens_equal_eagerly_lifted_gens(self):
+        """The generators realised through power_word are the residues of
+        lifting each factor generator by its reduced CRT idempotent, for
+        every modulus of norm <= 300 in the nine fields."""
+        count = 0
+        for tag in ALL_TAGS:
+            for m in elements_up_to_norm(tag, 300):
+                U = UnitGroup(m)
+                assert U.gens == crt_lifted_gens(U), (tag.d, str(m))
+                count += 1
+        assert count == 1946
+
+    def test_ray_class_group_realises_no_generator(self, monkeypatch):
+        calls = []
+        reduce, power_word = rayclass.reduce_mod, UnitGroup.power_word
+
+        def counted_reduce(e, modulus):
+            calls.append("reduce_mod")
+            return reduce(e, modulus)
+
+        def counted_power_word(self, exponents):
+            calls.append("power_word")
+            return power_word(self, exponents)
+        monkeypatch.setattr(rayclass, "reduce_mod", counted_reduce)
+        monkeypatch.setattr(UnitGroup, "power_word", counted_power_word)
+        K1, K2 = field(1), field(2)
+        # a split square times an inert prime, every prime kind at once, a
+        # split cube times an inert prime, and the unit modulus
+        groups = [RayClassGroup(m) for m in (
+            OkElement(K1, 35, -12) * K1.from_int(3), K1.from_int(2 * 3 * 5 * 7) ** 2,
+            OkElement(K2, 3, 1) ** 3 * K2.from_int(5), K1.one())]
+        assert calls == []
+        # reading a structure realises its generators, one reduction each
+        k = len(groups[1].structure.generators)
+        assert k > 0 and calls == ["power_word", "reduce_mod"] * k
+
+
 def _nonsplit_powers(bound):
     """(p, e) for every inert or ramified prime power of norm <= bound, in
     all nine fields."""
@@ -163,6 +202,14 @@ class TestNonsplitFactors:
         U = UnitGroup(K2.from_int(5) ** 2)
         with pytest.raises(GroupError):
             U.dlog(K2.from_int(10))
+
+    def test_non_unit_rejected_by_dlogs(self):
+        # one non-unit among units, at an inert and at a split prime power
+        K1, K2 = field(1), field(2)
+        for m, bad in ((K2.from_int(5) ** 2, (10, 0)), (OkElement(K1, 2, 1) ** 2, (2, 1))):
+            (f,) = UnitGroup(m).factors
+            with pytest.raises(GroupError, match="not a unit"):
+                f.dlogs(np.array([1, bad[0], 3]), np.array([0, bad[1], 0]))
 
 
 def _split_powers(bound):
