@@ -4,13 +4,19 @@ The modulus of F_{p^t} is the lexicographically smallest monic irreducible
 polynomial f of degree t over F_p, coefficients compared constant term
 first.  Elements are coefficient tuples (low degree first).
 
-The search tests candidates on bare arrays by Rabin's test (M. O. Rabin,
-SIAM J. Comput. 9, 1980): f is irreducible iff x^(p^t) = x mod f and
-gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.  A Frobenius step y ->
-y^p is one product y @ Q mod p with the matrix Q whose row i is x^(i*p)
-mod f (Cohen, GTM 138, 3.4), built from the matrix of multiplication by
-x^p.  The gcds run only for the candidates that pass x^(p^t) = x, and only
-the winner becomes a FiniteField.
+The search tests candidates on bare arrays.  A screen first rules out
+irreducible factors of degree <= d, d = 1 for t <= 3 and d = 2 beyond,
+which decides every t <= 5.  While F_{p^d} has at most SCREEN_POINTS_MAX
+points, the screen is one product of the candidate's coefficients with a
+table of alpha^i for every alpha in F_{p^d}, built once per search; above
+that it is gcd(x^(p^d) - x, f) = 1 by repeated squaring, so no step loops
+over the points of F_p.  The candidates of degree t >= 6 that pass go to
+Rabin's test (M. O. Rabin, SIAM J. Comput. 9, 1980): f is irreducible iff
+x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.  A
+Frobenius step y -> y^p is one product y @ Q mod p with the matrix Q whose
+row i is x^(i*p) mod f (Cohen, GTM 138, 3.4), built from the matrix of
+multiplication by x^p.  The gcds run only for the candidates that pass
+x^(p^t) = x, and only the winner becomes a FiniteField.
 
 Multiplication has one path: the numpy convolution of the two coefficient
 vectors, reduced mod p, and a fold of its t - 1 high coefficients through
@@ -31,6 +37,12 @@ import numpy as np
 from .abgroup import _pow
 
 
+# the screen evaluates candidates at every point of F_{p^d} while there are
+# at most this many, and takes gcd(x^(p^d) - x, f) beyond: the measured
+# crossover lies between 4,000 and 8,000 points for 2 <= t <= 200
+SCREEN_POINTS_MAX = 2 ** 12
+
+
 class FieldError(ValueError):
     pass
 
@@ -38,13 +50,6 @@ class FieldError(ValueError):
 def _dtype(p: int, t: int):
     """int64 when no sum of t products of residues mod p can overflow it."""
     return np.int64 if t * (p - 1) ** 2 < 2 ** 63 else object
-
-
-def _poly_eval(coeffs, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
@@ -209,22 +214,71 @@ class FFElement:
         return f"FF({self.field.p}^{self.field.t}){self.coeffs}"
 
 
-def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
+def _small_factor_screen(p: int, t: int):
+    """A test of monic f of degree t >= 2, given by its low coefficients:
+    True iff f has no irreducible factor of degree <= d, with d = 1 for
+    t <= 3 and d = 2 beyond, i.e. no root in F_{p^d}.
+
+    While p^d <= SCREEN_POINTS_MAX, f(alpha) for every alpha = a + b*theta
+    in F_{p^d} is one product of f's coefficients with a (t+1) x 2p^d table
+    whose row i holds both coordinates of alpha^i (theta^2 = the least
+    non-residue for odd p, theta^2 = theta + 1 for p = 2).  Beyond, the same
+    test is gcd(x^(p^d) - x, f) = 1, by O(d log p) products mod f and no
+    per-point data.
+    """
+    d = 1 if t <= 3 else 2
+    n = p ** d
+    dtype = _dtype(p, t + 1)
+    if n <= SCREEN_POINTS_MAX:
+        b, a = np.divmod(np.arange(n, dtype=dtype), p)
+        if p == 2:
+            nr, s = 1, 1
+        else:
+            square = np.zeros(p, dtype=bool)
+            square[np.arange(p, dtype=dtype) ** 2 % p] = True
+            nr, s = int(np.argmin(square)), 0
+        # (u + v theta)(a + b theta) = (u a + v nr b) + (u b + v (a + s b)) theta
+        # for theta^2 = nr + s theta
+        nb, ab = nr * b % p, (a + s * b) % p
+        table = np.empty((t + 1, 2 * n), dtype=dtype)
+        u, v = np.ones(n, dtype=dtype), np.zeros(n, dtype=dtype)
+        for row in table:
+            row[:n], row[n:] = u, v
+            u, v = (u * a + v * nb) % p, (u * b + v * ab) % p
+
+        def screen(coeffs) -> bool:
+            vals = np.array(coeffs + (1,), dtype=dtype) @ table % p
+            return not np.any((vals[:n] == 0) & (vals[n:] == 0))
+        return screen
+
+    one, x = np.zeros((2, t), dtype=dtype)
+    one[0] = x[1] = 1
+
+    def screen(coeffs) -> bool:
+        low = -np.array(coeffs, dtype=dtype) % p
+        fold = _shift_rows(low, low, t - 1, p)
+        y = x
+        for _ in range(d):
+            y = _pow(y, p, lambda a, b: _mul_mod(a, b, fold, p), one)
+        return _poly_gcd((y - x).tolist(), list(coeffs) + [1], p, dtype) == [1]
+    return screen
+
+
+def _is_irreducible(p: int, coeffs: tuple[int, ...], screen=None) -> bool:
     """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?
 
-    Linear factors are pre-screened by evaluation, which settles t <= 3.
+    The screen (built here unless the search passes its own) rules out
+    factors of degree <= 2, or <= 1 for t <= 3, which settles t <= 5: a
+    reducible polynomial of degree <= 5 has a factor of degree <= 2.
     Beyond that, Rabin's test: f is irreducible iff x^(p^t) = x mod f and
     gcd(x^(p^(t/r)) - x, f) = 1 for every prime r | t.  The Frobenius steps
     y -> y^p are y @ Q mod p, where row i of Q is x^(i*p) mod f; the gcds
     run only for the few f that pass the first condition.
     """
     t = len(coeffs)
-    if coeffs[0] == 0:
+    if not (screen or _small_factor_screen(p, t))(coeffs):
         return False
-    for a in range(p):
-        if _poly_eval(coeffs + (1,), a, p) == 0:
-            return False
-    if t in (2, 3):
+    if t <= 5:
         return True
     dtype = _dtype(p, t)
     one, x = np.zeros((2, t), dtype=dtype)
@@ -263,12 +317,15 @@ def finite_field(p: int, t: int) -> FiniteField:
         raise FieldError("degree must be >= 1")
     if t == 1:
         return FiniteField(p, 1, (0,))
+    screen = _small_factor_screen(p, t)
     # the candidates in that order are the t base-p digits of a counter,
-    # most significant first, from (1, 0, ..., 0) on
-    for n in range(p ** (t - 1), p ** t):
-        tail = [0] * t
-        for i in range(t - 1, -1, -1):
-            n, tail[i] = divmod(n, p)
-        if _is_irreducible(p, tuple(tail)):
-            return FiniteField(p, t, tuple(tail))
-    raise FieldError(f"no irreducible polynomial found for p={p}, t={t}")
+    # most significant first, from (1, 0, ..., 0) on; irreducible
+    # polynomials of degree t exist, so the counter stops before it wraps
+    tail = [1] + [0] * (t - 1)
+    while not _is_irreducible(p, tuple(tail), screen):
+        i = t - 1
+        while tail[i] == p - 1:
+            tail[i] = 0
+            i -= 1
+        tail[i] += 1
+    return FiniteField(p, t, tuple(tail))

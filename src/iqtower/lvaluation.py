@@ -35,8 +35,9 @@ import numpy as np
 from sympy import isprime, n_order
 from sympy.ntheory import sqrt_mod
 
-from .abgroup import padic_val
-from .finitefield import FFElement, FieldError, FiniteField, finite_field
+from .abgroup import _pow, padic_val
+from .finitefield import (FFElement, FieldError, FiniteField, _mul_mod, _shift_rows,
+                          finite_field)
 from .okring import (FieldTag, OkElement, OkError, _ideal_rows, factor, omega_residue,
                      split_type)
 from .rayclass import CharacterSpec, _hnf_box, _smith_coords, ray_class_group
@@ -88,17 +89,23 @@ class ResidueEmbedding:
         return 1 if m == 1 else int(n_order(self.p, m))
 
 
-def _projection_candidates(F: FiniteField):
-    """Deterministic scan order for elements whose cofactor power is tested
-    for primitivity: affine elements c1*x + c0 first (monomial-shaped
-    candidates fail in long structured runs), then everything."""
-    if F.t == 1:
-        yield from F.iter_elements()
-        return
-    for c1 in range(1, F.p):
-        for c0 in range(F.p):
-            yield F.element((c0, c1) + (0,) * (F.t - 2))
-    yield from F.iter_elements()
+def _projection_candidates(p: int, t: int):
+    """Deterministic scan order, as coefficient tuples, for nonzero elements
+    whose cofactor power is tested for primitivity: affine elements
+    c1*x + c0 first (monomial-shaped candidates fail in long structured
+    runs), then every element, the constant term counting fastest."""
+    if t > 1:
+        for c1 in range(1, p):
+            for c0 in range(p):
+                yield (c0, c1) + (0,) * (t - 2)
+    for n in range(1, p ** t):
+        yield tuple(n // p ** i % p for i in range(t))
+
+
+def _lex_least(rows: np.ndarray) -> np.ndarray:
+    """The coefficient-lexicographically least row, constant term first
+    (lexsort's primary key is its last)."""
+    return rows[np.lexsort(rows.T[::-1])[0]]
 
 
 def _check_pqm(p: int, q: int, m: int) -> None:
@@ -117,7 +124,11 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
     the coefficient-lexicographically smallest element of exact order q^m.
 
     The q^m-torsion of F_{p^t}^x is unique, so the choice does not depend on
-    how the subgroup is first reached.
+    how the subgroup is first reached.  A generator w of it is the cofactor
+    power z^((p^t - 1)/q^m) of the first scanned z where that power has
+    exact order q^m, taken on bare arrays.  The q^m powers of w come
+    ceil(sqrt(q^m)) at a time through W, the matrix of multiplication by w,
+    and np.lexsort picks the least w^j with q not dividing j.
     """
     _check_pqm(p, q, m)
     if m == 0:
@@ -128,20 +139,31 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
         raise OkError(f"splitting field degree {t} exceeds the explicit cap "
                       f"{EXPLICIT_FIELD_DEGREE_CAP}")
     F = finite_field(p, t)
+    one, low = F.one()._as_array(), -np.array(F.modulus, dtype=F.dtype) % p
+
+    def mul(a, b):
+        return _mul_mod(a, b, F._fold, p)
+
     cof = (F.order - 1) // qm
-    qm1 = qm // q
     # the scan reaches a generator of F^x, whose cof-th power has order q^m
-    w = next(c for c in (z ** cof for z in _projection_candidates(F) if not z.is_zero())
-             if not (c ** qm1 == F.one()))
-    # enumerate mu_{q^m} and take the lex-smallest element of exact order
-    best = None
-    acc = F.one()
-    for j in range(qm):
-        if j and j % q:
-            if best is None or acc.coeffs < best.coeffs:
-                best = acc
-        acc = acc * w
-    return best
+    w = next(c for c in (_pow(np.array(z, dtype=F.dtype), cof, mul, one)
+                         for z in _projection_candidates(p, t))
+             if not np.array_equal(_pow(c, qm // q, mul, one), one))
+    # y @ W is y * w (row i of W is x^i * w mod f); the block holds w^j for
+    # k consecutive j, and block @ step moves it on by w^k (past j = q^m
+    # the powers repeat, so the last block may overrun)
+    W = _shift_rows(w, low, t, p)
+    k = isqrt(qm - 1) + 1
+    block = np.empty((k, t), dtype=F.dtype)
+    block[0] = one
+    for j in range(1, k):
+        block[j] = block[j - 1] @ W % p
+    step = _shift_rows(block[-1] @ W % p, low, t, p)
+    least = []
+    for start in range(0, qm, k):
+        least.append(_lex_least(block[(start + np.arange(k)) % q != 0]))
+        block = block @ step % p
+    return F.element(_lex_least(np.array(least)))
 
 
 def distinctness_check(p: int, q: int, m: int) -> bool:

@@ -23,13 +23,16 @@ coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers; irreducibility is decided by
-batched gcds with x^(p^k) - x for every k <= t/2, and the q^m-th roots of
-unity in F_{p^t} are told apart by collecting all q^m powers of one.
+batched gcds with x^(p^k) - x for every k <= t/2, the q^m-th roots of
+unity in F_{p^t} are told apart by collecting all q^m powers of one, and
+the least of exact order q^m is found by multiplying out those powers one
+field element at a time.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 from math import gcd, isqrt
@@ -39,7 +42,7 @@ from sympy import divisors, factorint, n_order, primerange, primitive_root
 
 from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
-from iqtower.finitefield import FiniteField, _poly_eval, _poly_gcd
+from iqtower.finitefield import FiniteField, _poly_gcd, finite_field
 from iqtower.lvaluation import (LSeriesValue, _character, _coprime_rows, _prime_entries,
                                 _prime_sieve, dirichlet_tail_bound, unity_image)
 from iqtower.okring import OkElement, canonical_associate, gcd_ok, omega_residue, primes_above
@@ -558,6 +561,13 @@ def ff_inverse(p: int, modulus: tuple, a: tuple) -> tuple:
     return tuple(out[:t])
 
 
+def _poly_eval(coeffs, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % p
+    return acc
+
+
 def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     """Monic f = x^t + sum coeffs[i] x^i irreducible over F_p?
 
@@ -595,6 +605,29 @@ def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
                 return False
             batch = F.one()
     return True
+
+
+def scanned_unity_image(p: int, q: int, m: int):
+    """The lex-least element of exact order q^m in F_{p^t}, t = ord(p mod
+    q^m), by a scan on field elements: the cofactor power of the first
+    affine element c1*x + c0, then of the first element in lexicographic
+    order, whose power has exact order q^m, and then all q^m of its powers
+    multiplied out one at a time."""
+    if m == 0:
+        return finite_field(p, 1).one()
+    qm = q ** m
+    F = finite_field(p, int(n_order(p, qm)))
+    affine = (F.element((c0, c1) + (0,) * (F.t - 2))
+              for c1 in range(1, p) for c0 in range(p)) if F.t > 1 else ()
+    w = next(c for c in (z ** ((F.order - 1) // qm)
+                         for z in itertools.chain(affine, F.iter_elements()) if not z.is_zero())
+             if not c ** (qm // q) == F.one())
+    best, acc = None, F.one()
+    for j in range(qm):
+        if j % q and (best is None or acc.coeffs < best.coeffs):
+            best = acc
+        acc = acc * w
+    return best
 
 
 # Splitting degrees ord(p mod q^m) up to which the tests compare the q^m

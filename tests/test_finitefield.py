@@ -8,6 +8,7 @@ products overflow."""
 
 import hashlib
 import itertools
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius, primerange
 
-from iqtower.finitefield import FieldError, FiniteField, _is_irreducible, finite_field
+from iqtower import finitefield
+from iqtower.finitefield import (FieldError, FiniteField, _is_irreducible, _small_factor_screen,
+                                 finite_field)
 from iqtower.lvaluation import unity_image
 
 from oracles import batched_gcd_is_irreducible, ff_inverse, ff_mul
@@ -152,7 +155,8 @@ class TestIrreducibility:
                                      (2, 3), (3, 3), (5, 3), (7, 3)])
     def test_products_fixed_by_frobenius_are_rejected(self, p, d):
         """g*h for distinct irreducible g, h of degree d is fixed by
-        x -> x^(p^(2d)) and has no root, so only a gcd can reject it."""
+        x -> x^(p^(2d)) and has no root.  At d = 3 only Rabin's gcd can
+        reject it; at d = 2 the screen for factors of degree <= 2 does."""
         g, h = itertools.islice((c for c in itertools.product(range(p), repeat=d)
                                  if batched_gcd_is_irreducible(p, c)), 2)
         f = _poly_mul(p, g, h)
@@ -189,3 +193,90 @@ class TestIrreducibility:
             tracemalloc.stop()
         assert F.modulus == (1, 0)
         assert peak < 2 ** 20, peak
+
+
+def _first_irreducibles(p: int, d: int, count: int) -> list[tuple]:
+    return list(itertools.islice((c for c in itertools.product(range(p), repeat=d)
+                                  if batched_gcd_is_irreducible(p, c)), count))
+
+
+class TestScreen:
+    """The screen for irreducible factors of degree <= d (d = 1 for t <= 3,
+    2 beyond): a table of the points of F_{p^d} while p^d is at most
+    SCREEN_POINTS_MAX, gcd(x^(p^d) - x, f) beyond."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("dh", [3, 4])
+    def test_products_without_small_factors_pass_it(self, p, dh):
+        """g*h for distinct irreducible g, h of degrees 3 and dh has no
+        factor of degree <= 2, so it passes the screen and Rabin's test
+        rejects it.  At dh = 3, x^(p^6) = x mod g*h, so only the gcd can."""
+        g, h = (_first_irreducibles(p, 3, 2) if dh == 3
+                else _first_irreducibles(p, 3, 1) + _first_irreducibles(p, 4, 1))
+        f = _poly_mul(p, g, h)
+        assert _small_factor_screen(p, len(f))(f)
+        assert _frobenius_fixes_x(p, f) == (dh == 3)
+        assert not _is_irreducible(p, f)
+
+    @pytest.mark.parametrize("p,t", [(p, t) for p in (2, 3, 5) for t in range(2, 7)
+                                     if p ** t <= 3125])
+    def test_table_and_gcd_sides_agree_on_every_candidate(self, p, t, monkeypatch):
+        table = _small_factor_screen(p, t)
+        monkeypatch.setattr(finitefield, "SCREEN_POINTS_MAX", 0)
+        gcd = _small_factor_screen(p, t)
+        for coeffs in itertools.product(range(p), repeat=t):
+            assert table(coeffs) == gcd(coeffs), coeffs
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.data())
+    def test_candidates_on_both_sides_of_the_crossover_match_oracle(self, data):
+        # p^d <= SCREEN_POINTS_MAX = 4096 at p = 4093 (t <= 3) and p = 61;
+        # above it at p = 4099 and, for t >= 4, at p = 67 and p = 4093
+        assert finitefield.SCREEN_POINTS_MAX == 4096
+        p = data.draw(st.sampled_from([2, 3, 61, 67, 4093, 4099]))
+        t = data.draw(st.integers(2, 10))
+
+        def monic(n):
+            return st.tuples(*[st.integers(0, p - 1)] * n)
+
+        if data.draw(st.booleans()):
+            coeffs = data.draw(monic(t))
+        else:   # a product, which has a factor of degree <= 2 when a or t - a is
+            a = data.draw(st.integers(1, t - 1))
+            coeffs = _poly_mul(p, data.draw(monic(a)), data.draw(monic(t - a)))
+        assert _is_irreducible(p, coeffs) == batched_gcd_is_irreducible(p, coeffs)
+
+    @pytest.mark.parametrize("p,t", [(2, 4), (2, 5), (3, 4), (3, 5), (5, 4), (13, 5)])
+    def test_no_frobenius_matrix_below_degree_six(self, p, t, monkeypatch):
+        calls = []
+        shift_rows = finitefield._shift_rows
+
+        def counting(*args):
+            calls.append(args)
+            return shift_rows(*args)
+
+        monkeypatch.setattr(finitefield, "_shift_rows", counting)
+        F = finite_field.__wrapped__(p, t)
+        assert len(calls) == 1          # the fold of the FiniteField itself
+        calls.clear()
+        if p ** t <= 3125:
+            for coeffs in itertools.product(range(p), repeat=t):
+                _is_irreducible(p, coeffs)
+            assert calls == []
+        calls.clear()
+        finite_field.__wrapped__(p, 6)
+        assert len(calls) > 1           # the counter sees Rabin's matrices
+
+    def test_search_beyond_int64(self):
+        p = 10 ** 30 + 57
+        start = time.perf_counter()
+        F = finite_field.__wrapped__(p, 2)
+        assert time.perf_counter() - start < 1.0
+        c0, c1 = F.modulus
+
+        def irreducible(a, b):
+            # x^2 + b x + a: Euler's criterion on the discriminant
+            return pow(b * b - 4 * a, (p - 1) // 2, p) == p - 1
+
+        assert c0 == 1 and irreducible(c0, c1)
+        assert not any(irreducible(1, b) for b in range(c1))

@@ -25,7 +25,7 @@ from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_clas
 
 from oracles import (DISTINCT_POWERS_MAX_DEGREE, distinct_unity_powers,
                      euler_prime_ideals, lattice_zeta, per_class_chi_row, per_ideal_chi,
-                     two_walk_L)
+                     scanned_unity_image, two_walk_L)
 
 
 def _exact_order_roots(p, q, m):
@@ -134,6 +134,25 @@ class TestUnityImage:
         assert n_order(2, 5 ** 4) == 500 > EXPLICIT_FIELD_DEGREE_CAP
         with pytest.raises(OkError, match="exceeds the explicit cap"):
             unity_image(2, 5, 4)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_equals_scan_oracle_on_residue_fields(self, p):
+        # every odd q < 50 with q^m, m <= 3, generating a field of degree
+        # t <= 64, as in the residue benchmark's field list, and m = 0
+        cases = [(q, m) for q in primerange(3, 50) if q != p for m in range(4)
+                 if m == 0 or n_order(p, q ** m) <= 64]
+        assert len(cases) > 14
+        for q, m in cases:
+            assert unity_image(p, q, m) == scanned_unity_image(p, q, m), (p, q, m)
+
+    def test_prime_field_beyond_int64(self):
+        # t = 1 at p = 2^61 - 1: the scan must count through F_p lazily,
+        # with no copy of range(p)
+        p = 2 ** 61 - 1
+        for q in (3, 5):
+            c = unity_image(p, q, 1).coeffs[0]
+            assert pow(c, q, p) == 1 != c
+            assert c == min(pow(c, j, p) for j in range(1, q))
 
     def test_exact_order(self):
         for (p, q, m) in ((5, 3, 2), (7, 3, 3), (11, 5, 1), (13, 3, 2)):
