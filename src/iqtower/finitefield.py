@@ -29,7 +29,6 @@ so arithmetic is exact for every p and t.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -147,11 +146,6 @@ class FiniteField:
             # F_p with modulus x: the class of x is 0
             return self.zero()
         return self.element((0, 1) + (0,) * (self.t - 2))
-
-    def iter_elements(self):
-        """All elements in ascending coefficient-lexicographic order."""
-        for tup in itertools.product(range(self.p), repeat=self.t):
-            yield FFElement(self, tup)
 
     # -- arithmetic core ------------------------------------------------------
     def _mul(self, a: "FFElement", b: "FFElement") -> tuple[int, ...]:

@@ -11,12 +11,15 @@ i.e. nonzero vs zero in the residue field.
 
 The L-series side evaluates imprimitive Hecke L-functions of finite-order
 ray class characters as truncated ideal sums and truncated Euler products.
-One walk over the ideals, in okring's numpy rows of one representative per
-ideal, computes both: each row's terms chi(a) N(a)^(-s) go into the sum,
-and the terms at entries that generate prime ideals into the product.  A
-nontrivial character is evaluated a chunk of rows at a time, in numpy:
-each prime-power factor's discrete logs run once per chunk, on its
-distinct residues modulo that factor, and nothing is kept between chunks.
+One walk over the ideals, in okring's numpy chunks of whole rows with one
+representative per ideal, computes both.  Per chunk, one expression per
+prime factor of the modulus masks the ideals coprime to it, and the
+character and the terms chi(a) N(a)^(-s) are evaluated once, in numpy:
+each row's terms are summed on their own, in row order, and the terms at
+entries that generate prime ideals divide the product, one division each.
+A nontrivial character's prime-power factors run their discrete logs once
+per chunk, on the distinct residues modulo each factor, and nothing is
+kept between chunks.
 Both carry rigorous tail bounds from the ideal-count estimate
 r_K(n) <= d(n) (valid for every imaginary quadratic field: r_K(n) = sum
 over m | n of chi_disc(m), a sum of n/m terms each at most 1).
@@ -27,9 +30,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt
 from numbers import Integral
+from operator import truediv
 
 import numpy as np
 from sympy import isprime, n_order
@@ -38,14 +42,12 @@ from sympy.ntheory import sqrt_mod
 from .abgroup import _pow, padic_val
 from .finitefield import (FFElement, FieldError, FiniteField, _mul_mod, _shift_rows,
                           finite_field)
-from .okring import (FieldTag, OkElement, OkError, _ideal_rows, factor, omega_residue,
+from .okring import (FieldTag, OkElement, OkError, _ideal_chunks, factor, omega_residue,
                      split_type)
 from .rayclass import CharacterSpec, _hnf_box, _smith_coords, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
 EXPLICIT_FIELD_DEGREE_CAP = 400
-# the L-walk evaluates chi on chunks of about this many ideals at a time
-CHUNK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -283,35 +285,30 @@ def _prime_sieve(bound: int) -> np.ndarray:
     return sieve
 
 
-def _chunks(rows):
-    """Consecutive rows, grouped until a group holds CHUNK_ENTRIES entries."""
-    chunk, size = [], 0
-    for row in rows:
-        chunk.append(row)
-        size += len(row[1])
-        if size >= CHUNK_ENTRIES:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
-
-
-def _coprime_rows(tag: FieldTag, modulus: OkElement, bound: int):
-    """The _ideal_rows rows restricted to ideals coprime to the modulus.  A
-    prime of degree one over ell with omega = s mod it divides x + y*omega
-    iff x + y*s = 0 mod ell; an inert ell divides it iff ell | x and ell | y.
-    A prime of norm > bound divides no ideal of norm <= bound."""
+def _coprime_mask(modulus: OkElement, bound: int):
+    """mask(ys, xs): which of the _ideal_chunks entries x + y*omega of norm
+    <= bound are coprime to the modulus.  A prime of degree one over ell
+    with omega = s mod it divides x + y*s iff x + y*s = 0 mod ell; an inert
+    ell divides it iff ell | x and ell | y.  A prime of norm > bound divides
+    no such ideal."""
     primes = [(p.residue_char, None if p.kind == "inert" else omega_residue(p.generator))
               for p, _ in factor(modulus).factors if p.norm() <= bound]
-    for y, xs, norms in _ideal_rows(tag, bound):
-        mask = np.ones(len(xs), dtype=bool)
+    # |x| and |y| stay below isqrt(4*bound) + 1, so x + y*s is exact in int64 below 2^63
+    lim = isqrt(4 * bound) + 1
+
+    # ell | v iff v // ell * ell == v: numpy divides by a scalar faster than it takes %
+    def mask(ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+        keep = np.ones(len(xs), dtype=bool)
         for ell, root in primes:
-            if root is not None:
-                mask &= ((xs + y * root) % ell) != 0
-            elif y % ell == 0:
-                mask &= (xs % ell) != 0
-        if mask.any():
-            yield y, xs[mask], norms[mask]
+            if root is None:
+                keep &= (ys // ell * ell != ys) | (xs // ell * ell != xs)
+            else:
+                dtype = np.int64 if lim * (root + 1) < 2 ** 63 else object
+                v = xs.astype(dtype, copy=False) + ys.astype(dtype) * root
+                keep &= v // ell * ell != v
+        return keep
+
+    return mask
 
 
 def _chi_table(modulus: OkElement, chi: CharacterSpec):
@@ -329,7 +326,7 @@ def _chi_table(modulus: OkElement, chi: CharacterSpec):
              else object)
 
     def chi_at(ys, xs: np.ndarray) -> np.ndarray:
-        # rows come from _coprime_rows, so dlogs sees units only (it raises otherwise)
+        # _l_values passes coprime entries only, so dlogs sees units (it raises otherwise)
         words = []
         for f, a, c, g in factors:
             y_f = np.asarray(ys).astype(f.dtype)
@@ -359,37 +356,44 @@ def _character(modulus: OkElement, chi: CharacterSpec, s: float, bound: int):
     return 0j, _chi_table(modulus, chi)
 
 
-def _prime_entries(tag: FieldTag, sieve: np.ndarray, y: int, xs: np.ndarray,
+def _prime_entries(tag: FieldTag, sieve: np.ndarray, ys: np.ndarray, xs: np.ndarray,
                    norms: np.ndarray) -> np.ndarray:
-    """Mask of the row entries that generate prime ideals: for y != 0 those
+    """Mask of the chunk entries that generate prime ideals: for y != 0 those
     of prime norm (split and ramified primes), for y = 0 the inert primes
     (ell, 0).  The transversal keeps the other associates of ell out."""
-    if y:
-        return sieve[norms]
-    return np.array([bool(sieve[x]) and split_type(tag, x) == "inert"
-                     for x in xs.tolist()], dtype=bool)
+    prime = sieve[norms]
+    # y ascends, so the y = 0 entries (norm x^2, never prime) come first
+    zero = int(np.searchsorted(ys, 1))
+    prime[:zero] = [bool(sieve[x]) and split_type(tag, x) == "inert"
+                    for x in xs[:zero].tolist()]
+    return prime
 
 
 @lru_cache(maxsize=4)
 def _l_values(tag: FieldTag, modulus: OkElement, chi: CharacterSpec, s: float,
               bound: int) -> tuple[LSeriesValue, LSeriesValue]:
-    """(Dirichlet sum, Euler product) from one walk over the coprime rows:
-    chi runs once per chunk of rows, then each row's terms are summed, and
-    the terms at its prime-ideal entries each divide the product.  Memoised
-    for the last four requests, so whichever of the two public functions
-    runs second only looks its value up."""
+    """(Dirichlet sum, Euler product) from one walk over okring's chunks: per
+    chunk, the coprime ideals' terms chi(a) N(a)^(-s) are computed once,
+    each row's are summed on its own, and those at prime ideals divide the
+    product one by one, in walk order.  Memoised for the last four requests,
+    so whichever of the two public functions runs second only looks it up."""
     total, chi_at = _character(modulus, chi, s, bound)
     product = total + 1.0
     sieve = _prime_sieve(bound)
-    for rows in _chunks(_coprime_rows(tag, modulus, bound)):
-        ys, xss, _ = zip(*rows)
-        lengths = [len(xs) for xs in xss]
-        values = chi_at(np.repeat(ys, lengths), np.concatenate(xss))
-        for (y, xs, norms), chis in zip(rows, np.split(values, np.cumsum(lengths)[:-1])):
-            terms = chis * norms.astype(np.float64) ** (-s)
-            total += np.sum(terms).item()
-            for f in (1.0 - terms[_prime_entries(tag, sieve, y, xs, norms)]).tolist():
-                product = product / f
+    coprime = _coprime_mask(modulus, bound)
+    for ys, xs, norms in _ideal_chunks(tag, bound):
+        keep = coprime(ys, xs)
+        if not keep.all():
+            ys, xs, norms = ys[keep], xs[keep], norms[keep]
+        if not len(ys):
+            continue
+        terms = chi_at(ys, xs) * norms.astype(np.float64) ** (-s)
+        edges = [0, *(np.flatnonzero(np.diff(ys)) + 1).tolist(), len(ys)]
+        for a, b in zip(edges, edges[1:]):
+            # np.sum's own pairwise reduction, row by row as the rows come
+            total += np.add.reduce(terms[a:b]).item()
+        prime = _prime_entries(tag, sieve, ys, xs, norms)
+        product = reduce(truediv, (1.0 - terms[prime]).tolist(), product)
     log_tail = dirichlet_tail_bound(bound, s) / (1.0 - float(bound) ** (-s))
     return (LSeriesValue(total, bound, dirichlet_tail_bound(bound, s)),
             LSeriesValue(product, bound, abs(product) * math.expm1(log_tail)))

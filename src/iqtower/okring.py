@@ -13,9 +13,9 @@ Conventions:
       omega's minimal polynomial mod l.  Its generator is the shortest
       vector of that lattice, and s is read back off a generator
       x + y*omega as -x/y mod l.
-    * The ideals of norm <= B are numpy rows of one representative per
-      ideal (`_ideal_rows`), shared by `elements_up_to_norm` and the
-      L-value walk of `lvaluation`.
+    * The ideals of norm <= B come as numpy chunks of whole rows y, one
+      representative per ideal (`_ideal_chunks`), shared by
+      `elements_up_to_norm` and the L-value walk of `lvaluation`.
     * Text form: "d=<n>:<u>+<v>*w" where w stands for sqrt(-d); for the
       d = 3 mod 4 fields the coordinates may be exact halves ("-1/2-1/2*w").
       The parser also accepts "<x>+<y>*o" with o = omega.
@@ -25,7 +25,6 @@ All values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +37,8 @@ from sympy import factorint, isprime, sqrt_mod
 from .abgroup import _pow
 
 CLASS_NUMBER_ONE_DS = (1, 2, 3, 7, 11, 19, 43, 67, 163)
+# _ideal_chunks cuts its rows into chunks of about this many ideals
+CHUNK_ENTRIES = 2 ** 14
 
 
 class OkError(ValueError):
@@ -423,41 +424,42 @@ def is_coprime(a: OkElement, b: OkElement) -> bool:
     return gcd_ok(a, b).is_unit()
 
 
-def _ideal_rows(tag: FieldTag, bound: int):
-    """Yield (y, xs, norms) numpy rows covering each nonzero ideal of norm <=
-    bound exactly once: representatives are canonical up to units.
+def _ideal_chunks(tag: FieldTag, bound: int):
+    """Yield (ys, xs, norms) numpy arrays covering each nonzero ideal of norm
+    <= bound exactly once, as x + y*omega with y ascending, then x: whole
+    rows y, cut where the row lengths add up past each CHUNK_ENTRIES.
 
     For the two-unit fields these are y >= 1 (any x) plus y = 0, x >= 1; for
     d = 1 and d = 3 the sector x >= 1, y >= 0 is a transversal of the unit
-    orbits.
+    orbits.  Row y holds the x with (2x + ty)^2 <= 4*bound - (4n - t^2)*y^2,
+    from the integer square root r of the right-hand side.
     """
     t, n = tag.min_poly
-    quarter = tag.num_units >= 4
-    ymax = isqrt(4 * bound // (4 * n - t * t))
-    for y in range(0, ymax + 1):
-        c = n * y * y - bound
-        # disc = 4*bound - (4n - t^2)*y^2 >= 0 by the choice of ymax
-        disc = t * t * y * y - 4 * c
-        r = math.sqrt(float(disc))
-        lo = int(math.floor((-t * y - r) / 2)) - 1
-        hi = int(math.ceil((-t * y + r) / 2)) + 1
-        if y == 0 or quarter:
-            lo = max(lo, 1)
-        if hi < lo:
-            continue
-        xs = np.arange(lo, hi + 1, dtype=np.int64)
-        norms = xs * xs + t * xs * y + n * y * y
-        keep = (norms >= 1) & (norms <= bound)
-        if keep.any():
-            yield y, xs[keep], norms[keep]
+    ys = np.arange(isqrt(4 * bound // (4 * n - t * t)) + 1, dtype=np.int64)
+    # disc >= 0 by the choice of ymax; float sqrt is off by at most one
+    disc = 4 * bound - (4 * n - t * t) * ys * ys
+    r = np.sqrt(disc.astype(np.float64)).astype(np.int64)
+    r = r - (r * r > disc) + ((r + 1) * (r + 1) <= disc)
+    lo = np.where((ys == 0) | (tag.num_units >= 4), 1, -((t * ys + r) // 2))
+    lengths = np.maximum((r - t * ys) // 2 - lo + 1, 0)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    cuts = np.searchsorted(ends, np.arange(CHUNK_ENTRIES, ends[-1], CHUNK_ENTRIES)) + 1
+    edges = np.unique(np.r_[0, cuts, len(ys)]).tolist()
+    for a, b in zip(edges, edges[1:]):
+        if ends[b - 1] > starts[a]:
+            y = np.repeat(ys[a:b], lengths[a:b])
+            x = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b] - lo[a:b], lengths[a:b])
+            yield y, x, x * (x + t * y) + n * y * y
 
 
 def elements_up_to_norm(tag: FieldTag, bound: int) -> list[OkElement]:
     """Canonical ideal generators of norm in [1, bound], sorted by
-    (norm, x, y): the canonical associates of the _ideal_rows entries, one
-    per nonzero ideal."""
+    (norm, x, y): the canonical associates of the _ideal_chunks entries,
+    one per nonzero ideal."""
     out = [canonical_associate(OkElement(tag, x, y))
-           for y, xs, _ in _ideal_rows(tag, bound) for x in xs.tolist()]
+           for ys, xs, _ in _ideal_chunks(tag, bound)
+           for x, y in zip(xs.tolist(), ys.tolist())]
     out.sort(key=lambda e: (e.norm(), e.x, e.y))
     return out
 

@@ -9,8 +9,11 @@ lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, ray class characters are evaluated ideal by ideal with one
 discrete log each or residue class by residue class with one scalar
-discrete log per factor class, the Dirichlet sum and the Euler product come from two
-separate walks over the ideals, and the prime ideals of an Euler product
+discrete log per factor class, the Dirichlet sum and the Euler product
+come from two separate walks over the ideals, one row y at a time (its
+x-range from a float square root, padded by one and filtered by norm),
+keeping the ideals coprime to the modulus entry by entry in Python
+integers, and the prime ideals of an Euler product
 come prime by prime from sympy's primerange and the primes above each.  The
 primes above a rational prime are the elements of that norm, found by
 scanning the norm form, and the ideals up to a norm bound are the lattice
@@ -22,7 +25,8 @@ united forms, after a spiral search for an equivalent form whose leading
 coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
-coefficient tuples with Python integers; irreducibility is decided by
+coefficient tuples with Python integers, a field's elements are counted
+out from the base-p digits of an integer; irreducibility is decided by
 batched gcds with x^(p^k) - x for every k <= t/2, the q^m-th roots of
 unity in F_{p^t} are told apart by collecting all q^m powers of one, and
 the least of exact order q^m is found by multiplying out those powers one
@@ -43,9 +47,10 @@ from sympy import divisors, factorint, n_order, primerange, primitive_root
 from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import FiniteField, _poly_gcd, finite_field
-from iqtower.lvaluation import (LSeriesValue, _character, _coprime_rows, _prime_entries,
-                                _prime_sieve, dirichlet_tail_bound, unity_image)
-from iqtower.okring import OkElement, canonical_associate, gcd_ok, omega_residue, primes_above
+from iqtower.lvaluation import (LSeriesValue, _character, _prime_sieve, dirichlet_tail_bound,
+                                unity_image)
+from iqtower.okring import (OkElement, canonical_associate, factor, gcd_ok, omega_residue,
+                            primes_above, split_type)
 from iqtower.rayclass import _hnf_box, ray_class_group, reduce_mod, residues_mod
 
 
@@ -607,6 +612,14 @@ def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     return True
 
 
+def field_elements(F: FiniteField):
+    """Every element of F in ascending coefficient-lexicographic order
+    (constant term first), one at a time: the n-th has the base-p digits
+    of n as coefficients, the most significant first."""
+    for n in range(F.p ** F.t):
+        yield F.element(tuple(n // F.p ** (F.t - 1 - i) % F.p for i in range(F.t)))
+
+
 def scanned_unity_image(p: int, q: int, m: int):
     """The lex-least element of exact order q^m in F_{p^t}, t = ord(p mod
     q^m), by a scan on field elements: the cofactor power of the first
@@ -620,7 +633,7 @@ def scanned_unity_image(p: int, q: int, m: int):
     affine = (F.element((c0, c1) + (0,) * (F.t - 2))
               for c1 in range(1, p) for c0 in range(p)) if F.t > 1 else ()
     w = next(c for c in (z ** ((F.order - 1) // qm)
-                         for z in itertools.chain(affine, F.iter_elements()) if not z.is_zero())
+                         for z in itertools.chain(affine, field_elements(F)) if not z.is_zero())
              if not c ** (qm // q) == F.one())
     best, acc = None, F.one()
     for j in range(qm):
@@ -730,6 +743,46 @@ def per_class_chi_row(modulus: OkElement, chi):
 
 # -- two-walk L-value oracle ---------------------------------------------------
 
+def ideal_rows(tag, bound: int):
+    """Yield (y, xs, norms) numpy rows covering each nonzero ideal of norm <=
+    bound exactly once, one row y at a time with its own x-range: y >= 1
+    (any x) plus y = 0, x >= 1 for the two-unit fields, the sector x >= 1,
+    y >= 0 for d = 1 and d = 3."""
+    t, n = tag.min_poly
+    quarter = tag.num_units >= 4
+    ymax = isqrt(4 * bound // (4 * n - t * t))
+    for y in range(0, ymax + 1):
+        c = n * y * y - bound
+        # disc = 4*bound - (4n - t^2)*y^2 >= 0 by the choice of ymax
+        disc = t * t * y * y - 4 * c
+        r = math.sqrt(float(disc))
+        lo = int(math.floor((-t * y - r) / 2)) - 1
+        hi = int(math.ceil((-t * y + r) / 2)) + 1
+        if y == 0 or quarter:
+            lo = max(lo, 1)
+        if hi < lo:
+            continue
+        xs = np.arange(lo, hi + 1, dtype=np.int64)
+        norms = xs * xs + t * xs * y + n * y * y
+        keep = (norms >= 1) & (norms <= bound)
+        if keep.any():
+            yield y, xs[keep], norms[keep]
+
+
+def coprime_rows(tag, modulus: OkElement, bound: int):
+    """The ideal_rows rows restricted to ideals coprime to the modulus, row
+    by row in Python integers: a prime of degree one over ell with
+    omega = s mod it divides x + y*omega iff x + y*s = 0 mod ell; an inert
+    ell divides it iff ell | x and ell | y."""
+    primes = [(p.residue_char, None if p.kind == "inert" else omega_residue(p.generator))
+              for p, _ in factor(modulus).factors]
+    for y, xs, norms in ideal_rows(tag, bound):
+        mask = np.array([all((x + y * root) % ell if root is not None else x % ell or y % ell
+                             for ell, root in primes) for x in xs.tolist()], dtype=bool)
+        if mask.any():
+            yield y, xs[mask], norms[mask]
+
+
 def two_walk_L(tag, modulus: OkElement, chi, s: float, bound: int):
     """(Dirichlet sum, Euler product) as two separate walks over the coprime
     rows, each with its own chi lookups and the product with its own sieve:
@@ -741,7 +794,7 @@ def two_walk_L(tag, modulus: OkElement, chi, s: float, bound: int):
 
 def _dirichlet_walk(tag, modulus, chi, s, bound) -> LSeriesValue:
     total, chi_row = _character(modulus, chi, s, bound)
-    for y, xs, norms in _coprime_rows(tag, modulus, bound):
+    for y, xs, norms in coprime_rows(tag, modulus, bound):
         total += np.sum(chi_row(y, xs) * norms.astype(np.float64) ** (-s)).item()
     return LSeriesValue(total, bound, dirichlet_tail_bound(bound, s))
 
@@ -750,8 +803,10 @@ def _euler_walk(tag, modulus, chi, s, bound) -> LSeriesValue:
     zero, chi_row = _character(modulus, chi, s, bound)
     total = zero + 1.0
     sieve = _prime_sieve(bound)
-    for y, xs, norms in _coprime_rows(tag, modulus, bound):
-        keep = _prime_entries(tag, sieve, y, xs, norms)
+    for y, xs, norms in coprime_rows(tag, modulus, bound):
+        # the prime ideals: entries of prime norm for y != 0, inert (ell, 0) for y = 0
+        keep = sieve[norms] if y else np.array([bool(sieve[x]) and split_type(tag, x) == "inert"
+                                                 for x in xs.tolist()], dtype=bool)
         factors = 1.0 - chi_row(y, xs[keep]) * norms[keep].astype(np.float64) ** (-s)
         for f in factors.tolist():
             total = total / f

@@ -12,20 +12,20 @@ from sympy import isprime, n_order, primerange
 from iqtower.cli import main
 from iqtower.finitefield import FieldError, finite_field
 from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
-                                ResidueEmbedding, _chi_table, _chunks, _coprime_rows,
-                                _l_values, _prime_entries, _prime_sieve, compute_N1,
+                                ResidueEmbedding, _chi_table, _coprime_mask, _l_values,
+                                _prime_entries, _prime_sieve, compute_N1,
                                 dirichlet_tail_bound, distinctness_check,
                                 euler_factor_vanishes, euler_product_L,
                                 evaluate_imprimitive_L, unity_image)
-from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
+from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError, _ideal_chunks,
                             canonical_associate, elements_up_to_norm, field,
                             primes_above, split_type)
 from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_class_group,
                               reduce_mod)
 
-from oracles import (DISTINCT_POWERS_MAX_DEGREE, distinct_unity_powers,
-                     euler_prime_ideals, lattice_zeta, per_class_chi_row, per_ideal_chi,
-                     scanned_unity_image, two_walk_L)
+from oracles import (DISTINCT_POWERS_MAX_DEGREE, coprime_rows, distinct_unity_powers,
+                     euler_prime_ideals, field_elements, ideal_rows, lattice_zeta,
+                     per_class_chi_row, per_ideal_chi, scanned_unity_image, two_walk_L)
 
 
 def _exact_order_roots(p, q, m):
@@ -285,7 +285,7 @@ class TestImageLifts:
         seen = set()
         for k in range(4):
             for c in range(1, 5):
-                for z in F.iter_elements():
+                for z in field_elements(F):
                     if z.is_zero():
                         continue
                     want = euler_factor_vanishes(self.emb, self.lam, k, F.lift(c), z)
@@ -457,17 +457,44 @@ def _test_moduli(tag):
 
 class TestOneEnumeration:
     @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
+    def test_chunks_equal_the_row_oracle(self, d):
+        # the same entries in the same order as the row-by-row enumeration,
+        # each row whole in one chunk, and several chunks at B = 10^5
+        tag = field(d)
+        for bound in (1, 2, 3, 4, 25, 2000, 10 ** 5):
+            chunks = list(_ideal_chunks(tag, bound))
+            got = [(y, x, n) for ys, xs, norms in chunks
+                   for y, x, n in zip(ys.tolist(), xs.tolist(), norms.tolist())]
+            want = [(y, x, n) for y, xs, norms in ideal_rows(tag, bound)
+                    for x, n in zip(xs.tolist(), norms.tolist())]
+            assert got == want, (d, bound)
+            assert all(a[0][-1] < b[0][0] for a, b in zip(chunks, chunks[1:])), (d, bound)
+        assert len(chunks) > 1
+
+    def test_coprime_mask_beyond_int64(self):
+        # y*s for the split ell = 2^a * 3^b + 1 > 2^63 would wrap in int64
+        tag = field(1)
+        ell = 16210220612075905069
+        g = primes_above(tag, ell)[0].generator
+        mask = _coprime_mask(g, ell)
+        ys, xs = np.array([g.y, 2 * g.y, g.y, 0]), np.array([g.x, 2 * g.x, g.x + 1, 1])
+        assert mask(ys, xs).tolist() == [False, False, True, True]
+
+    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
     def test_rows_select_the_euler_prime_ideals(self, d):
         # small B catch the inert prime 2 (norm 4) and ramified primes of norm 2
         tag = field(d)
         for m in _test_moduli(tag):
             for bound in (2, 3, 4, 9, 25, 2000):
                 sieve = _prime_sieve(bound)
+                mask = _coprime_mask(m, bound)
                 got = []
-                for y, xs, norms in _coprime_rows(tag, m, bound):
-                    keep = _prime_entries(tag, sieve, y, xs, norms)
+                for ys, xs, norms in _ideal_chunks(tag, bound):
+                    keep = mask(ys, xs)
+                    ys, xs, norms = ys[keep], xs[keep], norms[keep]
+                    prime = _prime_entries(tag, sieve, ys, xs, norms)
                     got += [canonical_associate(OkElement(tag, x, y))
-                            for x in xs[keep].tolist()]
+                            for x, y in zip(xs[prime].tolist(), ys[prime].tolist())]
                 assert len(got) == len(set(got)), (d, str(m), bound)
                 assert set(got) == euler_prime_ideals(tag, m, bound), (d, str(m), bound)
 
@@ -493,7 +520,7 @@ class TestOneEnumeration:
 
     def test_cli_lseries_walks_once(self, monkeypatch, capsys):
         # one lseries command prints both values from one enumeration and one sieve
-        calls = {"rows": 0, "sieve": 0}
+        calls = {"chunks": 0, "sieve": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -501,14 +528,14 @@ class TestOneEnumeration:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr("iqtower.lvaluation._coprime_rows", counted("rows", _coprime_rows))
+        monkeypatch.setattr("iqtower.lvaluation._ideal_chunks", counted("chunks", _ideal_chunks))
         monkeypatch.setattr("iqtower.lvaluation._prime_sieve", counted("sieve", _prime_sieve))
         _l_values.cache_clear()
         assert main(["lseries", "--d", "1", "--modulus", "5", "--s", "2.0", "--B", "2000",
                      "--char", "1"]) == 0
         rec = json.loads(capsys.readouterr().out)["records"][0]
         assert {"dirichlet", "euler"} <= rec.keys()
-        assert calls == {"rows": 1, "sieve": 1}
+        assert calls == {"chunks": 1, "sieve": 1}
 
     def test_cli_lseries_passes_the_character_order(self, monkeypatch, capsys):
         # --char 2,3 against the invariants (3, 12) of 13 in Z[i] has order 12
@@ -540,7 +567,7 @@ class TestOneEnumeration:
 def _assert_chunk_equals_per_class(tag, m, chi, bound):
     """_chi_table on the whole walk up to bound as one chunk, and on each row
     alone, equals the per-class dict path row by row, bit for bit."""
-    rows = list(_coprime_rows(tag, m, bound))
+    rows = list(coprime_rows(tag, m, bound))
     oracle = per_class_chi_row(m, chi)
     want = [oracle(y, xs).tolist() for y, xs, _ in rows]
     table = _chi_table(m, chi)
@@ -566,48 +593,66 @@ def _record_calls(monkeypatch, owners, name: str) -> dict:
 def _assert_dlogs_once_per_chunk(tag, m, bound, calls):
     """Each factor's dlogs ran once per chunk of the walk, on the distinct
     unit residues modulo that factor of the chunk's entries, each once."""
-    chunks = list(_chunks(_coprime_rows(tag, m, bound)))
+    mask = _coprime_mask(m, bound)
+    chunks = [(ys[keep], xs[keep]) for ys, xs, _ in _ideal_chunks(tag, bound)
+              if (keep := mask(ys, xs)).any()]
     for f, seen in calls.items():
         assert len(seen) == len(chunks)
-        for (xs, ys), rows in zip(seen, chunks):
+        for (xs, ys), (chunk_ys, chunk_xs) in zip(seen, chunks):
             got = [reduce_mod(OkElement(tag, x, y), f.modulus)
                    for x, y in zip(xs.tolist(), ys.tolist())]
             met = {reduce_mod(OkElement(tag, x, y), f.modulus)
-                   for y, row, _ in rows for x in row.tolist()}
+                   for x, y in zip(chunk_xs.tolist(), chunk_ys.tolist())}
             assert len(set(got)) == len(got) and set(got) == met
+
+
+@pytest.fixture(scope="module", params=CLASS_NUMBER_ONE_DS)
+def chi_sweep(request):
+    """The field d and its moduli of norm <= 200 with a nontrivial
+    character, each with its group and up to 3 nontrivial characters (the
+    first, middle and last), sorted by exponents."""
+    tag = field(request.param)
+    moduli = []
+    for m in elements_up_to_norm(tag, 200)[1:]:
+        group = ray_class_group(m)
+        nontrivial = [c for c in characters(group) if c.order > 1]
+        if nontrivial:
+            picks = sorted({nontrivial[i] for i in (0, len(nontrivial) // 2, -1)},
+                           key=lambda c: c.exponents)
+            moduli.append((m, group, picks))
+    return tag, moduli
 
 
 class TestChiTable:
     """_chi_table evaluates chi a chunk of the walk at a time."""
 
-    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
-    def test_lookup_equals_per_ideal_oracle(self, d):
-        # every modulus of norm <= 200, up to 3 nontrivial characters each;
-        # at a split prime gamma = 1, so the beta shift acts on every row y >= 1
-        tag = field(d)
-        for m in elements_up_to_norm(tag, 200)[1:]:
-            group = ray_class_group(m)
-            nontrivial = [c for c in characters(group) if c.order > 1]
-            if not nontrivial:
-                continue
-            picks = sorted({nontrivial[i] for i in (0, len(nontrivial) // 2, -1)},
-                           key=lambda c: c.exponents)
-            tables = [_chi_table(m, chi) for chi in picks]
-            for y, xs, _ in _coprime_rows(tag, m, 500):
-                want = [per_ideal_chi(group, picks, OkElement(tag, x, y)) for x in xs.tolist()]
-                for k, (chi, table) in enumerate(zip(picks, tables)):
-                    assert table(y, xs).tolist() == [w[k] for w in want], \
-                        (d, str(m), chi.exponents, y)
+    def test_lookup_equals_per_ideal_oracle(self, chi_sweep):
+        # every modulus of norm <= 200, up to 3 nontrivial characters each,
+        # on all its rows up to B = 500 in one call, and on its last row with
+        # an int y; at a split prime gamma = 1, so the beta shift acts on
+        # every row y >= 1
+        tag, moduli = chi_sweep
+        for m, group, picks in moduli:
+            rows = list(coprime_rows(tag, m, 500))
+            ys = np.repeat([y for y, _, _ in rows], [len(xs) for _, xs, _ in rows])
+            xs = np.concatenate([xs for _, xs, _ in rows])
+            want = [per_ideal_chi(group, picks, OkElement(tag, x, y))
+                    for x, y in zip(xs.tolist(), ys.tolist())]
+            y, row, _ = rows[-1]
+            for k, chi in enumerate(picks):
+                table = _chi_table(m, chi)
+                assert table(ys, xs).tolist() == [w[k] for w in want], \
+                    (tag.d, str(m), chi.exponents)
+                assert table(y, row).tolist() == [w[k] for w in want[len(xs) - len(row):]], \
+                    (tag.d, str(m), chi.exponents, y)
 
-    @pytest.mark.parametrize("d", CLASS_NUMBER_ONE_DS)
-    def test_chunk_equals_per_class_oracle(self, d):
+    def test_chunk_equals_per_class_oracle(self, chi_sweep):
         # the moduli and characters of the per-ideal sweep, each walk up to
         # B = 300 evaluated as one chunk against the per-class dict path
-        tag = field(d)
-        for m in elements_up_to_norm(tag, 200)[1:]:
-            nontrivial = [c for c in characters(ray_class_group(m)) if c.order > 1]
-            for i in sorted({0, len(nontrivial) // 2, len(nontrivial) - 1}) if nontrivial else ():
-                _assert_chunk_equals_per_class(tag, m, nontrivial[i], 300)
+        tag, moduli = chi_sweep
+        for m, _, picks in moduli:
+            for chi in picks:
+                _assert_chunk_equals_per_class(tag, m, chi, 300)
 
     @pytest.mark.parametrize("ell, e", [(1010523706733, 1), (1010523706733, 2),
                                         (16210220612075905069, 1)])
@@ -657,11 +702,11 @@ class TestChiTable:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.5, elapsed
         assert not any(scalar.values())
-        assert len(list(_chunks(_coprime_rows(tag, m, 10 ** 5)))) > 1
+        assert len(list(_ideal_chunks(tag, 10 ** 5))) > 1
         _assert_dlogs_once_per_chunk(tag, m, 10 ** 5, calls)
         assert [max(len(xs) for xs, _ in calls[f]) for f in group.units.factors] == [996, 1008]
         table = _chi_table(m, chi)
-        for y, xs, _ in _coprime_rows(tag, m, 300):
+        for y, xs, _ in coprime_rows(tag, m, 300):
             want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]
             assert table(y, xs).tolist() == want, y
         _assert_chunk_equals_per_class(tag, m, chi, 3000)
@@ -690,7 +735,7 @@ class TestChiTable:
         group = ray_class_group(m)
         chi = CharacterSpec((1,), 0)
         want = sum(per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] / n ** 2
-                   for y, xs, norms in _coprime_rows(tag, m, 200)
+                   for y, xs, norms in coprime_rows(tag, m, 200)
                    for x, n in zip(xs.tolist(), norms.tolist()))
         _l_values.cache_clear()
         got = evaluate_imprimitive_L(tag, m, chi, 2.0, 200).value

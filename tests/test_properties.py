@@ -16,12 +16,12 @@ from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
                             factor, field, gcd_ok, primes_above, split_type)
-from iqtower.lvaluation import _chi_table, _coprime_rows
+from iqtower.lvaluation import _chi_table
 from iqtower.rayclass import (CharacterSpec, UnitGroup, _Factor, lcm_ideal, ray_class_group,
                               reduce_mod)
 from iqtower.selmerrank import _solve_growth
 
-from oracles import per_ideal_chi, solve_growth, united_form_compose
+from oracles import coprime_rows, per_ideal_chi, solve_growth, united_form_compose
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -29,6 +29,12 @@ fields = st.sampled_from(CLASS_NUMBER_ONE_DS).map(field)
 small = st.integers(-40, 40)
 big = st.integers(-10 ** 6, 10 ** 6)
 huge = st.integers(-10 ** 61, 10 ** 61)
+
+
+def test_default_profile_is_derandomized():
+    # conftest loads it, so a @given without its own settings draws from a fixed seed
+    assert settings.default.derandomize is True
+    assert settings.default.deadline is None
 
 
 def _nonzero(tag, x: int, y: int) -> OkElement:
@@ -411,7 +417,7 @@ class TestChiTable:
                               .filter(any))
         chi = CharacterSpec(exponents, coords_order(exponents, invariants))
         table = _chi_table(modulus, chi)
-        for y, xs, _ in _coprime_rows(tag, modulus, 300):
+        for y, xs, _ in coprime_rows(tag, modulus, 300):
             want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]
             assert table(y, xs).tolist() == want, y
 
