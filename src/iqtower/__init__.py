@@ -22,8 +22,7 @@ from .rayclass import (AnticyclotomicTower, CharacterSpec, RayClassGroup,
                        ResidueClass, TowerLevel, UnitGroup,
                        anticyclotomic_tower, artin_symbol, characters,
                        euler_phi, lcm_degree_check, lcm_ideal, minus_quotient,
-                       ray_class_group, reduce_mod, residues_mod,
-                       unit_group_structure)
+                       ray_class_group, reduce_mod, unit_group_structure)
 from .selmerrank import (CofinPGroup, IngestError, MonotonicityError,
                          RankConsistencyError, RankGapReport, SchemaError,
                          TowerLevelData, TowerSeries, class_to_selmer_gap_bound,

@@ -4,19 +4,23 @@ The modulus of F_{p^t} is the lexicographically smallest monic irreducible
 polynomial f of degree t over F_p, coefficients compared constant term
 first.  Elements are coefficient tuples (low degree first).
 
-The search tests candidates on bare arrays.  A screen first rules out
-irreducible factors of degree <= d, d = 1 for t <= 3 and d = 2 beyond,
-which decides every t <= 5.  While F_{p^d} has at most SCREEN_POINTS_MAX
-points, the screen is one product of the candidate's coefficients with a
-table of alpha^i for every alpha in F_{p^d}, built once per search; above
-that it is gcd(x^(p^d) - x, f) = 1 by repeated squaring, so no step loops
-over the points of F_p.  The candidates of degree t >= 6 that pass go to
-Rabin's test (M. O. Rabin, SIAM J. Comput. 9, 1980): f is irreducible iff
-x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.  A
-Frobenius step y -> y^p is one product y @ Q mod p with the matrix Q whose
-row i is x^(i*p) mod f (Cohen, GTM 138, 3.4), built from the matrix of
-multiplication by x^p.  The gcds run only for the candidates that pass
-x^(p^t) = x, and only the winner becomes a FiniteField.
+The search takes the candidates BLOCK_CANDIDATES at a time, as the rows
+of one array of the base-p digits of a counter, and tests the block on
+bare arrays.  A screen first rules out irreducible factors of degree <= d,
+d = 1 for t <= 3 and d = 2 beyond, which decides every t <= 5.  While
+F_{p^d} has at most SCREEN_POINTS_MAX points, the screen is one product of
+the block with a table of alpha^i for every alpha in F_{p^d}, built once
+per search; above that it is gcd(x^(p^d) - x, f) = 1 by repeated
+squaring, row by row, so no step loops over the points of F_p.  The rows
+of degree t >= 6 that pass go to Rabin's test (M. O. Rabin, SIAM J.
+Comput. 9, 1980) as one stack: f is irreducible iff x^(p^t) = x mod f and
+gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.  A Frobenius step
+y -> y^p is one stacked product y @ Q mod p with the matrices Q whose row
+i is x^(i*p) mod f (Cohen, GTM 138, 3.4); for p < t the first t - p
+rows of the matrix of multiplication by x^p are unit vectors, so each row
+of Q is a shift plus a product with its other p rows.  The gcds run only
+for the rows that pass x^(p^t) = x, in counter order, up to the first
+that passes them, and only that winner becomes a FiniteField.
 
 Multiplication has one path: the numpy convolution of the two coefficient
 vectors, reduced mod p, and a fold of its t - 1 high coefficients through
@@ -40,6 +44,13 @@ from .abgroup import _pow
 # at most this many, and takes gcd(x^(p^d) - x, f) beyond: the measured
 # crossover lies between 4,000 and 8,000 points for 2 <= t <= 200
 SCREEN_POINTS_MAX = 2 ** 12
+
+# the search tests this many candidates at a time.  A block of t measured
+# the same up to t = 64 and slower from t = 80 on (7-22% at t = 80, 23-80%
+# at t = 128, for p = 5, 13, 23): there the stack of Rabin matrices outgrows
+# the cache, and the rows after the winner cost more than the passes a
+# larger block saves
+BLOCK_CANDIDATES = 32
 
 
 class FieldError(ValueError):
@@ -79,13 +90,13 @@ def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
 def _shift_rows(row: np.ndarray, low: np.ndarray, count: int, p: int) -> np.ndarray:
     """Rows x^(s+j) mod f for j < count, given row = x^s mod f and low =
     x^t mod f: each next row shifts up one degree and folds its x^t
-    coefficient back through low."""
-    rows = np.empty((count, len(row)), dtype=row.dtype)
+    coefficient back through low.  A stack of rows and lows, shape (S, t),
+    gives a stack of row blocks, shape (S, count, t)."""
+    rows = np.empty(row.shape[:-1] + (count, row.shape[-1]), dtype=row.dtype)
     for j in range(count):
-        rows[j] = row
-        top = row[-1]
-        row = top * low
-        row[1:] += rows[j, :-1]
+        rows[..., j, :] = row
+        row = row[..., -1:] * low
+        row[..., 1:] += rows[..., j, :-1]
         row %= p
     return rows
 
@@ -209,16 +220,16 @@ class FFElement:
 
 
 def _small_factor_screen(p: int, t: int):
-    """A test of monic f of degree t >= 2, given by its low coefficients:
-    True iff f has no irreducible factor of degree <= d, with d = 1 for
-    t <= 3 and d = 2 beyond, i.e. no root in F_{p^d}.
+    """A test of a stack of monic f of degree t >= 2, the rows of their low
+    coefficients: True where f has no irreducible factor of degree <= d,
+    with d = 1 for t <= 3 and d = 2 beyond, i.e. no root in F_{p^d}.
 
-    While p^d <= SCREEN_POINTS_MAX, f(alpha) for every alpha = a + b*theta
-    in F_{p^d} is one product of f's coefficients with a (t+1) x 2p^d table
-    whose row i holds both coordinates of alpha^i (theta^2 = the least
-    non-residue for odd p, theta^2 = theta + 1 for p = 2).  Beyond, the same
-    test is gcd(x^(p^d) - x, f) = 1, by O(d log p) products mod f and no
-    per-point data.
+    While p^d <= SCREEN_POINTS_MAX, f(alpha) for every row and every
+    alpha = a + b*theta in F_{p^d} is one product of the stack with a
+    (t+1) x 2p^d table whose row i holds both coordinates of alpha^i
+    (theta^2 = the least non-residue for odd p, theta^2 = theta + 1 for
+    p = 2).  Beyond, the same test is gcd(x^(p^d) - x, f) = 1, row by row,
+    by O(d log p) products mod f and no per-point data.
     """
     d = 1 if t <= 3 else 2
     n = p ** d
@@ -240,73 +251,124 @@ def _small_factor_screen(p: int, t: int):
             row[:n], row[n:] = u, v
             u, v = (u * a + v * nb) % p, (u * b + v * ab) % p
 
-        def screen(coeffs) -> bool:
-            vals = np.array(coeffs + (1,), dtype=dtype) @ table % p
-            return not np.any((vals[:n] == 0) & (vals[n:] == 0))
+        def screen(rows) -> np.ndarray:
+            vals = (np.asarray(rows, dtype=dtype) @ table[:t] + table[t]) % p
+            return ~np.any((vals[:, :n] == 0) & (vals[:, n:] == 0), axis=1)
         return screen
 
     one, x = np.zeros((2, t), dtype=dtype)
     one[0] = x[1] = 1
 
-    def screen(coeffs) -> bool:
-        low = -np.array(coeffs, dtype=dtype) % p
+    def coprime(coeffs: np.ndarray) -> bool:
+        low = -coeffs % p
         fold = _shift_rows(low, low, t - 1, p)
         y = x
         for _ in range(d):
             y = _pow(y, p, lambda a, b: _mul_mod(a, b, fold, p), one)
-        return _poly_gcd((y - x).tolist(), list(coeffs) + [1], p, dtype) == [1]
+        return _poly_gcd((y - x).tolist(), coeffs.tolist() + [1], p, dtype) == [1]
+
+    def screen(rows) -> np.ndarray:
+        return np.array([coprime(row) for row in np.asarray(rows, dtype=dtype)], dtype=bool)
     return screen
 
 
-def _is_irreducible(p: int, coeffs: tuple[int, ...], screen=None) -> bool:
-    """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?
+def _frobenius_powers(p: int, f: np.ndarray, wanted: list[int]) -> dict[int, np.ndarray]:
+    """{j: x^(p^j) mod f} for j in wanted, for the whole (S, t) stack f of
+    low coefficients at once.
 
-    The screen (built here unless the search passes its own) rules out
-    factors of degree <= 2, or <= 1 for t <= 3, which settles t <= 5: a
-    reducible polynomial of degree <= 5 has a factor of degree <= 2.
-    Beyond that, Rabin's test: f is irreducible iff x^(p^t) = x mod f and
-    gcd(x^(p^(t/r)) - x, f) = 1 for every prime r | t.  The Frobenius steps
-    y -> y^p are y @ Q mod p, where row i of Q is x^(i*p) mod f; the gcds
-    run only for the few f that pass the first condition.
+    The Frobenius y -> y^p is y @ Q mod p, where row i of Q is x^(i*p) mod f
+    (Cohen, GTM 138, 3.4): a monomial while i*p < t, and beyond that
+    Q[i] = Q[i-1] @ M, M the matrix of multiplication by x^p, whose row j
+    is x^(p+j) mod f.  For p < t the first t - p rows of M are unit vectors,
+    so Q[i] is Q[i-1] shifted up p degrees plus its top p coefficients
+    times the rows x^t, ..., x^(t+p-1): O(p*t) per row, not O(t^2).
     """
-    t = len(coeffs)
-    if not (screen or _small_factor_screen(p, t))(coeffs):
-        return False
-    if t <= 5:
-        return True
-    dtype = _dtype(p, t)
-    one, x = np.zeros((2, t), dtype=dtype)
-    one[0] = x[1] = 1
-    low = -np.array(coeffs, dtype=dtype) % p          # x^t mod f
-    fold = _shift_rows(low, low, min(p, t - 1), p)    # x^t, x^(t+1), ...
-    # M, the matrix of multiplication by x^p: row j is x^(p+j) mod f
-    if p < t:
-        M = np.zeros((t, t), dtype=dtype)
-        M[np.arange(t - p), np.arange(p, t)] = 1
-        M[t - p:] = fold
-    else:
-        M = _shift_rows(_pow(x, p, lambda a, b: _mul_mod(a, b, fold, p), one), low, t, p)
-    # Q: row i is x^(i*p) mod f, a monomial while i*p < t
+    S, t = f.shape
+    low = -f % p                                      # x^t mod f
     k = -(-t // p)
-    Q = np.zeros((t, t), dtype=dtype)
-    Q[np.arange(k), np.arange(0, t, p)] = 1
-    for i in range(k, t):
-        Q[i] = Q[i - 1] @ M % p
-    frobenius = [Q[1]]             # frobenius[j] is x^(p^(j+1)) mod f
-    for _ in range(t - 1):
-        frobenius.append(frobenius[-1] @ Q % p)
-    if not np.array_equal(frobenius[-1], x):
-        return False
-    f_full = list(coeffs) + [1]
-    return all(_poly_gcd((frobenius[t // r - 1] - x).tolist(), f_full, p, dtype) == [1]
-               for r in _prime_divisors(t))
+    Q = np.zeros((S, t, t), dtype=f.dtype)
+    Q[:, np.arange(k), np.arange(0, t, p)] = 1
+    if p < t:
+        fold = _shift_rows(low, low, p, p)            # (S, p, t)
+        for i in range(k, t):
+            y = Q[:, i - 1]
+            Q[:, i, p:] = y[:, :t - p]
+            Q[:, i] += (y[:, None, t - p:] @ fold)[:, 0]
+            Q[:, i] %= p
+    else:
+        def mul(a, b):   # b times the rows x^j a mod f
+            return (b[:, None] @ _shift_rows(a, low, t, p))[:, 0] % p
+
+        one, x = np.zeros((2, S, t), dtype=f.dtype)
+        one[:, 0] = x[:, 1] = 1
+        M = _shift_rows(_pow(x, p, mul, one), low, t, p)
+        for i in range(k, t):
+            Q[:, i] = (Q[:, i - 1, None] @ M)[:, 0] % p
+    ys, top = [Q[:, 1]], max(wanted)                  # ys[j - 1] = x^(p^j) mod f
+    while len(ys) < top:
+        ys.append((ys[-1][:, None] @ Q)[:, 0] % p)
+    return {j: ys[j - 1] for j in wanted}
+
+
+def _irreducible_rows(p: int, rows: np.ndarray, screen):
+    """The indices, in order, of the irreducible rows of a stack of monic f
+    of degree t >= 2, given by their low coefficients.
+
+    The screen rules out factors of degree <= 2, or <= 1 for t <= 3, which
+    settles t <= 5: a reducible polynomial of degree <= 5 has a factor of
+    degree <= 2.  The rows that pass it go to Rabin's test (M. O. Rabin,
+    SIAM J. Comput. 9, 1980) as one stack: f is irreducible iff
+    x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for every prime
+    r | t.  The gcds run row by row, only for the rows that pass the first
+    condition, and only as far as the caller takes indices.
+    """
+    t = rows.shape[1]
+    passed = np.flatnonzero(screen(rows))
+    if t <= 5 or not len(passed):
+        yield from passed.tolist()
+        return
+    dtype = _dtype(p, t)
+    f = rows[passed].astype(dtype)
+    divisors = _prime_divisors(t)
+    powers = _frobenius_powers(p, f, [t] + [t // r for r in divisors])
+    x = np.zeros(t, dtype=dtype)
+    x[1] = 1
+    for s in np.flatnonzero(np.all(powers[t] == x, axis=1)).tolist():
+        f_full = f[s].tolist() + [1]
+        if all(_poly_gcd((powers[t // r][s] - x).tolist(), f_full, p, dtype) == [1]
+               for r in divisors):
+            yield int(passed[s])
+
+
+def _is_irreducible(p: int, coeffs: tuple[int, ...], screen=None) -> bool:
+    """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?  The
+    one-row case of _irreducible_rows, with the screen built here unless
+    the caller passes its own."""
+    t = len(coeffs)
+    rows = np.array([coeffs], dtype=_dtype(p, t + 1))
+    return next(_irreducible_rows(p, rows, screen or _small_factor_screen(p, t)), None) is not None
+
+
+def _counter_rows(first: np.ndarray, count: int, p: int) -> np.ndarray:
+    """first and the count candidates after it in the search order, as
+    rows: the base-p digits, most significant first, of a counter."""
+    rows = np.repeat(first[None], count + 1, axis=0)
+    rows[:, -1] += np.arange(count + 1)
+    for i in range(len(first) - 1, 0, -1):
+        carry = rows[:, i] // p
+        if not carry.any():
+            break
+        rows[:, i] -= carry * p
+        rows[:, i - 1] += carry
+    return rows
 
 
 @lru_cache(maxsize=None)
 def finite_field(p: int, t: int) -> FiniteField:
     """F_{p^t} with the lexicographically smallest irreducible modulus
     (constant coefficient most significant; c0 = 0 is never irreducible
-    for t >= 2 and is skipped structurally)."""
+    for t >= 2 and is skipped structurally), found BLOCK_CANDIDATES
+    candidates at a time."""
     if t < 1:
         raise FieldError("degree must be >= 1")
     if t == 1:
@@ -314,12 +376,12 @@ def finite_field(p: int, t: int) -> FiniteField:
     screen = _small_factor_screen(p, t)
     # the candidates in that order are the t base-p digits of a counter,
     # most significant first, from (1, 0, ..., 0) on; irreducible
-    # polynomials of degree t exist, so the counter stops before it wraps
-    tail = [1] + [0] * (t - 1)
-    while not _is_irreducible(p, tuple(tail), screen):
-        i = t - 1
-        while tail[i] == p - 1:
-            tail[i] = 0
-            i -= 1
-        tail[i] += 1
-    return FiniteField(p, t, tuple(tail))
+    # polynomials of degree t exist, so the winner comes before the counter
+    # wraps, and rows a block holds past the last candidate never win
+    first = np.zeros(t, dtype=_dtype(p, t + 1))
+    first[0] = 1
+    while True:
+        rows = _counter_rows(first, BLOCK_CANDIDATES, p)
+        for i in _irreducible_rows(p, rows[:-1], screen):
+            return FiniteField(p, t, tuple(rows[i].tolist()))
+        first = rows[-1]

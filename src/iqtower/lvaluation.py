@@ -279,9 +279,11 @@ def _prime_sieve(bound: int) -> np.ndarray:
     bytes, 1 MB at bound = 10^6 and 100 MB at the CLI cap 10^8."""
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, isqrt(bound) + 1):
+    sieve[4::2] = False
+    # odd p: p*p is odd, and its even multiples are struck already
+    for p in range(3, isqrt(bound) + 1, 2):
         if sieve[p]:
-            sieve[p * p::p] = False
+            sieve[p * p::2 * p] = False
     return sieve
 
 

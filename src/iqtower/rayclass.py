@@ -58,11 +58,6 @@ class ResidueClass:
     modulus: OkElement
     representative: OkElement
 
-    def __mul__(self, other: "ResidueClass") -> "ResidueClass":
-        return ResidueClass(self.modulus,
-                            reduce_mod(self.representative * other.representative,
-                                       self.modulus))
-
     def __str__(self) -> str:
         return str(self.representative)
 
@@ -82,13 +77,6 @@ def _hnf_box(modulus: OkElement) -> tuple[int, int, int]:
         beta, gamma = -beta, -gamma
     beta %= alpha
     return alpha, beta, gamma
-
-
-def residues_mod(modulus: OkElement) -> list[OkElement]:
-    """A complete, deterministic transversal of O_K/(modulus)."""
-    alpha, _, gamma = _hnf_box(modulus)
-    tag = modulus.tag
-    return [OkElement(tag, x, y) for y in range(gamma) for x in range(alpha)]
 
 
 def _cyclic_tables(g, primes: dict[int, int], mul, power, min_baby: int = 0) -> list[tuple]:

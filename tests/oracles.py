@@ -27,7 +27,9 @@ coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers, a field's elements are counted
 out from the base-p digits of an integer; irreducibility is decided by
-batched gcds with x^(p^k) - x for every k <= t/2, the q^m-th roots of
+batched gcds with x^(p^k) - x for every k <= t/2, the modulus of F_{p^t}
+is the first candidate in search order that the one-row irreducibility
+test accepts, tried one at a time, the q^m-th roots of
 unity in F_{p^t} are told apart by collecting all q^m powers of one, and
 the least of exact order q^m is found by multiplying out those powers one
 field element at a time.
@@ -46,15 +48,24 @@ from sympy import divisors, factorint, n_order, primerange, primitive_root
 
 from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
-from iqtower.finitefield import FiniteField, _poly_gcd, finite_field
+from iqtower.finitefield import (FiniteField, _is_irreducible, _poly_gcd,
+                                 _small_factor_screen, finite_field)
 from iqtower.lvaluation import (LSeriesValue, _character, _prime_sieve, dirichlet_tail_bound,
                                 unity_image)
 from iqtower.okring import (OkElement, canonical_associate, factor, gcd_ok, omega_residue,
                             primes_above, split_type)
-from iqtower.rayclass import _hnf_box, ray_class_group, reduce_mod, residues_mod
+from iqtower.rayclass import _hnf_box, ray_class_group, reduce_mod
 
 
 # -- residue-ring oracle -----------------------------------------------------
+
+def residues_mod(modulus: OkElement) -> list[OkElement]:
+    """A complete, deterministic transversal of O_K/(modulus): the Hermite
+    box, x fastest."""
+    alpha, _, gamma = _hnf_box(modulus)
+    tag = modulus.tag
+    return [OkElement(tag, x, y) for y in range(gamma) for x in range(alpha)]
+
 
 def brute_unit_residues(modulus: OkElement) -> list[OkElement]:
     if modulus.norm() == 1:
@@ -610,6 +621,25 @@ def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
                 return False
             batch = F.one()
     return True
+
+
+def modulus_rank(p: int, t: int, modulus: tuple[int, ...]) -> int:
+    """Position of a modulus in finite_field's search order (constant term
+    1..p-1 first, then the other coefficients lexicographically), counted
+    from 1: the number of candidates up to and including it."""
+    rank = modulus[0] - 1
+    for c in modulus[1:]:
+        rank = rank * p + c
+    return rank + 1
+
+
+def scanned_finite_field(p: int, t: int) -> tuple[int, ...]:
+    """The modulus of F_{p^t}, t >= 2, by a scan one candidate at a time in
+    search order, each through the one-row irreducibility test with one
+    screen for the whole scan."""
+    screen = _small_factor_screen(p, t)
+    return next(c for c in itertools.product(range(1, p), *[range(p)] * (t - 1))
+                if _is_irreducible(p, c, screen))
 
 
 def field_elements(F: FiniteField):

@@ -1,6 +1,7 @@
 """F_{p^t} arithmetic against the schoolbook oracle, the modulus search's
-irreducibility test against the batched-gcd oracle, and a digest of the
-moduli and roots of unity the residue side builds.
+irreducibility test against the batched-gcd oracle, the block search
+against the one-candidate-at-a-time scan, and a digest of the moduli and
+roots of unity the residue side builds.
 
 The degrees cross t = 48, where multiplication used to switch between a
 schoolbook and a numpy path; one field has p^2 > 2^63, where int64
@@ -11,17 +12,19 @@ import itertools
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import divisors, mobius, primerange
 
 from iqtower import finitefield
-from iqtower.finitefield import (FieldError, FiniteField, _is_irreducible, _small_factor_screen,
-                                 finite_field)
+from iqtower.finitefield import (BLOCK_CANDIDATES, FieldError, FiniteField, _irreducible_rows,
+                                 _is_irreducible, _small_factor_screen, finite_field)
 from iqtower.lvaluation import unity_image
 
-from oracles import batched_gcd_is_irreducible, ff_inverse, ff_mul
+from oracles import (batched_gcd_is_irreducible, ff_inverse, ff_mul, modulus_rank,
+                     scanned_finite_field)
 
 DEGREES = [(2, 1), (3, 4), (13, 8), (5, 47), (5, 48), (5, 49), (3, 55), (7, 64)]
 
@@ -128,12 +131,12 @@ def _has_root(p: int, coeffs: tuple) -> bool:
 class TestIrreducibility:
     @pytest.mark.parametrize("p,t", SMALL_DEGREES)
     def test_every_small_candidate_matches_oracle_and_count(self, p, t):
-        count = 0
-        for coeffs in itertools.product(range(p), repeat=t):
-            got = _is_irreducible(p, coeffs)
-            assert got == batched_gcd_is_irreducible(p, coeffs), (p, coeffs)
-            count += got
-        assert count * t == sum(mobius(d) * p ** (t // d) for d in divisors(t))
+        """One block test on all p^t candidates, checked row by row."""
+        candidates = list(itertools.product(range(p), repeat=t))
+        irreducible = set(_irreducible_rows(p, np.array(candidates), _small_factor_screen(p, t)))
+        for i, coeffs in enumerate(candidates):
+            assert (i in irreducible) == batched_gcd_is_irreducible(p, coeffs), (p, coeffs)
+        assert len(irreducible) * t == sum(mobius(d) * p ** (t // d) for d in divisors(t))
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.data())
@@ -195,6 +198,59 @@ class TestIrreducibility:
         assert peak < 2 ** 20, peak
 
 
+# (p, t, block, row): where the winner sits among the blocks of
+# BLOCK_CANDIDATES = 32 candidates, by modulus_rank: in the first row
+# (p >= t and p < t), in the last row, and in a later block
+BLOCK_POSITIONS = [(13, 10, 1, 0), (5, 64, 17, 0),
+                   (2, 37, 0, 31), (7, 56, 2, 31), (11, 61, 2, 31),
+                   (5, 36, 13, 6), (5, 47, 4, 26), (3, 62, 7, 22)]
+
+
+class TestBlockSearch:
+    """finite_field tests BLOCK_CANDIDATES at a time; its winner is the scan's."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_every_degree_up_to_64_matches_the_scan(self, p):
+        for t in range(2, 65):
+            assert finite_field.__wrapped__(p, t).modulus == scanned_finite_field(p, t), (p, t)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from(list(primerange(2, 51))), st.integers(2, 64))
+    def test_hypothesis_fields_match_the_scan(self, p, t):
+        assert finite_field.__wrapped__(p, t).modulus == scanned_finite_field(p, t)
+
+    @pytest.mark.parametrize("p,t,block,row", BLOCK_POSITIONS)
+    def test_winner_at_the_edges_of_a_block(self, p, t, block, row):
+        F = finite_field.__wrapped__(p, t)
+        assert divmod(modulus_rank(p, t, F.modulus) - 1, BLOCK_CANDIDATES) == (block, row)
+        assert F.modulus == scanned_finite_field(p, t)
+
+    def test_one_stacked_rabin_pass_per_block_with_a_survivor(self, monkeypatch):
+        p, t = 7, 57
+        survivors, passes = [], []
+        make_screen, frobenius_powers = finitefield._small_factor_screen, finitefield._frobenius_powers
+
+        def counting_screen(*args):
+            screen = make_screen(*args)
+
+            def counted(rows):
+                passed = screen(rows)
+                survivors.append(int(passed.sum()))
+                return passed
+            return counted
+
+        def counting_powers(p, f, wanted):
+            passes.append(len(f))
+            return frobenius_powers(p, f, wanted)
+
+        monkeypatch.setattr(finitefield, "_small_factor_screen", counting_screen)
+        monkeypatch.setattr(finitefield, "_frobenius_powers", counting_powers)
+        F = finite_field.__wrapped__(p, t)
+        assert len(survivors) == -(-modulus_rank(p, t, F.modulus) // BLOCK_CANDIDATES)
+        assert passes == [n for n in survivors if n]
+        assert len(passes) > 1
+
+
 def _first_irreducibles(p: int, d: int, count: int) -> list[tuple]:
     return list(itertools.islice((c for c in itertools.product(range(p), repeat=d)
                                   if batched_gcd_is_irreducible(p, c)), count))
@@ -214,18 +270,20 @@ class TestScreen:
         g, h = (_first_irreducibles(p, 3, 2) if dh == 3
                 else _first_irreducibles(p, 3, 1) + _first_irreducibles(p, 4, 1))
         f = _poly_mul(p, g, h)
-        assert _small_factor_screen(p, len(f))(f)
+        assert _small_factor_screen(p, len(f))(np.array([f])).tolist() == [True]
         assert _frobenius_fixes_x(p, f) == (dh == 3)
         assert not _is_irreducible(p, f)
 
     @pytest.mark.parametrize("p,t", [(p, t) for p in (2, 3, 5) for t in range(2, 7)
                                      if p ** t <= 3125])
     def test_table_and_gcd_sides_agree_on_every_candidate(self, p, t, monkeypatch):
-        table = _small_factor_screen(p, t)
+        candidates = list(itertools.product(range(p), repeat=t))
+        table = _small_factor_screen(p, t)(np.array(candidates))
         monkeypatch.setattr(finitefield, "SCREEN_POINTS_MAX", 0)
-        gcd = _small_factor_screen(p, t)
-        for coeffs in itertools.product(range(p), repeat=t):
-            assert table(coeffs) == gcd(coeffs), coeffs
+        gcd = _small_factor_screen(p, t)(np.array(candidates))
+        assert len(table) == len(gcd) == len(candidates)
+        for coeffs, a, b in zip(candidates, table, gcd):
+            assert a == b, coeffs
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(st.data())

@@ -1,3 +1,4 @@
+import bisect
 import cmath
 import json
 import math
@@ -553,6 +554,15 @@ class TestOneEnumeration:
     def test_sieve(self):
         sieve = _prime_sieve(3000)
         assert [n for n in range(3001) if sieve[n]] == [n for n in range(3001) if isprime(n)]
+
+    def test_sieve_equals_primerange(self):
+        # every bound up to 10^4, so each parity of the bound and each prime
+        # square is an edge somewhere, and one large bound
+        primes = list(primerange(2, 10 ** 4 + 1))
+        for bound in range(10 ** 4 + 1):
+            assert np.flatnonzero(_prime_sieve(bound)).tolist() == \
+                primes[:bisect.bisect_right(primes, bound)], bound
+        assert np.flatnonzero(_prime_sieve(10 ** 6)).tolist() == list(primerange(2, 10 ** 6 + 1))
 
     def test_euler_product_leaves_primes_above_cache_alone(self):
         # once the modulus is factored, the product reads no primes_above

@@ -18,11 +18,10 @@ from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
                               anticyclotomic_tower,
                               artin_symbol, characters, euler_phi,
                               lcm_degree_check, lcm_ideal, minus_quotient,
-                              ray_class_group, reduce_mod, residues_mod,
-                              unit_group_structure)
+                              ray_class_group, reduce_mod, unit_group_structure)
 
 from oracles import (ReferenceSplitFactor, brute_euler_phi, brute_ray_degree,
-                     brute_torsion_counts, crt_lifted_gens, sylow_structure)
+                     brute_torsion_counts, crt_lifted_gens, residues_mod, sylow_structure)
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
