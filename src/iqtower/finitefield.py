@@ -11,16 +11,19 @@ d = 1 for t <= 3 and d = 2 beyond, which decides every t <= 5.  While
 F_{p^d} has at most SCREEN_POINTS_MAX points, the screen is one product of
 the block with a table of alpha^i for every alpha in F_{p^d}, built once
 per search; above that it is gcd(x^(p^d) - x, f) = 1 by repeated
-squaring, row by row, so no step loops over the points of F_p.  The rows
-of degree t >= 6 that pass go to Rabin's test (M. O. Rabin, SIAM J.
-Comput. 9, 1980) as one stack: f is irreducible iff x^(p^t) = x mod f and
-gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.  A Frobenius step
-y -> y^p is one stacked product y @ Q mod p with the matrices Q whose row
-i is x^(i*p) mod f (Cohen, GTM 138, 3.4); for p < t the first t - p
-rows of the matrix of multiplication by x^p are unit vectors, so each row
-of Q is a shift plus a product with its other p rows.  The gcds run only
-for the rows that pass x^(p^t) = x, in counter order, up to the first
-that passes them, and only that winner becomes a FiniteField.
+squaring, row by row, so no step loops over the points of F_p, and each
+row that passes is handed on at once, so no row after the winner is
+checked.  The rows of degree t >= 6 that pass go to Rabin's test (M. O.
+Rabin, SIAM J. Comput. 9, 1980) as one stack, all the block's survivors
+on the table side and one row on the gcd side: f is irreducible iff
+x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.
+A Frobenius step y -> y^p is one stacked product y @ Q mod p with the
+matrices Q whose row i is x^(i*p) mod f (Cohen, GTM 138, 3.4); for p < t
+the first t - p rows of the matrix of multiplication by x^p are unit
+vectors, so each row of Q is a shift plus a product with its other p
+rows, and for p >= t, x^p mod f comes by squaring the stack.  The gcds
+run only for the rows that pass x^(p^t) = x, in counter order, up to the
+first that passes them, and only that winner becomes a FiniteField.
 
 Multiplication has one path: the numpy convolution of the two coefficient
 vectors, reduced mod p, and a fold of its t - 1 high coefficients through
@@ -107,6 +110,16 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, fold: np.ndarray, p: int) -> np.ndarr
     t = len(a)
     conv = np.convolve(a, b) % p
     return (conv[:t] + conv[t:] @ fold) % p
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The products of the polynomials in two (S, t) stacks, shape (S, 2t - 1):
+    the outer products laid in rows of length 2t, read back in rows of
+    length 2t - 1, so that row i starts at degree i, and summed."""
+    S, t = a.shape
+    prod = np.zeros((S, t, 2 * t), dtype=a.dtype)
+    prod[:, :, :t] = a[:, :, None] * b[:, None, :]
+    return prod.reshape(S, -1)[:, :t * (2 * t - 1)].reshape(S, t, 2 * t - 1).sum(axis=1)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -221,15 +234,18 @@ class FFElement:
 
 def _small_factor_screen(p: int, t: int):
     """A test of a stack of monic f of degree t >= 2, the rows of their low
-    coefficients: True where f has no irreducible factor of degree <= d,
-    with d = 1 for t <= 3 and d = 2 beyond, i.e. no root in F_{p^d}.
+    coefficients: it yields, in order, arrays of the indices of the rows
+    with no irreducible factor of degree <= d, with d = 1 for t <= 3 and
+    d = 2 beyond, i.e. no root in F_{p^d}.
 
     While p^d <= SCREEN_POINTS_MAX, f(alpha) for every row and every
     alpha = a + b*theta in F_{p^d} is one product of the stack with a
     (t+1) x 2p^d table whose row i holds both coordinates of alpha^i
     (theta^2 = the least non-residue for odd p, theta^2 = theta + 1 for
-    p = 2).  Beyond, the same test is gcd(x^(p^d) - x, f) = 1, row by row,
-    by O(d log p) products mod f and no per-point data.
+    p = 2), and all the survivors come as one array.  Beyond, the same
+    test is gcd(x^(p^d) - x, f) = 1, by O(d log p) products mod f and no
+    per-point data, one row at a time: each survivor comes as soon as it
+    is found, so a caller that stops there checks no later row.
     """
     d = 1 if t <= 3 else 2
     n = p ** d
@@ -251,9 +267,9 @@ def _small_factor_screen(p: int, t: int):
             row[:n], row[n:] = u, v
             u, v = (u * a + v * nb) % p, (u * b + v * ab) % p
 
-        def screen(rows) -> np.ndarray:
+        def screen(rows):
             vals = (np.asarray(rows, dtype=dtype) @ table[:t] + table[t]) % p
-            return ~np.any((vals[:, :n] == 0) & (vals[:, n:] == 0), axis=1)
+            yield np.flatnonzero(~np.any((vals[:, :n] == 0) & (vals[:, n:] == 0), axis=1))
         return screen
 
     one, x = np.zeros((2, t), dtype=dtype)
@@ -267,8 +283,10 @@ def _small_factor_screen(p: int, t: int):
             y = _pow(y, p, lambda a, b: _mul_mod(a, b, fold, p), one)
         return _poly_gcd((y - x).tolist(), coeffs.tolist() + [1], p, dtype) == [1]
 
-    def screen(rows) -> np.ndarray:
-        return np.array([coprime(row) for row in np.asarray(rows, dtype=dtype)], dtype=bool)
+    def screen(rows):
+        for i, row in enumerate(np.asarray(rows, dtype=dtype)):
+            if coprime(row):
+                yield np.array([i])
     return screen
 
 
@@ -296,8 +314,11 @@ def _frobenius_powers(p: int, f: np.ndarray, wanted: list[int]) -> dict[int, np.
             Q[:, i] += (y[:, None, t - p:] @ fold)[:, 0]
             Q[:, i] %= p
     else:
-        def mul(a, b):   # b times the rows x^j a mod f
-            return (b[:, None] @ _shift_rows(a, low, t, p))[:, 0] % p
+        fold = _shift_rows(low, low, t - 1, p)        # (S, t - 1, t)
+
+        def mul(a, b):
+            conv = _convolve_rows(a, b) % p
+            return (conv[:, :t] + (conv[:, None, t:] @ fold)[:, 0]) % p
 
         one, x = np.zeros((2, S, t), dtype=f.dtype)
         one[:, 0] = x[:, 1] = 1
@@ -316,37 +337,36 @@ def _irreducible_rows(p: int, rows: np.ndarray, screen):
 
     The screen rules out factors of degree <= 2, or <= 1 for t <= 3, which
     settles t <= 5: a reducible polynomial of degree <= 5 has a factor of
-    degree <= 2.  The rows that pass it go to Rabin's test (M. O. Rabin,
-    SIAM J. Comput. 9, 1980) as one stack: f is irreducible iff
-    x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for every prime
-    r | t.  The gcds run row by row, only for the rows that pass the first
-    condition, and only as far as the caller takes indices.
+    degree <= 2.  Each array of survivors the screen yields goes to Rabin's
+    test (M. O. Rabin, SIAM J. Comput. 9, 1980) as one stack: f is
+    irreducible iff x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for
+    every prime r | t.  The gcds run row by row, only for the rows that
+    pass the first condition, and only as far as the caller takes indices.
     """
     t = rows.shape[1]
-    passed = np.flatnonzero(screen(rows))
-    if t <= 5 or not len(passed):
-        yield from passed.tolist()
-        return
     dtype = _dtype(p, t)
-    f = rows[passed].astype(dtype)
     divisors = _prime_divisors(t)
-    powers = _frobenius_powers(p, f, [t] + [t // r for r in divisors])
     x = np.zeros(t, dtype=dtype)
     x[1] = 1
-    for s in np.flatnonzero(np.all(powers[t] == x, axis=1)).tolist():
-        f_full = f[s].tolist() + [1]
-        if all(_poly_gcd((powers[t // r][s] - x).tolist(), f_full, p, dtype) == [1]
-               for r in divisors):
-            yield int(passed[s])
+    for passed in screen(rows):
+        if t <= 5 or not len(passed):
+            yield from passed.tolist()
+            continue
+        f = rows[passed].astype(dtype)
+        powers = _frobenius_powers(p, f, [t] + [t // r for r in divisors])
+        for s in np.flatnonzero(np.all(powers[t] == x, axis=1)).tolist():
+            f_full = f[s].tolist() + [1]
+            if all(_poly_gcd((powers[t // r][s] - x).tolist(), f_full, p, dtype) == [1]
+                   for r in divisors):
+                yield int(passed[s])
 
 
-def _is_irreducible(p: int, coeffs: tuple[int, ...], screen=None) -> bool:
+def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?  The
-    one-row case of _irreducible_rows, with the screen built here unless
-    the caller passes its own."""
+    one-row case of _irreducible_rows."""
     t = len(coeffs)
     rows = np.array([coeffs], dtype=_dtype(p, t + 1))
-    return next(_irreducible_rows(p, rows, screen or _small_factor_screen(p, t)), None) is not None
+    return next(_irreducible_rows(p, rows, _small_factor_screen(p, t)), None) is not None
 
 
 def _counter_rows(first: np.ndarray, count: int, p: int) -> np.ndarray:

@@ -48,7 +48,7 @@ from sympy import divisors, factorint, n_order, primerange, primitive_root
 
 from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
-from iqtower.finitefield import (FiniteField, _is_irreducible, _poly_gcd,
+from iqtower.finitefield import (FiniteField, _irreducible_rows, _is_irreducible, _poly_gcd,
                                  _small_factor_screen, finite_field)
 from iqtower.lvaluation import (LSeriesValue, _character, _prime_sieve, dirichlet_tail_bound,
                                 unity_image)
@@ -635,11 +635,11 @@ def modulus_rank(p: int, t: int, modulus: tuple[int, ...]) -> int:
 
 def scanned_finite_field(p: int, t: int) -> tuple[int, ...]:
     """The modulus of F_{p^t}, t >= 2, by a scan one candidate at a time in
-    search order, each through the one-row irreducibility test with one
-    screen for the whole scan."""
+    search order, each through the one-row block test with one screen for
+    the whole scan."""
     screen = _small_factor_screen(p, t)
     return next(c for c in itertools.product(range(1, p), *[range(p)] * (t - 1))
-                if _is_irreducible(p, c, screen))
+                if next(_irreducible_rows(p, np.array([c]), screen), None) is not None)
 
 
 def field_elements(F: FiniteField):

@@ -234,9 +234,9 @@ class TestBlockSearch:
             screen = make_screen(*args)
 
             def counted(rows):
-                passed = screen(rows)
-                survivors.append(int(passed.sum()))
-                return passed
+                batches = list(screen(rows))
+                survivors.append(sum(map(len, batches)))
+                return iter(batches)
             return counted
 
         def counting_powers(p, f, wanted):
@@ -249,6 +249,36 @@ class TestBlockSearch:
         assert len(survivors) == -(-modulus_rank(p, t, F.modulus) // BLOCK_CANDIDATES)
         assert passes == [n for n in survivors if n]
         assert len(passes) > 1
+
+    @pytest.mark.parametrize("p,t", [(10 ** 30 + 57, 2), (1000003, 4), (101, 8), (1009, 7)])
+    def test_gcd_side_stops_at_the_winner(self, p, t, monkeypatch):
+        """Above SCREEN_POINTS_MAX the screen computes x^(p^d) mod f, d = 1
+        for t <= 3 and 2 beyond, by d powers of one row, and hands on each
+        survivor as it finds it: no row after the winner is checked, and
+        Rabin's test runs on stacks of one."""
+        row_powers, passes = [], []
+        power, frobenius_powers = finitefield._pow, finitefield._frobenius_powers
+
+        def counting_power(x, *args):
+            if x.ndim == 1:
+                row_powers.append(x)
+            return power(x, *args)
+
+        def counting_powers(p, f, wanted):
+            passes.append(len(f))
+            return frobenius_powers(p, f, wanted)
+
+        monkeypatch.setattr(finitefield, "_pow", counting_power)
+        monkeypatch.setattr(finitefield, "_frobenius_powers", counting_powers)
+        F = finite_field.__wrapped__(p, t)
+        assert len(row_powers) == (1 if t <= 3 else 2) * modulus_rank(p, t, F.modulus)
+        assert set(passes) <= {1} and (t <= 5) == (not passes)
+
+
+def _screened(p: int, candidates) -> list[int]:
+    """The indices of the candidates that pass the screen, in order."""
+    screen = _small_factor_screen(p, len(candidates[0]))
+    return [i for passed in screen(np.array(candidates)) for i in passed.tolist()]
 
 
 def _first_irreducibles(p: int, d: int, count: int) -> list[tuple]:
@@ -270,7 +300,7 @@ class TestScreen:
         g, h = (_first_irreducibles(p, 3, 2) if dh == 3
                 else _first_irreducibles(p, 3, 1) + _first_irreducibles(p, 4, 1))
         f = _poly_mul(p, g, h)
-        assert _small_factor_screen(p, len(f))(np.array([f])).tolist() == [True]
+        assert _screened(p, [f]) == [0]
         assert _frobenius_fixes_x(p, f) == (dh == 3)
         assert not _is_irreducible(p, f)
 
@@ -278,12 +308,12 @@ class TestScreen:
                                      if p ** t <= 3125])
     def test_table_and_gcd_sides_agree_on_every_candidate(self, p, t, monkeypatch):
         candidates = list(itertools.product(range(p), repeat=t))
-        table = _small_factor_screen(p, t)(np.array(candidates))
+        table = set(_screened(p, candidates))
         monkeypatch.setattr(finitefield, "SCREEN_POINTS_MAX", 0)
-        gcd = _small_factor_screen(p, t)(np.array(candidates))
-        assert len(table) == len(gcd) == len(candidates)
-        for coeffs, a, b in zip(candidates, table, gcd):
-            assert a == b, coeffs
+        gcd = set(_screened(p, candidates))
+        assert table | gcd <= set(range(len(candidates)))
+        for i, coeffs in enumerate(candidates):
+            assert (i in table) == (i in gcd), coeffs
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(st.data())
