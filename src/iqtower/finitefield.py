@@ -5,38 +5,30 @@ polynomial f of degree t over F_p, coefficients compared constant term
 first.  Elements are coefficient tuples (low degree first).
 
 The search takes the candidates BLOCK_CANDIDATES at a time, as the rows
-of one array of the base-p digits of a counter, and tests the block on
-bare arrays.  A screen first rules out irreducible factors of degree <= d,
-d = 1 for t <= 3 and d = 2 beyond, which decides every t <= 5.  While
-F_{p^d} has at most SCREEN_POINTS_MAX points, the screen is one product of
-the block with a table of alpha^i for every alpha in F_{p^d}, built once
-per search; above that it is gcd(x^(p^d) - x, f) = 1 by repeated
-squaring, row by row, so no step loops over the points of F_p, and each
-row that passes is handed on at once, so no row after the winner is
-checked.  The rows of degree t >= 6 that pass go to Rabin's test (M. O.
-Rabin, SIAM J. Comput. 9, 1980) as one stack, all the block's survivors
-on the table side and one row on the gcd side: f is irreducible iff
-x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for each prime r | t.
-A Frobenius step y -> y^p is one stacked product y @ Q mod p with the
-matrices Q whose row i is x^(i*p) mod f (Cohen, GTM 138, 3.4); for p < t
-the first t - p rows of the matrix of multiplication by x^p are unit
-vectors, so each row of Q is a shift plus a product with its other p
-rows, and for p >= t, x^p mod f comes by squaring the stack.  The gcds
-run only for the rows that pass x^(p^t) = x, in counter order, up to the
-first that passes them, and only that winner becomes a FiniteField.
+of one array of the base-p digits of a counter.  A screen rules out
+irreducible factors of degree <= 2 (<= 1 for t <= 3), which decides every
+t <= 5, by a table of the points of F_{p^d} or, above SCREEN_POINTS_MAX
+points, by a gcd row by row (_small_factor_screen).  The rows of degree
+t >= 6 that pass go to Rabin's test as one stack, through the matrices Q
+of the Frobenius y -> y^p (_frobenius_matrix, _irreducible_rows).  The
+first row, in counter order, that passes becomes a FiniteField, which
+keeps its Q; a field the search gave none builds Q on first use.
 
 Multiplication has one path: the numpy convolution of the two coefficient
 vectors, reduced mod p, and a fold of its t - 1 high coefficients through
 a (t-1) x t matrix whose row k is x^(t+k) mod f, built once per field by
-the same shift recurrence that builds the search's matrices.  Inverses
-are Fermat powers.  Arrays are int64 when t*(p-1)^2 < 2^63, which bounds
-every convolution, fold and Frobenius sum, and Python integers otherwise,
-so arithmetic is exact for every p and t.
+the same shift recurrence that builds the search's matrices.  Powers have
+one routine, FiniteField._power: while p <= t, Horner over the base-p
+digits of the exponent through Q, beyond that square-and-multiply.
+Inverses are Fermat powers.  Arrays are int64 when t*(p-1)^2 < 2^63,
+which bounds every convolution, fold and Frobenius sum, and Python
+integers otherwise, so arithmetic is exact for every p and t.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -136,7 +128,7 @@ def _prime_divisors(n: int) -> list[int]:
 class FiniteField:
     """F_p[x]/(f_t) with the deterministic modulus described above."""
 
-    def __init__(self, p: int, t: int, _modulus: tuple[int, ...]):
+    def __init__(self, p: int, t: int, _modulus: tuple[int, ...], _frobenius=None):
         self.p = p
         self.t = t
         self.modulus = _modulus          # low coefficients of monic f, len t
@@ -145,6 +137,7 @@ class FiniteField:
         # row k is x^(t+k) mod f, starting from x^t = -(low part of f)
         low = -np.array(_modulus, dtype=self.dtype) % p
         self._fold = _shift_rows(low, low, t - 1, p)
+        self._frobenius = _frobenius     # Q for f, from the search or on first use
 
     def __repr__(self) -> str:
         return f"GF({self.p}^{self.t})"
@@ -172,8 +165,31 @@ class FiniteField:
         return self.element((0, 1) + (0,) * (self.t - 2))
 
     # -- arithmetic core ------------------------------------------------------
-    def _mul(self, a: "FFElement", b: "FFElement") -> tuple[int, ...]:
-        return tuple(_mul_mod(a._as_array(), b._as_array(), self._fold, self.p).tolist())
+    def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _mul_mod(a, b, self._fold, self.p)
+
+    def _power(self, y: np.ndarray, e: int) -> np.ndarray:
+        """y^e for e >= 0, on bare arrays.  Square-and-multiply takes about
+        1.5*log2(p) products per base-p digit of e.  While p <= t, Horner over
+        the digits takes one acc @ Q, cheaper than a product, and at most one
+        product with y^d per digit, after at most p - 2 < t products for the
+        table of y^d: a cofactor power, e < p^t, takes fewer than 2t products."""
+        p, one = self.p, np.eye(1, self.t, dtype=self.dtype)[0]
+        if p > self.t:
+            return _pow(y, e, self._mul, one)
+        if self._frobenius is None:
+            self._frobenius = _frobenius_matrix(p, np.array([self.modulus], dtype=self.dtype))[0]
+        digits = []
+        while e:
+            e, d = divmod(e, p)
+            digits.append(d)
+        table = [one, *accumulate([y] * (max(digits, default=1) - 1), self._mul, initial=y)]
+        acc = table[digits.pop()] if digits else one
+        for d in reversed(digits):
+            acc = acc @ self._frobenius % p
+            if d:
+                acc = self._mul(acc, table[d])
+        return acc
 
 
 class FFElement:
@@ -213,12 +229,13 @@ class FFElement:
     def __mul__(self, other: "FFElement") -> "FFElement":
         if other.field is not self.field:
             raise FieldError("elements of different fields")
-        return FFElement(self.field, self.field._mul(self, other))
+        return FFElement(self.field, tuple(self.field._mul(self._as_array(),
+                                                           other._as_array()).tolist()))
 
     def __pow__(self, k: int) -> "FFElement":
         if k < 0:
             return self.inverse() ** (-k)
-        return _pow(self, k, FFElement.__mul__, self.field.one())
+        return FFElement(self.field, tuple(self.field._power(self._as_array(), k).tolist()))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -290,16 +307,16 @@ def _small_factor_screen(p: int, t: int):
     return screen
 
 
-def _frobenius_powers(p: int, f: np.ndarray, wanted: list[int]) -> dict[int, np.ndarray]:
-    """{j: x^(p^j) mod f} for j in wanted, for the whole (S, t) stack f of
-    low coefficients at once.
+def _frobenius_matrix(p: int, f: np.ndarray) -> np.ndarray:
+    """The matrices Q of y -> y^p mod f, shape (S, t, t), for the whole
+    (S, t) stack f of low coefficients at once: y^p = y @ Q mod p.
 
-    The Frobenius y -> y^p is y @ Q mod p, where row i of Q is x^(i*p) mod f
-    (Cohen, GTM 138, 3.4): a monomial while i*p < t, and beyond that
-    Q[i] = Q[i-1] @ M, M the matrix of multiplication by x^p, whose row j
-    is x^(p+j) mod f.  For p < t the first t - p rows of M are unit vectors,
-    so Q[i] is Q[i-1] shifted up p degrees plus its top p coefficients
-    times the rows x^t, ..., x^(t+p-1): O(p*t) per row, not O(t^2).
+    Row i of Q is x^(i*p) mod f (Cohen, GTM 138, 3.4): a monomial while
+    i*p < t, and beyond that Q[i] = Q[i-1] @ M, M the matrix of
+    multiplication by x^p, whose row j is x^(p+j) mod f.  For p < t the
+    first t - p rows of M are unit vectors, so Q[i] is Q[i-1] shifted up p
+    degrees plus its top p coefficients times the rows x^t, ..., x^(t+p-1):
+    O(p*t) per row, not O(t^2).
     """
     S, t = f.shape
     low = -f % p                                      # x^t mod f
@@ -325,6 +342,11 @@ def _frobenius_powers(p: int, f: np.ndarray, wanted: list[int]) -> dict[int, np.
         M = _shift_rows(_pow(x, p, mul, one), low, t, p)
         for i in range(k, t):
             Q[:, i] = (Q[:, i - 1, None] @ M)[:, 0] % p
+    return Q
+
+
+def _frobenius_powers(p: int, Q: np.ndarray, wanted: list[int]) -> dict[int, np.ndarray]:
+    """{j: x^(p^j) mod f} for j in wanted, for a stack Q of _frobenius_matrix."""
     ys, top = [Q[:, 1]], max(wanted)                  # ys[j - 1] = x^(p^j) mod f
     while len(ys) < top:
         ys.append((ys[-1][:, None] @ Q)[:, 0] % p)
@@ -332,8 +354,9 @@ def _frobenius_powers(p: int, f: np.ndarray, wanted: list[int]) -> dict[int, np.
 
 
 def _irreducible_rows(p: int, rows: np.ndarray, screen):
-    """The indices, in order, of the irreducible rows of a stack of monic f
-    of degree t >= 2, given by their low coefficients.
+    """The irreducible rows of a stack of monic f of degree t >= 2, given by
+    their low coefficients, in order, as (index, Q of _frobenius_matrix),
+    with None for Q at t <= 5, where Rabin's test does not run.
 
     The screen rules out factors of degree <= 2, or <= 1 for t <= 3, which
     settles t <= 5: a reducible polynomial of degree <= 5 has a factor of
@@ -341,7 +364,7 @@ def _irreducible_rows(p: int, rows: np.ndarray, screen):
     test (M. O. Rabin, SIAM J. Comput. 9, 1980) as one stack: f is
     irreducible iff x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for
     every prime r | t.  The gcds run row by row, only for the rows that
-    pass the first condition, and only as far as the caller takes indices.
+    pass the first condition, and only as far as the caller takes rows.
     """
     t = rows.shape[1]
     dtype = _dtype(p, t)
@@ -350,23 +373,16 @@ def _irreducible_rows(p: int, rows: np.ndarray, screen):
     x[1] = 1
     for passed in screen(rows):
         if t <= 5 or not len(passed):
-            yield from passed.tolist()
+            yield from ((i, None) for i in passed.tolist())
             continue
         f = rows[passed].astype(dtype)
-        powers = _frobenius_powers(p, f, [t] + [t // r for r in divisors])
+        Q = _frobenius_matrix(p, f)
+        powers = _frobenius_powers(p, Q, [t] + [t // r for r in divisors])
         for s in np.flatnonzero(np.all(powers[t] == x, axis=1)).tolist():
             f_full = f[s].tolist() + [1]
             if all(_poly_gcd((powers[t // r][s] - x).tolist(), f_full, p, dtype) == [1]
                    for r in divisors):
-                yield int(passed[s])
-
-
-def _is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
-    """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?  The
-    one-row case of _irreducible_rows."""
-    t = len(coeffs)
-    rows = np.array([coeffs], dtype=_dtype(p, t + 1))
-    return next(_irreducible_rows(p, rows, _small_factor_screen(p, t)), None) is not None
+                yield int(passed[s]), Q[s].copy()
 
 
 def _counter_rows(first: np.ndarray, count: int, p: int) -> np.ndarray:
@@ -402,6 +418,6 @@ def finite_field(p: int, t: int) -> FiniteField:
     first[0] = 1
     while True:
         rows = _counter_rows(first, BLOCK_CANDIDATES, p)
-        for i in _irreducible_rows(p, rows[:-1], screen):
-            return FiniteField(p, t, tuple(rows[i].tolist()))
+        for i, Q in _irreducible_rows(p, rows[:-1], screen):
+            return FiniteField(p, t, tuple(rows[i].tolist()), Q)
         first = rows[-1]

@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd, isqrt
+from math import isqrt
 from numbers import Integral
 from operator import truediv
 
@@ -39,9 +39,8 @@ import numpy as np
 from sympy import isprime, n_order
 from sympy.ntheory import sqrt_mod
 
-from .abgroup import _pow, padic_val
-from .finitefield import (FFElement, FieldError, FiniteField, _mul_mod, _shift_rows,
-                          finite_field)
+from .abgroup import padic_val
+from .finitefield import FFElement, FieldError, FiniteField, _shift_rows, finite_field
 from .okring import (FieldTag, OkElement, OkError, _ideal_chunks, factor, omega_residue,
                      split_type)
 from .rayclass import CharacterSpec, _hnf_box, _smith_coords, ray_class_group
@@ -84,12 +83,6 @@ class ResidueEmbedding:
             raise OkError("element from a different field")
         return (e.x + e.y * self.omega_image) % self.p
 
-    def ext_degree(self, m: int) -> int:
-        """Degree of F_p(mu_m) over F_p: the order of p mod m."""
-        if gcd(m, self.p) != 1:
-            raise OkError(f"{m} is divisible by p={self.p}")
-        return 1 if m == 1 else int(n_order(self.p, m))
-
 
 def _projection_candidates(p: int, t: int):
     """Deterministic scan order, as coefficient tuples, for nonzero elements
@@ -128,9 +121,9 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
     The q^m-torsion of F_{p^t}^x is unique, so the choice does not depend on
     how the subgroup is first reached.  A generator w of it is the cofactor
     power z^((p^t - 1)/q^m) of the first scanned z where that power has
-    exact order q^m, taken on bare arrays.  The q^m powers of w come
-    ceil(sqrt(q^m)) at a time through W, the matrix of multiplication by w,
-    and np.lexsort picks the least w^j with q not dividing j.
+    exact order q^m, taken by FiniteField._power on bare arrays.  The q^m
+    powers of w come ceil(sqrt(q^m)) at a time through W, the matrix of
+    multiplication by w, and np.lexsort picks the least w^j, q not | j.
     """
     _check_pqm(p, q, m)
     if m == 0:
@@ -142,15 +135,11 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
                       f"{EXPLICIT_FIELD_DEGREE_CAP}")
     F = finite_field(p, t)
     one, low = F.one()._as_array(), -np.array(F.modulus, dtype=F.dtype) % p
-
-    def mul(a, b):
-        return _mul_mod(a, b, F._fold, p)
-
     cof = (F.order - 1) // qm
     # the scan reaches a generator of F^x, whose cof-th power has order q^m
-    w = next(c for c in (_pow(np.array(z, dtype=F.dtype), cof, mul, one)
+    w = next(c for c in (F._power(np.array(z, dtype=F.dtype), cof)
                          for z in _projection_candidates(p, t))
-             if not np.array_equal(_pow(c, qm // q, mul, one), one))
+             if not np.array_equal(F._power(c, qm // q), one))
     # y @ W is y * w (row i of W is x^i * w mod f); the block holds w^j for
     # k consecutive j, and block @ step moves it on by w^k (past j = q^m
     # the powers repeat, so the last block may overrun)

@@ -142,35 +142,40 @@ def fit_iwasawa(e: list[int], q: int) -> tuple[int, int, int, int] | None:
 
     Returns (mu, lambda, nu, n0) for the smallest n0 whose tail (length
     >= 3) admits integer mu, lambda >= 0 and integer nu fitting exactly;
-    None when no such tail exists.
+    None when no such tail exists.  Every tail holds the last three values,
+    which fix (mu, lambda, nu): one solve there, then a walk down the fit.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
     if len(e) < 4:
         raise ValueError("need at least 4 values to fit a growth law")
-    for n0 in range(0, len(e) - 2):
-        sol = _solve_growth(e[n0:n0 + 3], n0, q)
-        if sol is None:
-            continue
-        mu, lam, nu = sol
-        if mu < 0 or lam < 0:
-            continue
-        if all(e[n] == mu * q ** n + lam * n + nu for n in range(n0, len(e))):
-            return (mu, lam, nu, n0)
-    return None
+    n0 = len(e) - 3
+    sol = _solve_growth(e[n0:], n0, q)
+    if sol is None or sol[0] < 0 or sol[1] < 0:
+        return None
+    mu, lam, nu = sol
+    grow = (e[-1] - 2 * e[-2] + e[-3]) // (q - 1) ** 2     # mu*q^n0, exactly
+    while n0 and e[n0 - 1] == grow // q + lam * (n0 - 1) + nu:
+        n0, grow = n0 - 1, grow // q
+    return mu, lam, nu, n0
 
 
 def _solve_growth(vals, n0: int, q: int) -> tuple[int, int, int] | None:
     """The integers (mu, lambda, nu) with mu*q^n + lambda*n + nu = vals[n - n0]
     at n = n0, n0 + 1, n0 + 2, or None when mu is not an integer.  The first
-    difference is mu*q^n0*(q - 1) + lambda and the second mu*q^n0*(q - 1)^2."""
+    difference is mu*q^n0*(q - 1) + lambda and the second mu*q^n0*(q - 1)^2,
+    so q^n0 is formed only while it stays within a nonzero second one."""
     e0, e1, e2 = vals
-    step = q ** n0 * (q - 1)
-    mu, rem = divmod(e2 - 2 * e1 + e0, step * (q - 1))
+    second, qn = e2 - 2 * e1 + e0, 1
+    for _ in range(n0 if second else 0):
+        qn *= q
+        if qn > abs(second):
+            return None
+    mu, rem = divmod(second, qn * (q - 1) ** 2)
     if rem:
         return None
-    lam = e1 - e0 - mu * step
-    return mu, lam, e0 - mu * q ** n0 - lam * n0
+    lam = e1 - e0 - mu * qn * (q - 1)
+    return mu, lam, e0 - mu * qn - lam * n0
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,17 @@ primes above a rational prime are the elements of that norm, found by
 scanning the norm form, and the ideals up to a norm bound are the lattice
 points under it that are their own canonical associates.  Iwasawa growth
 laws through three points come from Gaussian elimination in exact
-rationals, and the primes above ell in a cyclotomic Z_q-layer from one
+rationals, a growth law is fitted to a tail by trying every start in turn,
+and the primes above ell in a cyclotomic Z_q-layer from one
 multiplicative order per layer.  Binary quadratic forms compose through
 united forms, after a spiral search for an equivalent form whose leading
 coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
-coefficient tuples with Python integers, a field's elements are counted
-out from the base-p digits of an integer; irreducibility is decided by
+coefficient tuples with Python integers, the Frobenius matrix's rows
+x^(i*p) mod f come from multiplying by x one degree at a time, a field's
+elements are counted out from the base-p digits of an integer, and powers
+in the batched-gcd oracle are square-and-multiply; irreducibility is decided by
 batched gcds with x^(p^k) - x for every k <= t/2, the modulus of F_{p^t}
 is the first candidate in search order that the one-row irreducibility
 test accepts, tried one at a time, the q^m-th roots of
@@ -48,7 +51,7 @@ from sympy import divisors, factorint, n_order, primerange, primitive_root
 
 from iqtower.abgroup import GroupError, _pow, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
-from iqtower.finitefield import (FiniteField, _irreducible_rows, _is_irreducible, _poly_gcd,
+from iqtower.finitefield import (FFElement, FiniteField, _dtype, _irreducible_rows, _poly_gcd,
                                  _small_factor_screen, finite_field)
 from iqtower.lvaluation import (LSeriesValue, _character, _prime_sieve, dirichlet_tail_bound,
                                 unity_image)
@@ -540,6 +543,20 @@ def ff_mul(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
     return tuple(v % p for v in out[:t])
 
 
+def frobenius_matrix(p: int, modulus: tuple) -> list[list[int]]:
+    """The rows x^(i*p) mod f, i < t, f = x^t + sum modulus[i] x^i, by
+    multiplying by x one degree at a time in Python integers."""
+    t = len(modulus)
+    rows, y = [], [1] + [0] * (t - 1)
+    for n in range((t - 1) * p + 1):
+        if n % p == 0:
+            rows.append(list(y))
+        top = y[-1]
+        y = [0] + y[:-1]
+        y = [(v - top * c) % p for v, c in zip(y, modulus)]
+    return rows
+
+
 def ff_inverse(p: int, modulus: tuple, a: tuple) -> tuple:
     """Inverse of a nonzero a in F_p[x]/(f) by the extended Euclidean
     algorithm on (f, a)."""
@@ -607,7 +624,7 @@ def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     f_full = list(coeffs) + [1]
     batch = F.one()
     for k in range(1, t // 2 + 1):
-        y = y ** p
+        y = _pow(y, p, FFElement.__mul__, F.one())
         if k == 1:
             continue   # linear factors already excluded
         diff = y - x
@@ -633,13 +650,22 @@ def modulus_rank(p: int, t: int, modulus: tuple[int, ...]) -> int:
     return rank + 1
 
 
+def is_irreducible(p: int, coeffs: tuple[int, ...], screen=None) -> bool:
+    """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?  The
+    one-row case of the block test, with its own screen unless given one."""
+    t = len(coeffs)
+    rows = np.array([coeffs], dtype=_dtype(p, t + 1))
+    screen = screen or _small_factor_screen(p, t)
+    return next(_irreducible_rows(p, rows, screen), None) is not None
+
+
 def scanned_finite_field(p: int, t: int) -> tuple[int, ...]:
     """The modulus of F_{p^t}, t >= 2, by a scan one candidate at a time in
     search order, each through the one-row block test with one screen for
     the whole scan."""
     screen = _small_factor_screen(p, t)
     return next(c for c in itertools.product(range(1, p), *[range(p)] * (t - 1))
-                if next(_irreducible_rows(p, np.array([c]), screen), None) is not None)
+                if is_irreducible(p, c, screen))
 
 
 def field_elements(F: FiniteField):
@@ -993,3 +1019,22 @@ def solve_growth(pts, q: int) -> tuple[int, int, int] | None:
     if any(v.denominator != 1 for v in vals):
         return None
     return tuple(int(v) for v in vals)
+
+
+def scanned_fit_iwasawa(e: list[int], q: int) -> tuple[int, int, int, int] | None:
+    """fit_iwasawa by trying every start n0 in turn: solve on the three
+    values from n0 by exact division with q^n0 formed outright, then check
+    the whole tail."""
+    for n0 in range(0, len(e) - 2):
+        e0, e1, e2 = e[n0:n0 + 3]
+        step = q ** n0 * (q - 1)
+        mu, rem = divmod(e2 - 2 * e1 + e0, step * (q - 1))
+        if rem:
+            continue
+        lam = e1 - e0 - mu * step
+        nu = e0 - mu * q ** n0 - lam * n0
+        if mu < 0 or lam < 0:
+            continue
+        if all(e[n] == mu * q ** n + lam * n + nu for n in range(n0, len(e))):
+            return (mu, lam, nu, n0)
+    return None

@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 from sympy import divisors, mobius, primerange
 
 from iqtower import finitefield
+from iqtower import lvaluation
+from iqtower.abgroup import _pow
 from iqtower.finitefield import (BLOCK_CANDIDATES, FieldError, FiniteField, _irreducible_rows,
-                                 _is_irreducible, _small_factor_screen, finite_field)
+                                 _small_factor_screen, finite_field)
 from iqtower.lvaluation import unity_image
 
-from oracles import (batched_gcd_is_irreducible, ff_inverse, ff_mul, modulus_rank,
-                     scanned_finite_field)
+from oracles import (batched_gcd_is_irreducible, ff_inverse, ff_mul, frobenius_matrix,
+                     modulus_rank, scanned_finite_field)
+from oracles import is_irreducible as _is_irreducible
 
 DEGREES = [(2, 1), (3, 4), (13, 8), (5, 47), (5, 48), (5, 49), (3, 55), (7, 64)]
 
@@ -133,7 +136,8 @@ class TestIrreducibility:
     def test_every_small_candidate_matches_oracle_and_count(self, p, t):
         """One block test on all p^t candidates, checked row by row."""
         candidates = list(itertools.product(range(p), repeat=t))
-        irreducible = set(_irreducible_rows(p, np.array(candidates), _small_factor_screen(p, t)))
+        irreducible = {i for i, _ in _irreducible_rows(p, np.array(candidates),
+                                                        _small_factor_screen(p, t))}
         for i, coeffs in enumerate(candidates):
             assert (i in irreducible) == batched_gcd_is_irreducible(p, coeffs), (p, coeffs)
         assert len(irreducible) * t == sum(mobius(d) * p ** (t // d) for d in divisors(t))
@@ -177,7 +181,8 @@ class TestIrreducibility:
 
         monkeypatch.setattr(FiniteField, "__init__", counting_init)
         F = finite_field.__wrapped__(p, t)
-        assert built == [(p, t, F.modulus)]
+        assert len(built) == 1 and built[0][:3] == (p, t, F.modulus)
+        assert built[0][3].tolist() == frobenius_matrix(p, F.modulus)
 
     @pytest.mark.parametrize("p,t", SMALL_DEGREES)
     def test_search_order_is_lex_with_constant_term_first(self, p, t):
@@ -196,6 +201,88 @@ class TestIrreducibility:
             tracemalloc.stop()
         assert F.modulus == (1, 0)
         assert peak < 2 ** 20, peak
+
+
+# the eight fields of largest degree among the benchmark's residue fields
+# F_{p^t}, p <= 13, t = ord(p mod q^m) <= 64
+LARGEST_RESIDUE_FIELDS = [(5, 46), (11, 46), (13, 46), (5, 52), (3, 55), (5, 55), (7, 57),
+                          (11, 57)]
+
+
+class TestFrobeniusHandoff:
+    """A searched field keeps the Frobenius matrix Q of Rabin's test for its
+    modulus (t >= 6); below t = 6, where the screen decides, a power builds
+    Q on first use, and only while p <= t."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_q_equals_oracle_up_to_degree_20(self, p):
+        for t in range(2, 21):
+            F = finite_field.__wrapped__(p, t)
+            assert (F._frobenius is not None) == (t >= 6), (p, t)
+            F.gen() ** F.order
+            if t < min(p, 6):
+                assert F._frobenius is None, (p, t)
+            else:
+                assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus), (p, t)
+
+    @pytest.mark.parametrize("p,t", LARGEST_RESIDUE_FIELDS)
+    def test_q_of_the_largest_residue_fields_equals_oracle(self, p, t):
+        F = finite_field.__wrapped__(p, t)
+        assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus)
+
+    def test_unity_image_builds_no_frobenius_matrix_after_its_search(self, monkeypatch):
+        """F_{7^57}: p <= t, so every cofactor power goes through Q."""
+        expected = unity_image(7, 19, 2).coeffs
+        builds, at_search_end = [], []
+        matrix = finitefield._frobenius_matrix
+
+        def counting_matrix(*args):
+            builds.append(len(args[1]))
+            return matrix(*args)
+
+        def searching(p, t):
+            F = finite_field.__wrapped__(p, t)
+            at_search_end.append(len(builds))
+            return F
+
+        monkeypatch.setattr(finitefield, "_frobenius_matrix", counting_matrix)
+        monkeypatch.setattr(lvaluation, "finite_field", searching)
+        z = unity_image.__wrapped__(7, 19, 2)
+        assert z.field.t == 57 and z.coeffs == expected
+        assert builds and at_search_end == [len(builds)]
+
+
+def _bare_pow(F: FiniteField, y: np.ndarray, e: int) -> np.ndarray:
+    return _pow(y, e, lambda a, b: finitefield._mul_mod(a, b, F._fold, F.p), F.one()._as_array())
+
+
+# p <= t takes Horner over base-p digits through Q, p > t square-and-multiply
+POWER_FIELDS = [(2, 2), (2, 3), (2, 5), (2, 6), (3, 3), (3, 4), (3, 2), (5, 2), (5, 3), (7, 2)]
+
+
+class TestPower:
+    """FiniteField._power against abgroup._pow on the same products."""
+
+    @pytest.mark.parametrize("p,t", POWER_FIELDS)
+    def test_every_small_exponent(self, p, t):
+        F = finite_field(p, t)
+        if F.order <= 9:
+            elements = list(itertools.product(range(p), repeat=t))
+        else:
+            elements = [(0,) * t, (0, 1) + (0,) * (t - 2), (p - 1,) * t]
+        for coeffs in elements:
+            y = np.array(coeffs, dtype=F.dtype)
+            for e in range(3 * F.order):
+                assert F._power(y, e).tolist() == _bare_pow(F, y, e).tolist(), (coeffs, e)
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.data())
+    def test_hypothesis_exponents_up_to_p_to_the_2t(self, data):
+        F = finite_field(*data.draw(st.sampled_from(DEGREES + POWER_FIELDS)))
+        y = np.array(data.draw(st.lists(st.integers(0, F.p - 1), min_size=F.t, max_size=F.t)),
+                     dtype=F.dtype)
+        e = data.draw(st.integers(0, F.p ** (2 * F.t)))
+        assert F._power(y, e).tolist() == _bare_pow(F, y, e).tolist()
 
 
 # (p, t, block, row): where the winner sits among the blocks of
@@ -239,9 +326,9 @@ class TestBlockSearch:
                 return iter(batches)
             return counted
 
-        def counting_powers(p, f, wanted):
-            passes.append(len(f))
-            return frobenius_powers(p, f, wanted)
+        def counting_powers(p, Q, wanted):
+            passes.append(len(Q))
+            return frobenius_powers(p, Q, wanted)
 
         monkeypatch.setattr(finitefield, "_small_factor_screen", counting_screen)
         monkeypatch.setattr(finitefield, "_frobenius_powers", counting_powers)
@@ -264,9 +351,9 @@ class TestBlockSearch:
                 row_powers.append(x)
             return power(x, *args)
 
-        def counting_powers(p, f, wanted):
-            passes.append(len(f))
-            return frobenius_powers(p, f, wanted)
+        def counting_powers(p, Q, wanted):
+            passes.append(len(Q))
+            return frobenius_powers(p, Q, wanted)
 
         monkeypatch.setattr(finitefield, "_pow", counting_power)
         monkeypatch.setattr(finitefield, "_frobenius_powers", counting_powers)

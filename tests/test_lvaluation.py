@@ -93,13 +93,6 @@ class TestResidueEmbedding:
         with pytest.raises(OkError):
             ResidueEmbedding.create(field(1), 2)
 
-    def test_ext_degree(self):
-        emb = ResidueEmbedding.create(field(1), 5)
-        assert emb.ext_degree(3) == 2
-        assert emb.ext_degree(13) == 4
-        with pytest.raises(OkError):
-            emb.ext_degree(10)
-
 
 class TestUnityImage:
     def test_cube_root_in_F25(self):

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import primerange
 
 from iqtower.selmerrank import (CofinPGroup, MonotonicityError,
@@ -13,7 +15,7 @@ from iqtower.selmerrank import (CofinPGroup, MonotonicityError,
                                 rank_gap_reports, series_stabilization,
                                 stabilization_detect)
 
-from oracles import per_level_decomposition_counts
+from oracles import per_level_decomposition_counts, scanned_fit_iwasawa
 
 
 # -- explicit finite abelian p-group helpers for the brute-force checks -------
@@ -285,6 +287,35 @@ class TestFitIwasawa:
             assert all(e[n] == gmu * q ** n + glam * n + gnu
                        for n in range(gn0, length))
             assert gn0 <= n0
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_every_short_sequence_matches_the_scan(self, q):
+        """Every sequence of length 4-7 with entries in [0, 3], None included."""
+        for length in range(4, 8):
+            for e in itertools.product(range(4), repeat=length):
+                assert fit_iwasawa(list(e), q) == scanned_fit_iwasawa(list(e), q), e
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 10 ** 30]), st.integers(0, 5), st.integers(0, 6),
+           st.integers(-20, 20), st.lists(st.integers(-50, 50), max_size=12),
+           st.integers(1, 12))
+    def test_hypothesis_laws_match_the_scan(self, q, mu, lam, nu, prefix, length):
+        """The law (mu, lambda, nu) from n0 = len(prefix) on, after a prefix
+        of arbitrary values."""
+        n0 = len(prefix)
+        e = prefix + [mu * q ** n + lam * n + nu for n in range(n0, n0 + length)]
+        if len(e) >= 4:
+            got = fit_iwasawa(e, q)
+            assert got == scanned_fit_iwasawa(e, q)
+            if length >= 3:
+                assert got[:3] == (mu, lam, nu) and got[3] <= n0
+
+    def test_long_tail_failing_at_the_end(self):
+        """Every 3-value window of zeros fits; only the last value breaks it."""
+        for q in (3, 10 ** 30):
+            e = [0] * 2000 + [1]
+            assert fit_iwasawa(e, q) is None
+            assert fit_iwasawa(e[:-1] + [0], q) == (0, 0, 0, 0)
 
 
 class TestIngestAndReports:
