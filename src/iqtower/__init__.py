@@ -16,7 +16,7 @@ from .lvaluation import (LSeriesValue, ResidueEmbedding, compute_N1,
                          evaluate_imprimitive_L, unity_image)
 from .okring import (CLASS_NUMBER_ONE_DS, FieldTag, OkElement, OkError, OkPrime,
                      PrimeFactorization, canonical_associate, elements_up_to_norm,
-                     factor, field, gcd_ok, is_coprime, parse_element,
+                     factor, field, gcd_ok, parse_element,
                      primes_above, smallest_split_primes, split_type, valuation)
 from .rayclass import (AnticyclotomicTower, CharacterSpec, RayClassGroup,
                        ResidueClass, TowerLevel, UnitGroup,

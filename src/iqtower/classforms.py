@@ -64,12 +64,6 @@ class QuadForm:
     def content(self) -> int:
         return gcd(gcd(self.a, abs(self.b)), self.c)
 
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (-a < b <= a <= c):
-            return False
-        return b >= 0 if a == c else True
-
     def normalized(self) -> "QuadForm":
         a, b, c = self.a, self.b, self.c
         r = (a - b) // (2 * a)

@@ -18,6 +18,8 @@ import math
 import os
 import sys
 
+from sympy import isprime
+
 from . import cmsearch as cms
 from . import selmerrank as sr
 from .abgroup import GroupError, QuotientPresentation, coords_order
@@ -34,6 +36,7 @@ MAX_MODULUS_NORM = 10 ** 6
 MAX_TRUNCATION = 10 ** 8
 MAX_DISCRIMINANT = 10 ** 8
 MAX_RBOUND = 10 ** 4
+MAX_FIT_CHARS = 10 ** 5
 
 
 class ConfigError(ValueError):
@@ -232,6 +235,12 @@ def _cmd_selmer(args) -> None:
 
 
 def _cmd_fit(args) -> None:
+    if len(args.e) > MAX_FIT_CHARS:
+        raise ConfigError(f"--e of {len(args.e)} characters exceeds the cap {MAX_FIT_CHARS}")
+    if args.q > MAX_TOWER_Q:
+        raise ConfigError(f"fit q {args.q} exceeds the cap {MAX_TOWER_Q}")
+    if not isprime(args.q):
+        raise ValueError(f"fit q {args.q} must be prime")
     e = [int(x) for x in args.e.split(",")]
     result = sr.fit_iwasawa(e, args.q)
     config = {"command": "fit", "q": args.q, "e": e}

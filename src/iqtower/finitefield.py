@@ -14,15 +14,15 @@ of the Frobenius y -> y^p (_frobenius_matrix, _irreducible_rows).  The
 first row, in counter order, that passes becomes a FiniteField, which
 keeps its Q; a field the search gave none builds Q on first use.
 
-Multiplication has one path: the numpy convolution of the two coefficient
-vectors, reduced mod p, and a fold of its t - 1 high coefficients through
-a (t-1) x t matrix whose row k is x^(t+k) mod f, built once per field by
-the same shift recurrence that builds the search's matrices.  Powers have
-one routine, FiniteField._power: while p <= t, Horner over the base-p
-digits of the exponent through Q, beyond that square-and-multiply.
-Inverses are Fermat powers.  Arrays are int64 when t*(p-1)^2 < 2^63,
-which bounds every convolution, fold and Frobenius sum, and Python
-integers otherwise, so arithmetic is exact for every p and t.
+A product is the numpy convolution of the two coefficient vectors with
+its t - 1 high coefficients folded through the rows x^(t+k) mod f, built
+once per field.  Powers have one routine, FiniteField._power: while
+p <= t, Horner over the base-p digits of the exponent through Q, beyond
+that square-and-multiply.  Inverses are Fermat powers.  Arrays are int64
+when t*(p-1)^2 < 2^63, which bounds every convolution, fold and Frobenius
+sum, and Python integers otherwise; the matrix products of the search and
+of unity_image's walk run in float64 on BLAS while their sums stay below
+2^53 (_exact_dtype, _matmul_mod), so arithmetic is exact for every p and t.
 """
 
 from __future__ import annotations
@@ -52,9 +52,23 @@ class FieldError(ValueError):
     pass
 
 
-def _dtype(p: int, t: int):
-    """int64 when no sum of t products of residues mod p can overflow it."""
-    return np.int64 if t * (p - 1) ** 2 < 2 ** 63 else object
+def _exact_dtype(bound: int, floats: bool = False):
+    """The dtype that holds every integer below bound, the caller's largest
+    value, exactly: float64 below 2^53 if floats (BLAS products, exact in
+    any order of summation), int64 below 2^63, Python integers beyond."""
+    if floats and bound < 2 ** 53:
+        return np.float64
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, c=None) -> np.ndarray:
+    """(a @ b + c) mod p, in int64 or Python integers, for residues a, c and
+    b in its caller's _exact_dtype: a float64 b runs on BLAS, reduced
+    through int64, several times faster than np.fmod."""
+    out = a.astype(b.dtype, copy=False) @ b
+    if c is not None:
+        out += c
+    return (out.astype(np.int64) if out.dtype == np.float64 else out) % p
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
@@ -104,14 +118,15 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, fold: np.ndarray, p: int) -> np.ndarr
     return (conv[:t] + conv[t:] @ fold) % p
 
 
-def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The products of the polynomials in two (S, t) stacks, shape (S, 2t - 1):
-    the outer products laid in rows of length 2t, read back in rows of
-    length 2t - 1, so that row i starts at degree i, and summed."""
-    S, t = a.shape
-    prod = np.zeros((S, t, 2 * t), dtype=a.dtype)
-    prod[:, :, :t] = a[:, :, None] * b[:, None, :]
-    return prod.reshape(S, -1)[:, :t * (2 * t - 1)].reshape(S, t, 2 * t - 1).sum(axis=1)
+def _mul_matrices(y: np.ndarray, fold: np.ndarray, p: int) -> np.ndarray:
+    """The matrices of z -> z*y mod f for a stack y (..., t): y laid in rows
+    of length 2t, read back in rows of length 2t - 1 so that row i is
+    x^i * y, with degrees >= t folded through fold (rows x^(t+k) mod f)."""
+    *S, t = y.shape
+    T = np.zeros((*S, t, 2 * t), dtype=y.dtype)
+    T[..., :t] = y[..., None, :]
+    T = T.reshape(*S, -1)[..., :t * (2 * t - 1)].reshape(*S, t, 2 * t - 1)
+    return _matmul_mod(T[..., t:], fold, p, T[..., :t])
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -133,7 +148,7 @@ class FiniteField:
         self.t = t
         self.modulus = _modulus          # low coefficients of monic f, len t
         self.order = p ** t
-        self.dtype = _dtype(p, t)
+        self.dtype = _exact_dtype(t * (p - 1) ** 2)      # a convolution sums t products
         # row k is x^(t+k) mod f, starting from x^t = -(low part of f)
         low = -np.array(_modulus, dtype=self.dtype) % p
         self._fold = _shift_rows(low, low, t - 1, p)
@@ -266,7 +281,7 @@ def _small_factor_screen(p: int, t: int):
     """
     d = 1 if t <= 3 else 2
     n = p ** d
-    dtype = _dtype(p, t + 1)
+    dtype = _exact_dtype((t + 1) * (p - 1) ** 2)    # f(alpha) sums t + 1 products
     if n <= SCREEN_POINTS_MAX:
         b, a = np.divmod(np.arange(n, dtype=dtype), p)
         if p == 2:
@@ -283,9 +298,10 @@ def _small_factor_screen(p: int, t: int):
         for row in table:
             row[:n], row[n:] = u, v
             u, v = (u * a + v * nb) % p, (u * b + v * ab) % p
+        table = table.astype(_exact_dtype((t + 1) * (p - 1) ** 2, floats=True), copy=False)
 
         def screen(rows):
-            vals = (np.asarray(rows, dtype=dtype) @ table[:t] + table[t]) % p
+            vals = _matmul_mod(np.asarray(rows, dtype=dtype), table[:t], p, table[t])
             yield np.flatnonzero(~np.any((vals[:, :n] == 0) & (vals[:, n:] == 0), axis=1))
         return screen
 
@@ -322,34 +338,35 @@ def _frobenius_matrix(p: int, f: np.ndarray) -> np.ndarray:
     low = -f % p                                      # x^t mod f
     k = -(-t // p)
     Q = np.zeros((S, t, t), dtype=f.dtype)
-    Q[:, np.arange(k), np.arange(0, t, p)] = 1
+    Q[:, np.arange(k), np.arange(0, t, min(p, t))] = 1   # min: p may pass int64
     if p < t:
         fold = _shift_rows(low, low, p, p)            # (S, p, t)
+        fold = fold.astype(_exact_dtype((p + 1) * (p - 1) ** 2, floats=True), copy=False)
         for i in range(k, t):
             y = Q[:, i - 1]
             Q[:, i, p:] = y[:, :t - p]
-            Q[:, i] += (y[:, None, t - p:] @ fold)[:, 0]
-            Q[:, i] %= p
+            Q[:, i] = _matmul_mod(y[:, None, t - p:], fold, p, Q[:, i, None])[:, 0]
     else:
-        fold = _shift_rows(low, low, t - 1, p)        # (S, t - 1, t)
+        dtype = _exact_dtype(t * (p - 1) ** 2, floats=True)
+        fold = _shift_rows(low, low, t - 1, p).astype(dtype, copy=False)   # (S, t - 1, t)
 
         def mul(a, b):
-            conv = _convolve_rows(a, b) % p
-            return (conv[:, :t] + (conv[:, None, t:] @ fold)[:, 0]) % p
+            return (a[:, None] @ _mul_matrices(b, fold, p))[:, 0] % p
 
         one, x = np.zeros((2, S, t), dtype=f.dtype)
         one[:, 0] = x[:, 1] = 1
-        M = _shift_rows(_pow(x, p, mul, one), low, t, p)
+        M = _mul_matrices(_pow(x, p, mul, one), fold, p).astype(dtype, copy=False)
         for i in range(k, t):
-            Q[:, i] = (Q[:, i - 1, None] @ M)[:, 0] % p
+            Q[:, i] = _matmul_mod(Q[:, i - 1, None], M, p)[:, 0]
     return Q
 
 
 def _frobenius_powers(p: int, Q: np.ndarray, wanted: list[int]) -> dict[int, np.ndarray]:
     """{j: x^(p^j) mod f} for j in wanted, for a stack Q of _frobenius_matrix."""
     ys, top = [Q[:, 1]], max(wanted)                  # ys[j - 1] = x^(p^j) mod f
+    Q = Q.astype(_exact_dtype(Q.shape[-1] * (p - 1) ** 2, floats=True), copy=False)
     while len(ys) < top:
-        ys.append((ys[-1][:, None] @ Q)[:, 0] % p)
+        ys.append(_matmul_mod(ys[-1][:, None], Q, p)[:, 0])
     return {j: ys[j - 1] for j in wanted}
 
 
@@ -367,7 +384,7 @@ def _irreducible_rows(p: int, rows: np.ndarray, screen):
     pass the first condition, and only as far as the caller takes rows.
     """
     t = rows.shape[1]
-    dtype = _dtype(p, t)
+    dtype = _exact_dtype(t * (p - 1) ** 2)             # Q's products sum t terms
     divisors = _prime_divisors(t)
     x = np.zeros(t, dtype=dtype)
     x[1] = 1
@@ -414,7 +431,7 @@ def finite_field(p: int, t: int) -> FiniteField:
     # most significant first, from (1, 0, ..., 0) on; irreducible
     # polynomials of degree t exist, so the winner comes before the counter
     # wraps, and rows a block holds past the last candidate never win
-    first = np.zeros(t, dtype=_dtype(p, t + 1))
+    first = np.zeros(t, dtype=_exact_dtype((t + 1) * (p - 1) ** 2))   # the screen's dtype
     first[0] = 1
     while True:
         rows = _counter_rows(first, BLOCK_CANDIDATES, p)

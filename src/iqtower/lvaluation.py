@@ -40,7 +40,8 @@ from sympy import isprime, n_order
 from sympy.ntheory import sqrt_mod
 
 from .abgroup import padic_val
-from .finitefield import FFElement, FieldError, FiniteField, _shift_rows, finite_field
+from .finitefield import (FFElement, FieldError, FiniteField, _exact_dtype, _matmul_mod,
+                          _mul_matrices, finite_field)
 from .okring import (FieldTag, OkElement, OkError, _ideal_chunks, factor, omega_residue,
                      split_type)
 from .rayclass import CharacterSpec, _hnf_box, _smith_coords, ray_class_group
@@ -134,7 +135,7 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
         raise OkError(f"splitting field degree {t} exceeds the explicit cap "
                       f"{EXPLICIT_FIELD_DEGREE_CAP}")
     F = finite_field(p, t)
-    one, low = F.one()._as_array(), -np.array(F.modulus, dtype=F.dtype) % p
+    one = F.one()._as_array()
     cof = (F.order - 1) // qm
     # the scan reaches a generator of F^x, whose cof-th power has order q^m
     w = next(c for c in (F._power(np.array(z, dtype=F.dtype), cof)
@@ -143,17 +144,18 @@ def unity_image(p: int, q: int, m: int) -> FFElement:
     # y @ W is y * w (row i of W is x^i * w mod f); the block holds w^j for
     # k consecutive j, and block @ step moves it on by w^k (past j = q^m
     # the powers repeat, so the last block may overrun)
-    W = _shift_rows(w, low, t, p)
+    fold = F._fold.astype(_exact_dtype(t * (p - 1) ** 2, floats=True), copy=False)
+    W = _mul_matrices(w, fold, p)
     k = isqrt(qm - 1) + 1
     block = np.empty((k, t), dtype=F.dtype)
     block[0] = one
     for j in range(1, k):
         block[j] = block[j - 1] @ W % p
-    step = _shift_rows(block[-1] @ W % p, low, t, p)
+    step = _mul_matrices(block[-1] @ W % p, fold, p).astype(fold.dtype, copy=False)
     least = []
     for start in range(0, qm, k):
         least.append(_lex_least(block[(start + np.arange(k)) % q != 0]))
-        block = block @ step % p
+        block = _matmul_mod(block, step, p)
     return F.element(_lex_least(np.array(least)))
 
 
@@ -284,7 +286,7 @@ def _coprime_mask(modulus: OkElement, bound: int):
     no such ideal."""
     primes = [(p.residue_char, None if p.kind == "inert" else omega_residue(p.generator))
               for p, _ in factor(modulus).factors if p.norm() <= bound]
-    # |x| and |y| stay below isqrt(4*bound) + 1, so x + y*s is exact in int64 below 2^63
+    # |x| and |y| stay below isqrt(4*bound) + 1
     lim = isqrt(4 * bound) + 1
 
     # ell | v iff v // ell * ell == v: numpy divides by a scalar faster than it takes %
@@ -294,7 +296,7 @@ def _coprime_mask(modulus: OkElement, bound: int):
             if root is None:
                 keep &= (ys // ell * ell != ys) | (xs // ell * ell != xs)
             else:
-                dtype = np.int64 if lim * (root + 1) < 2 ** 63 else object
+                dtype = _exact_dtype(lim * (root + 1))       # |x + y*s|, 0 <= s < ell
                 v = xs.astype(dtype, copy=False) + ys.astype(dtype) * root
                 keep &= v // ell * ell != v
         return keep
@@ -312,9 +314,9 @@ def _chi_table(modulus: OkElement, chi: CharacterSpec):
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
     factors = [(f, *_hnf_box(f.modulus)) for f in group.units.factors]
-    # c*v/n in float64 rounds as Python's int division while c*v and n stay below 2^53
-    dtype = (np.int64 if all(abs(v) * n < 2 ** 53 for v, n in zip(chi.exponents, invariants))
-             else object)
+    # c*v/n in float64 rounds as Python's int division while float64 holds c*v and n exactly
+    bound = max((abs(v) * n for v, n in zip(chi.exponents, invariants)), default=0)
+    dtype = np.int64 if _exact_dtype(bound, floats=True) is np.float64 else object
 
     def chi_at(ys, xs: np.ndarray) -> np.ndarray:
         # _l_values passes coprime entries only, so dlogs sees units (it raises otherwise)

@@ -420,10 +420,6 @@ def gcd_ok(a: OkElement, b: OkElement) -> OkElement:
     return canonical_associate(out)
 
 
-def is_coprime(a: OkElement, b: OkElement) -> bool:
-    return gcd_ok(a, b).is_unit()
-
-
 def _ideal_chunks(tag: FieldTag, bound: int):
     """Yield (ys, xs, norms) numpy arrays covering each nonzero ideal of norm
     <= bound exactly once, as x + y*omega with y ascending, then x: whole

@@ -34,6 +34,7 @@ from sympy import factorint, isprime
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
                       _pow, _word_product, coords_order, padic_val)
+from .finitefield import _exact_dtype
 from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
                      factor, gcd_ok, omega_residue, split_type)
 
@@ -132,8 +133,8 @@ def _smith_coords(pres: QuotientPresentation, words: np.ndarray) -> np.ndarray:
     nontrivial invariants, each reduced mod its invariant, so that int64
     holds while no sum can reach 2^63 and Python ints take over beyond."""
     rows = [([u % d for u in row], d) for row, d in zip(pres.U, pres.invariants_full) if d > 1]
-    big = max((d for _, d in rows), default=1) * sum(pres.orders) >= 2 ** 63
-    dtype = object if big or words.dtype == object else np.int64
+    bound = max((d for _, d in rows), default=1) * sum(pres.orders)   # words times rows
+    dtype = object if words.dtype == object else _exact_dtype(bound)
     U = np.array([row for row, _ in rows], dtype=dtype).reshape(len(rows), len(pres.orders))
     return words.astype(dtype) @ U.T % np.array([d for _, d in rows], dtype=dtype)
 
@@ -187,8 +188,8 @@ class _Factor:
         self.modulus = p.generator ** e
         self.t, self.n = tag.min_poly
         self.int_mod = ell ** e
-        # dlogs' arrays: int64 while every product of two residues fits
-        self.dtype = np.int64 if self.int_mod ** 2 < 2 ** 63 else object
+        # dlogs' arrays: every product of two residues
+        self.dtype = _exact_dtype(self.int_mod ** 2)
         self.split = p.kind == "split"
         # image of omega in O_K/p^e = Z/l^e (split) or in O_K/p = Z/l (ramified)
         self.root = None if p.kind == "inert" else omega_residue(self.modulus if self.split
@@ -380,7 +381,7 @@ class _Factor:
                         t = mul(t, giant)
                     e, qi = e + digit * qi, qi * q
                 # a_log + e * crt < (order + 1)^2: Python ints where that leaves int64
-                if (self.order_res + 1) ** 2 >= 2 ** 63:
+                if _exact_dtype((self.order_res + 1) ** 2) is object:
                     e = e.astype(object)
                 a_log = _mod(a_log + e * crt, self.order_res)
             cols.append(a_log)
@@ -444,9 +445,6 @@ class UnitGroup:
 
     def mu_image_vector(self) -> list[int]:
         return self.dlog(self.tag.unit_gen())
-
-    def mu_image_order(self) -> int:
-        return coords_order(self.mu_image_vector(), self.orders)
 
     @property
     def structure(self) -> AbelianGroupStructure:

@@ -27,7 +27,8 @@ coefficient is coprime to the other's, and a prime form's middle
 coefficient comes from scanning every b < 2*ell.
 Finite-field products and inverses are schoolbook polynomial arithmetic on
 coefficient tuples with Python integers, the Frobenius matrix's rows
-x^(i*p) mod f come from multiplying by x one degree at a time, a field's
+x^(i*p) mod f come from multiplying by x one degree at a time (for
+p >= 64, from x^p by square-and-multiply of those products), a field's
 elements are counted out from the base-p digits of an integer, and powers
 in the batched-gcd oracle are square-and-multiply; irreducibility is decided by
 batched gcds with x^(p^k) - x for every k <= t/2, the modulus of F_{p^t}
@@ -49,10 +50,10 @@ from math import gcd, isqrt
 import numpy as np
 from sympy import divisors, factorint, n_order, primerange, primitive_root
 
-from iqtower.abgroup import GroupError, _pow, padic_val
+from iqtower.abgroup import GroupError, _pow, coords_order, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
-from iqtower.finitefield import (FFElement, FiniteField, _dtype, _irreducible_rows, _poly_gcd,
-                                 _small_factor_screen, finite_field)
+from iqtower.finitefield import (FFElement, FiniteField, _exact_dtype, _irreducible_rows,
+                                 _poly_gcd, _small_factor_screen, finite_field)
 from iqtower.lvaluation import (LSeriesValue, _character, _prime_sieve, dirichlet_tail_bound,
                                 unity_image)
 from iqtower.okring import (OkElement, canonical_associate, factor, gcd_ok, omega_residue,
@@ -98,6 +99,16 @@ def brute_mu_orbit_size(modulus: OkElement) -> int:
         seen.add((r.x, r.y))
         u = u * z
     return len(seen)
+
+
+def mu_image_order(units) -> int:
+    """Order of the image of the roots of unity in a UnitGroup, from the
+    dlog of the unit generator."""
+    return coords_order(units.mu_image_vector(), units.orders)
+
+
+def is_coprime(a: OkElement, b: OkElement) -> bool:
+    return gcd_ok(a, b).is_unit()
 
 
 def brute_ray_degree(modulus: OkElement) -> int:
@@ -545,9 +556,18 @@ def ff_mul(p: int, modulus: tuple, a: tuple, b: tuple) -> tuple:
 
 def frobenius_matrix(p: int, modulus: tuple) -> list[list[int]]:
     """The rows x^(i*p) mod f, i < t, f = x^t + sum modulus[i] x^i, by
-    multiplying by x one degree at a time in Python integers."""
+    multiplying by x one degree at a time in Python integers while p < 64;
+    beyond, x^p comes by square-and-multiply of schoolbook products (ff_mul)
+    and each row is the last one times x^p."""
     t = len(modulus)
     rows, y = [], [1] + [0] * (t - 1)
+    if p >= 64:
+        xp = _pow(tuple(int(i == 1) for i in range(t)), p,
+                  lambda a, b: ff_mul(p, modulus, a, b), tuple(y))
+        for _ in range(t):
+            rows.append(list(y))
+            y = ff_mul(p, modulus, y, xp)
+        return rows
     for n in range((t - 1) * p + 1):
         if n % p == 0:
             rows.append(list(y))
@@ -654,7 +674,7 @@ def is_irreducible(p: int, coeffs: tuple[int, ...], screen=None) -> bool:
     """Monic f = x^t + sum coeffs[i] x^i, t >= 2, irreducible over F_p?  The
     one-row case of the block test, with its own screen unless given one."""
     t = len(coeffs)
-    rows = np.array([coeffs], dtype=_dtype(p, t + 1))
+    rows = np.array([coeffs], dtype=_exact_dtype((t + 1) * (p - 1) ** 2))
     screen = screen or _small_factor_screen(p, t)
     return next(_irreducible_rows(p, rows, screen), None) is not None
 
@@ -920,6 +940,12 @@ def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     if b % g:
         raise FormError("congruence has no solution")
     return (b // g) * d % m, m // g
+
+
+def is_reduced(f: QuadForm) -> bool:
+    """-a < b <= a <= c, with b >= 0 when a = c."""
+    a, b, c = f.a, f.b, f.c
+    return -a < b <= a <= c and (b >= 0 or a != c)
 
 
 def form_value(f: QuadForm, x: int, y: int) -> int:

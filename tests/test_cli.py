@@ -338,8 +338,8 @@ class TestParserBuiltOnce:
 class TestCaps:
     """The worst inputs with an inert or ramified factor that the modulus cap
     (norm <= 10^6) admits build in bounded time, and so do towers at a
-    seven-digit q and at the q cap, and an L-value at the largest split
-    prime under the modulus cap."""
+    seven-digit q and at the q cap, an L-value at the largest split
+    prime under the modulus cap, and the slowest fit under its caps."""
 
     SECONDS = 2.0
 
@@ -404,6 +404,42 @@ class TestCaps:
         code, out, err = run_cli(["tower", "--d", "2", "--q", str(cli.MAX_TOWER_Q + 1),
                                   "--depth", "1"], capsys)
         assert code == 2 and out == "" and "cap" in err
+
+    def test_fit_at_caps(self):
+        # the slowest --e measured under the cap: zeros and a 1 (the JSON
+        # echo of the values dominates; 4,300-digit values and q^n + n
+        # sequences that fit all the way down took less)
+        script = ("import resource, sys, time\n"
+                  "from iqtower.cli import MAX_FIT_CHARS, main\n"
+                  "e = ','.join(['0'] * (MAX_FIT_CHARS // 2 - 1) + ['1'])\n"
+                  "start = time.perf_counter()\n"
+                  "code = main(['fit', '--q', '3', '--e', e])\n"
+                  "print(code, time.perf_counter() - start,\n"
+                  "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        code, elapsed, rss_kb = proc.stderr.split()
+        assert code == "0"
+        payload = json.loads(proc.stdout)
+        assert len(payload["config"]["e"]) == cli.MAX_FIT_CHARS // 2
+        assert payload["records"][0]["fitted"] is False
+        assert float(elapsed) < self.SECONDS, elapsed
+        assert int(rss_kb) < 300 * 1024, rss_kb
+
+    @pytest.mark.parametrize("q,e,want", [
+        ("3", "0," * (cli.MAX_FIT_CHARS // 2) + "1", 2),     # one character past the cap
+        (str(cli.MAX_TOWER_Q + 7), "1,1,1,1", 2),             # a prime past the q cap
+        ("9", "1,1,1,1", 3),                                  # q must be prime
+        ("99999989", "1,1,1,1", 0),                           # the largest prime under the cap
+    ])
+    def test_fit_caps(self, capsys, q, e, want):
+        code, out, err = run_cli(["fit", "--q", q, "--e", e], capsys)
+        assert code == want
+        assert (out == "") == (want != 0)
+        if want == 2:
+            assert "cap" in err
+        if want == 3:
+            assert "prime" in err
 
     def test_cmsearch_rbound_at_cap(self):
         # d = 163 is the slowest field at the cap: 16r^2 + 163 is prime for

@@ -9,14 +9,15 @@ products overflow."""
 
 import hashlib
 import itertools
+import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import divisors, mobius, primerange
+from sympy import divisors, mobius, n_order, primerange
 
 from iqtower import finitefield
 from iqtower import lvaluation
@@ -283,6 +284,110 @@ class TestPower:
                      dtype=F.dtype)
         e = data.draw(st.integers(0, F.p ** (2 * F.t)))
         assert F._power(y, e).tolist() == _bare_pow(F, y, e).tolist()
+
+
+@pytest.fixture
+def product_dtypes(monkeypatch):
+    """The dtypes of the constant operands _matmul_mod sees, from the search
+    and from unity_image's walk."""
+    seen = set()
+    matmul_mod = finitefield._matmul_mod
+
+    def recording(a, b, *args):
+        seen.add(b.dtype.type if b.dtype != object else object)
+        return matmul_mod(a, b, *args)
+
+    monkeypatch.setattr(finitefield, "_matmul_mod", recording)
+    monkeypatch.setattr(lvaluation, "_matmul_mod", recording)
+    monkeypatch.setattr(lvaluation, "finite_field", finite_field.__wrapped__)
+    return seen
+
+
+# a field on each side of t*(p-1)^2 = 2^53, where the matrix products leave
+# float64 for int64, and of 2^63, where every array leaves int64 for Python
+# integers; the largest prime below each edge and the smallest above
+BAND_EDGES = [(67108859, 2, np.float64), (67108879, 2, np.int64),
+              (38745307, 6, np.float64), (38745323, 6, np.int64),
+              (2147483647, 2, np.int64), (2147483659, 2, object),
+              (1239850223, 6, np.int64), (1239850277, 6, object)]
+
+
+class TestExactTiers:
+    """The products of _matmul_mod run in float64 while every sum stays
+    below 2^53, in int64 below 2^63 and in Python integers beyond."""
+
+    @pytest.mark.parametrize("p,t,tier", BAND_EDGES)
+    def test_fields_at_the_band_edges(self, p, t, tier, product_dtypes):
+        assert finitefield._exact_dtype(t * (p - 1) ** 2, floats=True) is tier
+        F = finite_field.__wrapped__(p, t)
+        assert _is_irreducible(p, F.modulus)
+        if t == 2:          # no Rabin test below t = 6: build Q directly
+            F._frobenius = finitefield._frobenius_matrix(
+                p, np.array([F.modulus], dtype=F.dtype))[0]
+        assert product_dtypes == {tier}
+        assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus)
+        y = np.array([p - 1 - i for i in range(t)], dtype=F.dtype)
+        for e in (p - 2, p, p ** 2 + 1, F.order - 2):
+            assert F._power(y, e).tolist() == _bare_pow(F, y, e).tolist(), e
+        # y^p is y through Q
+        assert F._power(y, p).tolist() == [sum(int(c) * q for c, q in zip(y, col)) % p
+                                           for col in zip(*F._frobenius.tolist())]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_products_equal_python_integers_at_2_to_53(self, data):
+        """Reduced operands whose sums of n products and an addend come just
+        below 2^53, in float64, or just above, in int64, where float64
+        would round."""
+        n = data.draw(st.integers(1, 32))
+        top = math.isqrt((2 ** 53 - 1) // n)
+        below = data.draw(st.booleans())
+        p = data.draw(st.integers(top - 1000, top) if below else st.integers(top + 2, top + 1000))
+        bound = n * (p - 1) ** 2 + p - 1
+        assume((bound < 2 ** 53) == below)
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        size = (rows + cols) * n + cols
+        flat = data.draw(st.lists(st.one_of(st.just(p - 1), st.integers(0, p - 1)),
+                                  min_size=size, max_size=size))
+        a = [flat[i * n:(i + 1) * n] for i in range(rows)]
+        b = [flat[rows * n + j * cols:rows * n + (j + 1) * cols] for j in range(n)]
+        c = flat[-cols:]
+        dtype = finitefield._exact_dtype(bound, floats=True)
+        assert dtype is (np.float64 if below else np.int64)
+        got = finitefield._matmul_mod(np.array(a), np.array(b, dtype=dtype), p,
+                                      np.array(c, dtype=dtype))
+        assert got.dtype == np.int64
+        assert got.tolist() == [[(sum(x * y for x, y in zip(row, col)) + z) % p
+                                 for col, z in zip(zip(*b), c)] for row in a]
+
+    def test_residue_fields_take_float64(self, product_dtypes):
+        """Every field F_{p^t}, p <= 13, t = ord(p mod q^m) <= 64 for an
+        odd prime q < 50 and m <= 3: its search and its root of unity."""
+        for p in (3, 5, 7, 11, 13):
+            fields = {}
+            for q, m in itertools.product(primerange(3, 50), (1, 2, 3)):
+                t = n_order(p, q ** m) if q != p else 65
+                if t <= 64 and q ** m < fields.get(t, (q ** m + 1,))[0]:
+                    fields[t] = (q ** m, q, m)
+            for _, q, m in fields.values():
+                unity_image.__wrapped__(p, q, m)
+        assert product_dtypes == {np.float64}
+
+    @pytest.mark.parametrize("t", [6, 7])
+    def test_search_beyond_int64_at_rabin_degrees(self, t, product_dtypes):
+        # p passes int64 itself: the monomial rows of Q are placed by index
+        p = 10 ** 30 + 57
+        F = finite_field.__wrapped__(p, t)
+        assert _is_irreducible(p, F.modulus)
+        assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus)
+        assert product_dtypes == {object}
+
+    def test_beyond_int64_takes_object(self, product_dtypes):
+        # the prime 5927 divides p + 1 and not p - 1: its roots of unity
+        # generate F_{p^2}, and the walk over their powers takes Python integers
+        z = unity_image.__wrapped__(10 ** 30 + 57, 5927, 1)
+        assert z.field.t == 2 and z != z.field.one() and z ** 5927 == z.field.one()
+        assert product_dtypes == {object}
 
 
 # (p, t, block, row): where the winner sits among the blocks of
