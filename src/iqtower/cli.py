@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 invalid configuration (including the hard caps),
 3 precondition violation, 4 tower-file rejection.  Identical inputs produce
 byte-identical outputs: no clocks, no randomness, fixed iteration orders.
-All computations are sequential; the ITL_THREADS environment variable is
-accepted and validated as an upper bound on internal parallelism, which a
-sequential run trivially satisfies.
+The ITL_THREADS environment variable is accepted and validated as an upper
+bound on internal parallelism.  Every computation is sequential except
+numpy's BLAS, which may spread the float64 matrix products of finitefield
+over its own threads.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ from sympy import isprime
 
 from . import cmsearch as cms
 from . import selmerrank as sr
-from .abgroup import GroupError, QuotientPresentation, coords_order
-from .classforms import FormError, class_group, p_rank, s_class_group
-from .finitefield import FieldError
+from .abgroup import QuotientPresentation, coords_order
+from .classforms import class_group, p_rank, s_class_group
 from .lvaluation import (ResidueEmbedding, compute_N1, distinctness_check,
                          euler_product_L, euler_residue, evaluate_imprimitive_L)
 from .okring import OkError, field, parse_element
 from .rayclass import CharacterSpec, anticyclotomic_tower, ray_class_group
+from .selmerrank import MAX_TOWER_Q
 
 MAX_TOWER_DEPTH = 4
-MAX_TOWER_Q = 10 ** 8
 MAX_MODULUS_NORM = 10 ** 6
 MAX_TRUNCATION = 10 ** 8
 MAX_DISCRIMINANT = 10 ** 8
@@ -347,9 +347,6 @@ def main(argv: list[str] | None = None) -> int:
     except sr.IngestError as exc:
         print(f"tower file rejected: {exc}", file=sys.stderr)
         return 4
-    except (OkError, GroupError, FormError, FieldError) as exc:
-        print(f"precondition violation: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 3

@@ -5,13 +5,14 @@ polynomial f of degree t over F_p, coefficients compared constant term
 first.  Elements are coefficient tuples (low degree first).
 
 The search takes the candidates BLOCK_CANDIDATES at a time, as the rows
-of one array of the base-p digits of a counter.  A screen rules out
-irreducible factors of degree <= 2 (<= 1 for t <= 3), which decides every
-t <= 5, by a table of the points of F_{p^d} or, above SCREEN_POINTS_MAX
-points, by a gcd row by row (_small_factor_screen).  The rows of degree
-t >= 6 that pass go to Rabin's test as one stack, through the matrices Q
-of the Frobenius y -> y^p (_frobenius_matrix, _irreducible_rows).  The
-first row, in counter order, that passes becomes a FiniteField, which
+of one array of the base-p digits of a counter.  While F_{p^d} has at most
+SCREEN_POINTS_MAX points, a table of them screens out the rows with an
+irreducible factor of degree <= d, d = 2 (1 for t <= 3), which decides
+every t <= 5 (_small_factor_screen); the rows of degree t >= 6 that pass
+go to Rabin's test as one stack.  Beyond the table's reach Rabin's test
+alone decides, at every t >= 2, one row at a time.  It goes through the
+matrices Q of the Frobenius y -> y^p (_frobenius_matrix, _irreducible_rows).
+The first row, in counter order, that passes becomes a FiniteField, which
 keeps its Q; a field the search gave none builds Q on first use.
 
 A product is the numpy convolution of the two coefficient vectors with
@@ -31,13 +32,13 @@ from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
+from sympy import primefactors
 
 from .abgroup import _pow
 
 
 # the screen evaluates candidates at every point of F_{p^d} while there are
-# at most this many, and takes gcd(x^(p^d) - x, f) beyond: the measured
-# crossover lies between 4,000 and 8,000 points for 2 <= t <= 200
+# at most this many; beyond, Rabin's test alone decides, one row at a time
 SCREEN_POINTS_MAX = 2 ** 12
 
 # the search tests this many candidates at a time.  A block of t measured
@@ -72,7 +73,8 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, c=None) -> np.ndarray:
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int, dtype) -> list[int]:
-    """Monic gcd in F_p[x] of a and b, not both zero, by numpy long division."""
+    """Monic gcd in F_p[x] of a and b, not both zero, by numpy long division:
+    the gcds of Rabin's test."""
     a = np.array(a, dtype=dtype) % p
     b = np.array(b, dtype=dtype) % p
 
@@ -127,17 +129,6 @@ def _mul_matrices(y: np.ndarray, fold: np.ndarray, p: int) -> np.ndarray:
     T[..., :t] = y[..., None, :]
     T = T.reshape(*S, -1)[..., :t * (2 * t - 1)].reshape(*S, t, 2 * t - 1)
     return _matmul_mod(T[..., t:], fold, p, T[..., :t])
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out, r = [], 2
-    while r * r <= n:
-        if n % r == 0:
-            out.append(r)
-            while n % r == 0:
-                n //= r
-        r += 1
-    return out + [n] if n > 1 else out
 
 
 class FiniteField:
@@ -266,60 +257,41 @@ class FFElement:
 
 def _small_factor_screen(p: int, t: int):
     """A test of a stack of monic f of degree t >= 2, the rows of their low
-    coefficients: it yields, in order, arrays of the indices of the rows
-    with no irreducible factor of degree <= d, with d = 1 for t <= 3 and
-    d = 2 beyond, i.e. no root in F_{p^d}.
+    coefficients: it yields the array of the indices of the rows with no
+    irreducible factor of degree <= d, with d = 1 for t <= 3 and d = 2
+    beyond, i.e. no root in F_{p^d}.  None when F_{p^d} has more than
+    SCREEN_POINTS_MAX points: there Rabin's test alone decides.
 
-    While p^d <= SCREEN_POINTS_MAX, f(alpha) for every row and every
-    alpha = a + b*theta in F_{p^d} is one product of the stack with a
-    (t+1) x 2p^d table whose row i holds both coordinates of alpha^i
-    (theta^2 = the least non-residue for odd p, theta^2 = theta + 1 for
-    p = 2), and all the survivors come as one array.  Beyond, the same
-    test is gcd(x^(p^d) - x, f) = 1, by O(d log p) products mod f and no
-    per-point data, one row at a time: each survivor comes as soon as it
-    is found, so a caller that stops there checks no later row.
+    f(alpha) for every row and every alpha = a + b*theta in F_{p^d} is one
+    product of the stack with a (t+1) x 2p^d table whose row i holds both
+    coordinates of alpha^i (theta^2 = the least non-residue for odd p,
+    theta^2 = theta + 1 for p = 2).
     """
     d = 1 if t <= 3 else 2
     n = p ** d
+    if n > SCREEN_POINTS_MAX:
+        return None
     dtype = _exact_dtype((t + 1) * (p - 1) ** 2)    # f(alpha) sums t + 1 products
-    if n <= SCREEN_POINTS_MAX:
-        b, a = np.divmod(np.arange(n, dtype=dtype), p)
-        if p == 2:
-            nr, s = 1, 1
-        else:
-            square = np.zeros(p, dtype=bool)
-            square[np.arange(p, dtype=dtype) ** 2 % p] = True
-            nr, s = int(np.argmin(square)), 0
-        # (u + v theta)(a + b theta) = (u a + v nr b) + (u b + v (a + s b)) theta
-        # for theta^2 = nr + s theta
-        nb, ab = nr * b % p, (a + s * b) % p
-        table = np.empty((t + 1, 2 * n), dtype=dtype)
-        u, v = np.ones(n, dtype=dtype), np.zeros(n, dtype=dtype)
-        for row in table:
-            row[:n], row[n:] = u, v
-            u, v = (u * a + v * nb) % p, (u * b + v * ab) % p
-        table = table.astype(_exact_dtype((t + 1) * (p - 1) ** 2, floats=True), copy=False)
-
-        def screen(rows):
-            vals = _matmul_mod(np.asarray(rows, dtype=dtype), table[:t], p, table[t])
-            yield np.flatnonzero(~np.any((vals[:, :n] == 0) & (vals[:, n:] == 0), axis=1))
-        return screen
-
-    one, x = np.zeros((2, t), dtype=dtype)
-    one[0] = x[1] = 1
-
-    def coprime(coeffs: np.ndarray) -> bool:
-        low = -coeffs % p
-        fold = _shift_rows(low, low, t - 1, p)
-        y = x
-        for _ in range(d):
-            y = _pow(y, p, lambda a, b: _mul_mod(a, b, fold, p), one)
-        return _poly_gcd((y - x).tolist(), coeffs.tolist() + [1], p, dtype) == [1]
+    b, a = np.divmod(np.arange(n, dtype=dtype), p)
+    if p == 2:
+        nr, s = 1, 1
+    else:
+        square = np.zeros(p, dtype=bool)
+        square[np.arange(p, dtype=dtype) ** 2 % p] = True
+        nr, s = int(np.argmin(square)), 0
+    # (u + v theta)(a + b theta) = (u a + v nr b) + (u b + v (a + s b)) theta
+    # for theta^2 = nr + s theta
+    nb, ab = nr * b % p, (a + s * b) % p
+    table = np.empty((t + 1, 2 * n), dtype=dtype)
+    u, v = np.ones(n, dtype=dtype), np.zeros(n, dtype=dtype)
+    for row in table:
+        row[:n], row[n:] = u, v
+        u, v = (u * a + v * nb) % p, (u * b + v * ab) % p
+    table = table.astype(_exact_dtype((t + 1) * (p - 1) ** 2, floats=True), copy=False)
 
     def screen(rows):
-        for i, row in enumerate(np.asarray(rows, dtype=dtype)):
-            if coprime(row):
-                yield np.array([i])
+        vals = _matmul_mod(np.asarray(rows, dtype=dtype), table[:t], p, table[t])
+        yield np.flatnonzero(~np.any((vals[:, :n] == 0) & (vals[:, n:] == 0), axis=1))
     return screen
 
 
@@ -332,7 +304,8 @@ def _frobenius_matrix(p: int, f: np.ndarray) -> np.ndarray:
     multiplication by x^p, whose row j is x^(p+j) mod f.  For p < t the
     first t - p rows of M are unit vectors, so Q[i] is Q[i-1] shifted up p
     degrees plus its top p coefficients times the rows x^t, ..., x^(t+p-1):
-    O(p*t) per row, not O(t^2).
+    O(p*t) per row, not O(t^2).  For p >= t, x^p mod f comes by
+    square-and-multiply of one-row products (_mul_mod), row by row.
     """
     S, t = f.shape
     low = -f % p                                      # x^t mod f
@@ -347,15 +320,12 @@ def _frobenius_matrix(p: int, f: np.ndarray) -> np.ndarray:
             Q[:, i, p:] = y[:, :t - p]
             Q[:, i] = _matmul_mod(y[:, None, t - p:], fold, p, Q[:, i, None])[:, 0]
     else:
+        folds = _shift_rows(low, low, t - 1, p)       # (S, t - 1, t)
+        one, x = np.eye(2, t, dtype=f.dtype)
+        xp = np.array([_pow(x, p, lambda a, b: _mul_mod(a, b, fold, p), one)
+                       for fold in folds])
         dtype = _exact_dtype(t * (p - 1) ** 2, floats=True)
-        fold = _shift_rows(low, low, t - 1, p).astype(dtype, copy=False)   # (S, t - 1, t)
-
-        def mul(a, b):
-            return (a[:, None] @ _mul_matrices(b, fold, p))[:, 0] % p
-
-        one, x = np.zeros((2, S, t), dtype=f.dtype)
-        one[:, 0] = x[:, 1] = 1
-        M = _mul_matrices(_pow(x, p, mul, one), fold, p).astype(dtype, copy=False)
+        M = _mul_matrices(xp, folds.astype(dtype, copy=False), p).astype(dtype, copy=False)
         for i in range(k, t):
             Q[:, i] = _matmul_mod(Q[:, i - 1, None], M, p)[:, 0]
     return Q
@@ -373,23 +343,25 @@ def _frobenius_powers(p: int, Q: np.ndarray, wanted: list[int]) -> dict[int, np.
 def _irreducible_rows(p: int, rows: np.ndarray, screen):
     """The irreducible rows of a stack of monic f of degree t >= 2, given by
     their low coefficients, in order, as (index, Q of _frobenius_matrix),
-    with None for Q at t <= 5, where Rabin's test does not run.
+    with None for Q where the screen decides alone.
 
-    The screen rules out factors of degree <= 2, or <= 1 for t <= 3, which
-    settles t <= 5: a reducible polynomial of degree <= 5 has a factor of
-    degree <= 2.  Each array of survivors the screen yields goes to Rabin's
-    test (M. O. Rabin, SIAM J. Comput. 9, 1980) as one stack: f is
-    irreducible iff x^(p^t) = x mod f and gcd(x^(p^(t/r)) - x, f) = 1 for
-    every prime r | t.  The gcds run row by row, only for the rows that
-    pass the first condition, and only as far as the caller takes rows.
+    The screen of _small_factor_screen rules out factors of degree <= 2, or
+    <= 1 for t <= 3, which settles t <= 5: a reducible polynomial of degree
+    <= 5 has a factor of degree <= 2.  At t >= 6 its survivors go to
+    Rabin's test (M. O. Rabin, SIAM J. Comput. 9, 1980) as one stack; with
+    no screen every row goes alone, in order, so a caller that stops at a
+    row tests no later one.  f is irreducible iff x^(p^t) = x mod f and
+    gcd(x^(p^(t/r)) - x, f) = 1 for every prime r | t.  The gcds run row
+    by row, only for the rows that pass the first condition, and only as
+    far as the caller takes rows.
     """
     t = rows.shape[1]
     dtype = _exact_dtype(t * (p - 1) ** 2)             # Q's products sum t terms
-    divisors = _prime_divisors(t)
+    divisors = primefactors(t)
     x = np.zeros(t, dtype=dtype)
     x[1] = 1
-    for passed in screen(rows):
-        if t <= 5 or not len(passed):
+    for passed in screen(rows) if screen else np.arange(len(rows))[:, None]:
+        if (screen and t <= 5) or not len(passed):
             yield from ((i, None) for i in passed.tolist())
             continue
         f = rows[passed].astype(dtype)

@@ -20,6 +20,11 @@ from sympy import isprime
 
 from .abgroup import padic_val
 
+# the cap on a tower's primes: the q of `tower` and `fit`, and the p and q
+# of a tower file, checked before sympy's isprime, which takes seconds on a
+# prime of a few thousand digits
+MAX_TOWER_Q = 10 ** 8
+
 
 class IngestError(ValueError):
     """Base for tower-file rejections (CLI exit 4)."""
@@ -88,7 +93,7 @@ def control_gap_bound(d: int, s_f: int) -> int:
     package's choice; only finiteness is canonical."""
     if d < 1 or s_f < 0:
         raise ValueError("need d >= 1 and s_f >= 0")
-    return 4 * d + 2 * d * s_f
+    return rank_gap_bound(2 * d, 2 * d * s_f)
 
 
 def class_to_selmer_gap_bound(d: int, s_f: int) -> int:
@@ -236,7 +241,7 @@ def ingest_tower(path) -> TowerSeries:
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:   # bad JSON, or an int of over 4,300 digits
         raise SchemaError(f"cannot read tower file: {exc}") from exc
     _require(isinstance(raw, dict), "top level must be an object")
     for key in ("label", "q", "d", "p", "levels"):
@@ -244,6 +249,8 @@ def ingest_tower(path) -> TowerSeries:
     _require(isinstance(raw["label"], str), "label must be a string")
     for key in ("q", "d", "p"):
         _require(_is_count(raw[key], 1), f"{key} must be a positive integer")
+    _require(raw["p"] <= MAX_TOWER_Q and raw["q"] <= MAX_TOWER_Q,
+             f"p and q must be at most {MAX_TOWER_Q}")
     _require(isprime(raw["p"]) and isprime(raw["q"]), "p and q must be prime")
     _require(raw["p"] != raw["q"], "p and q must be distinct")
     _require(isinstance(raw["levels"], list) and raw["levels"], "levels must be a nonempty list")

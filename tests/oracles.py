@@ -53,7 +53,7 @@ from sympy import divisors, factorint, n_order, primerange, primitive_root
 from iqtower.abgroup import GroupError, _pow, coords_order, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import (FFElement, FiniteField, _exact_dtype, _irreducible_rows,
-                                 _poly_gcd, _small_factor_screen, finite_field)
+                                 _small_factor_screen, finite_field)
 from iqtower.lvaluation import (LSeriesValue, _character, _prime_sieve, dirichlet_tail_bound,
                                 unity_image)
 from iqtower.okring import (OkElement, canonical_associate, factor, gcd_ok, omega_residue,
@@ -614,6 +614,23 @@ def ff_inverse(p: int, modulus: tuple, a: tuple) -> tuple:
     return tuple(out[:t])
 
 
+def _poly_gcd(a, b, p: int) -> list[int]:
+    """Monic gcd in F_p[x] of a and b, not both zero, by Euclid's
+    algorithm on lists of Python integers, low degree first."""
+    a, b = [v % p for v in a], [v % p for v in b]
+    while _poly_deg(b) >= 0:
+        db = _poly_deg(b)
+        inv = pow(b[db], -1, p)
+        while (da := _poly_deg(a)) >= db:
+            c = a[da] * inv % p
+            for j in range(db + 1):
+                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
+        a, b = b, a
+    da = _poly_deg(a)
+    inv = pow(a[da], -1, p)
+    return [v * inv % p for v in a[:da + 1]]
+
+
 def _poly_eval(coeffs, x: int, p: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -654,7 +671,7 @@ def batched_gcd_is_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
         # factor degree falls in the batch
         batch = batch * diff
         if k % 8 == 0 or k == t // 2:
-            if batch.is_zero() or _poly_gcd(list(batch.coeffs), f_full, p, F.dtype) != [1]:
+            if batch.is_zero() or _poly_gcd(batch.coeffs, f_full, p) != [1]:
                 return False
             batch = F.one()
     return True

@@ -339,7 +339,8 @@ class TestCaps:
     """The worst inputs with an inert or ramified factor that the modulus cap
     (norm <= 10^6) admits build in bounded time, and so do towers at a
     seven-digit q and at the q cap, an L-value at the largest split
-    prime under the modulus cap, and the slowest fit under its caps."""
+    prime under the modulus cap, the slowest fit under its caps, and the
+    rejection of a tower file whose q is a prime of thousands of digits."""
 
     SECONDS = 2.0
 
@@ -440,6 +441,27 @@ class TestCaps:
             assert "cap" in err
         if want == 3:
             assert "prime" in err
+
+    def test_tower_file_prime_past_cap(self, tmp_path):
+        # 1477! + 1 is a prime of 4,042 digits: sympy's isprime took 25 s on
+        # it on a 2-vCPU x86-64 VM, so the cap on q must come before it
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({
+            "label": "x", "q": math.factorial(1477) + 1, "d": 1, "p": 5,
+            "levels": [{"n": n, "s_f": 1, "r_cl": 0, "r_cls": 0} for n in range(100)]}))
+        script = ("import resource, sys, time\n"
+                  "from iqtower.cli import main\n"
+                  "start = time.perf_counter()\n"
+                  f"code = main(['selmer', '--input', {str(path)!r}])\n"
+                  "print(code, time.perf_counter() - start,\n"
+                  "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        *_, code, elapsed, rss_kb = proc.stderr.split()
+        assert code == "4" and proc.stdout == ""
+        assert f"tower file rejected: p and q must be at most {cli.MAX_TOWER_Q}" in proc.stderr
+        assert float(elapsed) < self.SECONDS, elapsed
+        assert int(rss_kb) < 300 * 1024, rss_kb
 
     def test_cmsearch_rbound_at_cap(self):
         # d = 163 is the slowest field at the cap: 16r^2 + 163 is prime for

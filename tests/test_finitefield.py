@@ -212,8 +212,9 @@ LARGEST_RESIDUE_FIELDS = [(5, 46), (11, 46), (13, 46), (5, 52), (3, 55), (5, 55)
 
 class TestFrobeniusHandoff:
     """A searched field keeps the Frobenius matrix Q of Rabin's test for its
-    modulus (t >= 6); below t = 6, where the screen decides, a power builds
-    Q on first use, and only while p <= t."""
+    modulus (t >= 6, or any t >= 2 beyond the screen's table); below t = 6,
+    where the table decides, a power builds Q on first use, and only while
+    p <= t."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_q_equals_oracle_up_to_degree_20(self, p):
@@ -229,6 +230,13 @@ class TestFrobeniusHandoff:
     @pytest.mark.parametrize("p,t", LARGEST_RESIDUE_FIELDS)
     def test_q_of_the_largest_residue_fields_equals_oracle(self, p, t):
         F = finite_field.__wrapped__(p, t)
+        assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus)
+
+    @pytest.mark.parametrize("p,t", [(1000003, 4), (10 ** 30 + 57, 2)])
+    def test_large_p_fields_below_degree_six_keep_rabins_q(self, p, t):
+        """Beyond the screen's table, Rabin's test decides every degree."""
+        F = finite_field.__wrapped__(p, t)
+        assert F._frobenius is not None
         assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus)
 
     def test_unity_image_builds_no_frobenius_matrix_after_its_search(self, monkeypatch):
@@ -321,10 +329,8 @@ class TestExactTiers:
         assert finitefield._exact_dtype(t * (p - 1) ** 2, floats=True) is tier
         F = finite_field.__wrapped__(p, t)
         assert _is_irreducible(p, F.modulus)
-        if t == 2:          # no Rabin test below t = 6: build Q directly
-            F._frobenius = finitefield._frobenius_matrix(
-                p, np.array([F.modulus], dtype=F.dtype))[0]
         assert product_dtypes == {tier}
+        # at t = 2 too, Rabin's test decided and handed its Q to the field
         assert F._frobenius.tolist() == frobenius_matrix(p, F.modulus)
         y = np.array([p - 1 - i for i in range(t)], dtype=F.dtype)
         for e in (p - 2, p, p ** 2 + 1, F.order - 2):
@@ -444,27 +450,19 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("p,t", [(10 ** 30 + 57, 2), (1000003, 4), (101, 8), (1009, 7)])
     def test_gcd_side_stops_at_the_winner(self, p, t, monkeypatch):
-        """Above SCREEN_POINTS_MAX the screen computes x^(p^d) mod f, d = 1
-        for t <= 3 and 2 beyond, by d powers of one row, and hands on each
-        survivor as it finds it: no row after the winner is checked, and
-        Rabin's test runs on stacks of one."""
-        row_powers, passes = [], []
-        power, frobenius_powers = finitefield._pow, finitefield._frobenius_powers
-
-        def counting_power(x, *args):
-            if x.ndim == 1:
-                row_powers.append(x)
-            return power(x, *args)
+        """Above SCREEN_POINTS_MAX there is no screen: Rabin's test alone
+        takes every candidate up to the winner, in order, each as a stack of
+        one, and no row after the winner, at every degree."""
+        passes = []
+        frobenius_powers = finitefield._frobenius_powers
 
         def counting_powers(p, Q, wanted):
             passes.append(len(Q))
             return frobenius_powers(p, Q, wanted)
 
-        monkeypatch.setattr(finitefield, "_pow", counting_power)
         monkeypatch.setattr(finitefield, "_frobenius_powers", counting_powers)
         F = finite_field.__wrapped__(p, t)
-        assert len(row_powers) == (1 if t <= 3 else 2) * modulus_rank(p, t, F.modulus)
-        assert set(passes) <= {1} and (t <= 5) == (not passes)
+        assert passes == [1] * modulus_rank(p, t, F.modulus)
 
 
 def _screened(p: int, candidates) -> list[int]:
@@ -481,7 +479,7 @@ def _first_irreducibles(p: int, d: int, count: int) -> list[tuple]:
 class TestScreen:
     """The screen for irreducible factors of degree <= d (d = 1 for t <= 3,
     2 beyond): a table of the points of F_{p^d} while p^d is at most
-    SCREEN_POINTS_MAX, gcd(x^(p^d) - x, f) beyond."""
+    SCREEN_POINTS_MAX; beyond, no screen, and Rabin's test alone decides."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     @pytest.mark.parametrize("dh", [3, 4])
@@ -499,10 +497,18 @@ class TestScreen:
     @pytest.mark.parametrize("p,t", [(p, t) for p in (2, 3, 5) for t in range(2, 7)
                                      if p ** t <= 3125])
     def test_table_and_gcd_sides_agree_on_every_candidate(self, p, t, monkeypatch):
+        """The verdicts with the table screen and with Rabin's test alone,
+        whose last step is a gcd, agree on every candidate."""
         candidates = list(itertools.product(range(p), repeat=t))
-        table = set(_screened(p, candidates))
+
+        def verdicts():
+            return {i for i, _ in _irreducible_rows(p, np.array(candidates),
+                                                     _small_factor_screen(p, t))}
+
+        table = verdicts()
         monkeypatch.setattr(finitefield, "SCREEN_POINTS_MAX", 0)
-        gcd = set(_screened(p, candidates))
+        assert _small_factor_screen(p, t) is None
+        gcd = verdicts()
         assert table | gcd <= set(range(len(candidates)))
         for i, coeffs in enumerate(candidates):
             assert (i in table) == (i in gcd), coeffs

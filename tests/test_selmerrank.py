@@ -359,6 +359,25 @@ class TestIngestAndReports:
                 "levels": [{"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0,
                             "sel0": {"s": 0, "T": [3]}}]}))
 
+    @pytest.mark.parametrize("p,q,ok", [(5, 99999989, True), (99999989, 3, True),
+                                        (5, 100000007, False), (100000007, 3, False)])
+    def test_primes_capped_at_the_tower_cap(self, tmp_path, p, q, ok):
+        # 99999989 is the largest prime under the cap, 100000007 the least above
+        payload = {"label": "x", "q": q, "d": 1, "p": p,
+                   "levels": [{"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0}]}
+        if ok:
+            assert ingest_tower(self._write(tmp_path, payload)).q == q
+        else:
+            with pytest.raises(SchemaError, match="at most"):
+                ingest_tower(self._write(tmp_path, payload))
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        # json.loads refuses an int of more than 4,300 digits with a ValueError
+        path = tmp_path / "tower.json"
+        path.write_text('{"label": "x", "q": 1' + "0" * 5000 + ', "d": 1, "p": 5, "levels": []}')
+        with pytest.raises(SchemaError, match="cannot read"):
+            ingest_tower(path)
+
     @pytest.mark.parametrize("top,level,sel0", [
         ({"d": True}, {}, None),
         ({"q": 3.0}, {}, None),
