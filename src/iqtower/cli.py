@@ -37,6 +37,12 @@ MAX_TRUNCATION = 10 ** 8
 MAX_DISCRIMINANT = 10 ** 8
 MAX_RBOUND = 10 ** 4
 MAX_FIT_CHARS = 10 ** 5
+# the digits of classgroup --S in all: 500 hold 60 primes below 10^8, and S
+# holds a handful; a prime's test costs the cube of its digits, 0.12 s at 500
+MAX_S_DIGITS = 500
+# the digits of nonvanish --p, which works in F_p alone: 0.04 s at 300,
+# far past the library's largest residue characteristic, 10^30 + 57
+MAX_RESIDUE_P_DIGITS = 300
 
 
 class ConfigError(ValueError):
@@ -148,6 +154,11 @@ def _cmd_cmsearch(args) -> None:
 
 
 def _cmd_nonvanish(args) -> None:
+    if len(str(args.p)) > MAX_RESIDUE_P_DIGITS:
+        raise ConfigError(f"nonvanish p of {len(str(args.p))} digits exceeds the cap "
+                          f"of {MAX_RESIDUE_P_DIGITS} digits")
+    if args.q > MAX_TOWER_Q:
+        raise ConfigError(f"nonvanish q exceeds the cap {MAX_TOWER_Q}")
     tag = field(args.d)
     lam = parse_element(tag, getattr(args, "lambda"))
     emb = ResidueEmbedding.create(tag, args.p, args.root)
@@ -195,6 +206,9 @@ def _cmd_lseries(args) -> None:
 def _cmd_classgroup(args) -> None:
     if abs(args.disc) > MAX_DISCRIMINANT:
         raise ConfigError(f"|disc| {abs(args.disc)} exceeds the cap {MAX_DISCRIMINANT}")
+    digits = sum(len(str(ell)) for ell in args.S or [])
+    if digits > MAX_S_DIGITS:
+        raise ConfigError(f"--S of {digits} digits exceeds the cap {MAX_S_DIGITS}")
     # s_class_group rejects a non-prime in S before building the group
     sg = s_class_group(args.disc, args.S) if args.S else None
     g = class_group(args.disc)

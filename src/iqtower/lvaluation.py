@@ -18,8 +18,8 @@ character and the terms chi(a) N(a)^(-s) are evaluated once, in numpy:
 each row's terms are summed on their own, in row order, and the terms at
 entries that generate prime ideals divide the product, one division each.
 A nontrivial character's prime-power factors run their discrete logs once
-per chunk, on the distinct residues modulo each factor, and nothing is
-kept between chunks.
+per chunk, each a gather from a table of that factor's units, which the
+ray class group keeps between chunks and walks.
 Both carry rigorous tail bounds from the ideal-count estimate
 r_K(n) <= d(n) (valid for every imaginary quadratic field: r_K(n) = sum
 over m | n of chi_disc(m), a sum of n/m terms each at most 1).
@@ -44,7 +44,7 @@ from .finitefield import (FFElement, FieldError, FiniteField, _exact_dtype, _mat
                           _mul_matrices, finite_field)
 from .okring import (FieldTag, OkElement, OkError, _ideal_chunks, factor, omega_residue,
                      split_type)
-from .rayclass import CharacterSpec, _hnf_box, _smith_coords, ray_class_group
+from .rayclass import CharacterSpec, _smith_coords, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
 EXPLICIT_FIELD_DEGREE_CAP = 400
@@ -86,15 +86,12 @@ class ResidueEmbedding:
 
 
 def _projection_candidates(p: int, t: int):
-    """Deterministic scan order, as coefficient tuples, for nonzero elements
-    whose cofactor power is tested for primitivity: affine elements
-    c1*x + c0 first (monomial-shaped candidates fail in long structured
-    runs), then every element, the constant term counting fastest."""
-    if t > 1:
-        for c1 in range(1, p):
-            for c0 in range(p):
-                yield (c0, c1) + (0,) * (t - 2)
-    for n in range(1, p ** t):
+    """Deterministic scan order, as coefficient tuples with the constant term
+    counting fastest, for the nonzero elements whose cofactor power is
+    tested for primitivity.  Past t = 1 the constants are skipped: their
+    cofactor powers have orders dividing p - 1, and q^m does not divide
+    p - 1 when t = ord(p mod q^m) > 1."""
+    for n in range(p if t > 1 else 1, p ** t):
         yield tuple(n // p ** i % p for i in range(t))
 
 
@@ -307,25 +304,22 @@ def _coprime_mask(modulus: OkElement, bound: int):
 def _chi_table(modulus: OkElement, chi: CharacterSpec):
     """chi_at(ys, xs): a nontrivial chi at the ideals (x + y*omega) coprime
     to the modulus, on arrays (or an int y).  The unit group's dlog is the
-    concatenation of its prime-power factors' (CRT): each factor's dlogs
-    runs on the distinct keys (y mod g)*a + (x - (y // g)*c) mod a of its
-    Hermite box (a, c, g); the words give the Smith coordinates in one
-    integer product, and each distinct theta one cmath.exp."""
+    concatenation of its prime-power factors' (CRT), each factor's dlogs a
+    gather from its table of units, built here, before _l_values allocates
+    its sieve; the words give the Smith coordinates in one integer product,
+    and each distinct theta one cmath.exp."""
     group = ray_class_group(modulus)
     invariants = group.presentation.invariants
-    factors = [(f, *_hnf_box(f.modulus)) for f in group.units.factors]
+    factors = group.units.factors
+    for f in factors:
+        f._log_table        # built now, while the walk holds no sieve and no chunk
     # c*v/n in float64 rounds as Python's int division while float64 holds c*v and n exactly
     bound = max((abs(v) * n for v, n in zip(chi.exponents, invariants)), default=0)
     dtype = np.int64 if _exact_dtype(bound, floats=True) is np.float64 else object
 
     def chi_at(ys, xs: np.ndarray) -> np.ndarray:
         # _l_values passes coprime entries only, so dlogs sees units (it raises otherwise)
-        words = []
-        for f, a, c, g in factors:
-            y_f = np.asarray(ys).astype(f.dtype)
-            keys, inverse = np.unique(y_f % g * a + (xs.astype(f.dtype) - y_f // g * c) % a,
-                                      return_inverse=True)
-            words.append(f.dlogs(keys % a, keys // a)[inverse])
+        words = [f.dlogs(xs, ys) for f in factors]
         cls = _smith_coords(group.presentation, np.concatenate(words, axis=1)).astype(dtype)
         theta = sum(cls[:, j] * v / n for j, (v, n) in enumerate(zip(chi.exponents, invariants)))
         thetas, inverse = np.unique(theta.astype(np.float64), return_inverse=True)

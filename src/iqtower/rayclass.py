@@ -13,9 +13,9 @@ generators 1 + pi^i*b whose l-th powers give the relations.  A split p^e
 enters through the ring isomorphism O_K/p^e = Z/l^e, which sends omega to
 -x/y for pi^e = x + y*omega (`okring.omega_residue`), with uniformiser l.
 A word in the generators is evaluated in each factor's own arithmetic and
-lifted to O_K/h once by CRT; generators are realised on demand.  No residue
-ring is enumerated and no generator is drawn at random.  The layers of an
-anticyclotomic tower are all read off one unit group, that of its top layer.
+lifted to O_K/h once by CRT; generators are realised on demand, none drawn
+at random.  Discrete logs on arrays gather from a table of each factor's
+units (`_Factor._log_table`).  The layers of an anticyclotomic tower are all read off one unit group, that of its top layer.
 
 Residues are reduced to a fixed fundamental domain (rounding division
 against the lattice basis {h, h*omega}), which makes representatives
@@ -26,17 +26,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from math import isqrt, prod
 
 import numpy as np
 from sympy import factorint, isprime
 
 from .abgroup import (AbelianGroupStructure, GroupError, QuotientPresentation,
-                      _pow, _word_product, coords_order, padic_val)
+                      _word_product, coords_order, padic_val)
 from .finitefield import _exact_dtype
 from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
                      factor, gcd_ok, omega_residue, split_type)
+
+
+# _Factor.dlogs gathers from a table of 4 bytes per residue mod p^e up to this
+# many residues: the CLI caps a modulus's norm at 10^6, so each prime-power
+# factor it admits has at most 10^6 residues and a table of at most 4 MB.
+LOG_TABLE_MAX = 2 ** 20
 
 
 def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
@@ -80,13 +86,13 @@ def _hnf_box(modulus: OkElement) -> tuple[int, int, int]:
     return alpha, beta, gamma
 
 
-def _cyclic_tables(g, primes: dict[int, int], mul, power, min_baby: int = 0) -> list[tuple]:
+def _cyclic_tables(g, primes: dict[int, int], mul, power) -> list[tuple]:
     """Pohlig-Hellman data for discrete logs base g, of order prod r^a over
     the factorisation `primes`, in a group with product `mul` and power
-    `power`: per prime power r^a, the cofactor, g^-cofactor, the baby steps
-    (isqrt(r - 1) + 1 of them, or min(r, min_baby) if more) and giant step of
-    an element h of order r, and the CRT coefficient that lifts a log mod
-    r^a.  Built once per group, so each log only looks values up."""
+    `power`: per prime power r^a, the cofactor, g^-cofactor, the
+    isqrt(r - 1) + 1 baby steps and the giant step of an element h of order
+    r, and the CRT coefficient that lifts a log mod r^a.  Built once per
+    group, so each log only looks values up."""
     order = prod(r ** a for r, a in primes.items())
     tables = []
     for r, a in primes.items():
@@ -94,7 +100,7 @@ def _cyclic_tables(g, primes: dict[int, int], mul, power, min_baby: int = 0) -> 
         cof = order // ra
         gr = power(g, cof)
         h = power(gr, ra // r)   # order r
-        step = max(isqrt(r - 1) + 1, min(r, min_baby))
+        step = isqrt(r - 1) + 1
         baby, acc = {}, power(h, 0)
         for j in range(step):
             baby[acc] = j
@@ -146,18 +152,6 @@ def _mod(v, m: int):
     return v - v // m * m
 
 
-def _pow_each(g, ks: np.ndarray, mul, one):
-    """g^k for each k in the array ks >= 0, g an element (a tuple of
-    components) and mul a product that also takes arrays of them."""
-    out = tuple(np.full(ks.shape, c, dtype=ks.dtype) for c in one)
-    while ks.any():
-        bit = (ks & 1).astype(bool)
-        out = tuple(np.where(bit, new, old) for new, old in zip(mul(out, g), out))
-        ks = ks >> 1
-        g = mul(g, g)
-    return out
-
-
 class _Factor:
     """(O_K/p^e)^x for a prime p over l, through the filtration
     (O_K/p)^x x (1+p)/(1+p^e).
@@ -175,10 +169,12 @@ class _Factor:
     digit, and the words of their l-th powers are the relations whose Smith
     form gives the generators and orders of (1+p)/(1+p^e).
 
-    Two entry points share that walk: dlog on one element, for UnitGroup's
-    callers (3-30 us a call), and dlogs on arrays, for the chunks of the
-    L-walk.  Neither replaces the other: a dlogs call costs 0.1-1.1 ms
-    however few its rows, and a chunk holds thousands of residues.
+    dlog takes one element through Pohlig-Hellman and that walk, for
+    UnitGroup's callers (3-30 us a call).  dlogs, for the chunks of the
+    L-walk, gathers from _log_table, a dense int32 table of the positions
+    of the units among the products of the generators' powers, built once
+    per factor; past LOG_TABLE_MAX residues it runs dlog once per distinct
+    residue.
     """
 
     def __init__(self, p: OkPrime, e: int):
@@ -190,6 +186,7 @@ class _Factor:
         self.int_mod = ell ** e
         # dlogs' arrays: every product of two residues
         self.dtype = _exact_dtype(self.int_mod ** 2)
+        self._box = _hnf_box(self.modulus)
         self.split = p.kind == "split"
         # image of omega in O_K/p^e = Z/l^e (split) or in O_K/p = Z/l (ramified)
         self.root = None if p.kind == "inert" else omega_residue(self.modulus if self.split
@@ -209,7 +206,6 @@ class _Factor:
         g = next(c for c in candidates
                  if all(self._fpow(c, self.order_res // r) != one for r in res_primes))
         self._tables = _cyclic_tables(g, res_primes, self._fmul, self._fpow)
-        self._cyclic_args = g, res_primes
         # g^(N^(e-1)) = g mod p, and its order is exactly N - 1
         g0 = self._pow(g if self.root is None else (g, 0), p.norm() ** (e - 1))
         self._g0_inv = self._inverse(g0)
@@ -228,7 +224,7 @@ class _Factor:
                                  [self._inverse(h) for h in units]))
         rels = []
         for j, h in enumerate(self._units):
-            rel = [-c for c in self._walk(self._pow(h, ell), self._mul, self._pow)]
+            rel = [-c for c in self._walk(self._pow(h, ell))]
             rel[j] += ell
             rels.append(rel)
         # l^e is a multiple of every 1-unit's order: (1 + pi^i*y)^l lies in 1 + p^(i+1)
@@ -277,24 +273,22 @@ class _Factor:
         nu = a * a + self.t * a * b + self.n * b * b
         return self._mul((a + self.t * b, -b), (pow(nu, -1, self.int_mod), 0))
 
-    def _walk(self, u, mul, power) -> list:
+    def _walk(self, u) -> list[int]:
         """Exponents of the 1-unit generators in a word equal to the 1-unit
         u modulo p^e: at level i, the digits of (u - 1)/pi^i mod p are read
-        off and each digit k is cleared by h^-k, h its level-i generator.
-        u is a pair of ints with mul = _mul and power = _pow, or a pair of
-        int arrays with their array forms; the digits come out alike."""
+        off and each digit k is cleared by h^-k, h its level-i generator."""
         m, ell, s = self.int_mod, self.ell, self.root
         word = []
         for mu_i, ell_i, inverses in self._levels:
             # z = (u - 1) * mu^i / l^i
-            z0, z1 = mul((u[0] - 1, u[1]), mu_i)
+            z0, z1 = self._mul((u[0] - 1, u[1]), mu_i)
             z0, z1 = z0 // ell_i, z1 // ell_i
-            digits = (_mod(z0, ell), _mod(z1, ell)) if s is None else (_mod(z0 + z1 * s, ell),)
+            digits = (z0 % ell, z1 % ell) if s is None else ((z0 + z1 * s) % ell,)
             word.extend(digits)
             if ell_i == m // ell:
                 break            # the last level's digits need no clearing
             for h_inv, k in zip(inverses, digits):
-                u = mul(u, power(h_inv, k))
+                u = self._mul(u, self._pow(h_inv, k))
         return word
 
     def dlog(self, x: OkElement) -> list[int]:
@@ -311,87 +305,71 @@ class _Factor:
             if self._units:
                 u = self._mul(u, self._pow(self._g0_inv, a))
         if self._units:
-            out.extend(self._pres.coords(self._walk(u, self._mul, self._pow)))
+            out.extend(self._pres.coords(self._walk(u)))
         return out
 
-    def _amul(self, u, v, m: int) -> tuple:
-        """_mul on arrays of pairs: each product is reduced mod m before it
-        is summed, so int64 holds while m^2 < 2^63."""
-        a, b = u
-        c, d = v
-        bd = _mod(b * d, m)
-        return (_mod(_mod(a * c, m) - self.n * bd, m),
-                _mod(_mod(a * d, m) + _mod(b * c, m) + self.t * bd, m))
+    def _keys(self, xs, ys) -> np.ndarray:
+        """The key y mod g * a + (x - (y // g) * c) mod a of each residue
+        x + y*omega modulo p^e, (a, c, g) its Hermite box: a bijection onto
+        range(Np^e).  x and y are reduced mod l^e, a multiple of p^e, first,
+        so that the products stay below (l^e)^2, which self.dtype holds."""
+        a, c, g = self._box
+        xs, ys = (_mod(np.asarray(v).astype(self.dtype), self.int_mod) for v in (xs, ys))
+        return ys % g * a + _mod(xs - ys // g * c, a)
 
     @cached_property
-    def _sorted_tables(self) -> list[tuple]:
-        """_tables for dlogs, built on first use with up to 2^12 baby steps,
-        so that a digit takes one lookup for r <= 2^12: elements as tuples
-        of components, (a,) mod l or the pair (a, b) of an inert p, and the
-        baby steps as their keys a or a*l + b, sorted, with the exponents."""
-        ell, wrap = self.ell, (lambda v: v) if self.root is None else (lambda v: (v,))
-        out = []
-        for r, a, cof, grinv, baby, step, giant, crt in _cyclic_tables(
-                *self._cyclic_args, self._fmul, self._fpow, min_baby=2 ** 12):
-            keys = np.array([v if self.root is not None else v[0] * ell + v[1] for v in baby],
-                            dtype=self.dtype)
-            js = np.argsort(keys)
-            out.append((r, a, cof, wrap(grinv), keys[js], js, step, wrap(giant), crt))
-        return out
+    def _log_table(self) -> np.ndarray | None:
+        """By _keys: the position of each unit in the enumeration of the
+        products of the generators' powers, mixed radix over self.orders
+        with the last generator fastest, and -1 at the non-units; None past
+        LOG_TABLE_MAX residues.  Per generator, isqrt(order) + 1 Python
+        products give the baby steps and the giant step; the units come in
+        blocks through _mul on arrays (exact in int64: l^e <= LOG_TABLE_MAX),
+        each block's keys scattered as it is formed."""
+        a, _, g = self._box
+        if a * g > LOG_TABLE_MAX:
+            return None
+        table = np.full(a * g, -1, dtype=np.int32)
+
+        def scatter(i, u, n):
+            # u: one block of the units prod_{j < i} g_j^(k_j), n their positions
+            if i == len(self._gens):
+                table[self._keys(*u)] = n
+                return
+            h, o, r = self._gens[i], self.orders[i], prod(self.orders[i + 1:])
+            baby = list(itertools.accumulate(range(isqrt(o - 1) + 1),
+                                             lambda v, _: self._mul(v, h), initial=(1, 0)))
+            giant = baby.pop()
+            u = self._mul(tuple(c[:, None] for c in u),
+                          tuple(np.array(c, dtype=self.dtype) for c in zip(*baby)))
+            n = n[:, None] + r * np.arange(len(baby))
+            for j in range(0, o, len(baby)):
+                w = min(len(baby), o - j)
+                scatter(i + 1, tuple(c[:, :w].reshape(-1) for c in u), n[:, :w].reshape(-1) + j * r)
+                u = self._mul(u, giant)
+
+        scatter(0, (np.ones(1, dtype=self.dtype), np.zeros(1, dtype=self.dtype)),
+                np.zeros(1, dtype=np.int64))
+        return table
 
     def dlogs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """dlog on arrays: row i is dlog(xs[i] + ys[i]*omega), for int arrays
-        of units (int64, or object arrays of Python ints).  The same
-        Pohlig-Hellman as dlog, each step over all rows at once, the
-        baby-step lookups through np.searchsorted, then dlog's _walk with
-        the array product and _pow_each; in int64 while (l^e)^2 < 2^63, in
-        object arrays beyond.  dlog stays beside it for single elements,
-        which this call's fixed cost would make dearer."""
-        m, ell, s = self.int_mod, self.ell, self.root
-        xs, ys = (_mod(np.asarray(v).astype(self.dtype), m) for v in (xs, ys))
-        u = (_mod(xs + ys * s, m), np.zeros_like(xs)) if self.split else (xs, ys)
-        umul = partial(self._amul, m=m)
-        upow = partial(_pow_each, mul=umul, one=(1, 0))
-        if s is None:
-            r, one = (_mod(u[0], ell), _mod(u[1], ell)), (1, 0)
-            mul, key = partial(self._amul, m=ell), (lambda v: v[0] * ell + v[1])
-        else:
-            r, one = (_mod(u[0] + u[1] * s, ell),), (1,)
-            mul, key = (lambda v, w: (_mod(v[0] * w[0], ell),)), (lambda v: v[0])
-        if (key(r) == 0).any():
+        of units (int64, or object arrays of Python ints).  The rows are the
+        mixed-radix digits of the positions _log_table gathers; past its
+        reach, dlog runs once per distinct residue."""
+        keys = self._keys(xs, ys)
+        table = self._log_table
+        if table is None:
+            a = self._box[0]
+            distinct, inverse = np.unique(keys, return_inverse=True)
+            rows = [self.dlog(OkElement(self.modulus.tag, k % a, k // a))
+                    for k in distinct.tolist()]
+            return np.array(rows, dtype=self.dtype).reshape(len(rows), len(self.orders))[inverse]
+        n = table[keys]
+        if (n < 0).any():
             raise GroupError(f"a residue is not a unit modulo {self.modulus}")
-        cols = []
-        if self._tables:
-            # Pohlig-Hellman: per prime power r^a, the base-r digits of the log
-            a_log = 0
-            for q, a, cof, grinv, keys, js, step, giant, crt in self._sorted_tables:
-                xq, e, qi = _pow(r, cof, mul, one), 0, 1
-                for i in reversed(range(a)):
-                    t = mul(xq, _pow_each(grinv, e, mul, one)) if qi > 1 else xq
-                    t = _pow(t, q ** i, mul, one) if i else t
-                    digit, rows = np.zeros_like(xs), np.arange(len(xs))
-                    for j in range(step + 1):
-                        k = key(t)
-                        pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
-                        hit = keys[pos] == k
-                        digit[rows[hit]] = _mod(j * step + js[pos[hit]], q)
-                        rows, t = rows[~hit], tuple(c[~hit] for c in t)
-                        if not len(rows):
-                            break
-                        t = mul(t, giant)
-                    e, qi = e + digit * qi, qi * q
-                # a_log + e * crt < (order + 1)^2: Python ints where that leaves int64
-                if _exact_dtype((self.order_res + 1) ** 2) is object:
-                    e = e.astype(object)
-                a_log = _mod(a_log + e * crt, self.order_res)
-            cols.append(a_log)
-            if self._units:
-                u = umul(u, upow(self._g0_inv, a_log))
-        if self._units:
-            word = self._walk(u, umul, upow)
-            words = np.array(word, dtype=self.dtype).reshape(len(word), len(xs)).T
-            cols.extend(_smith_coords(self._pres, words).T)
-        return np.array(cols, dtype=self.dtype).reshape(len(cols), len(xs)).T
+        return np.array([n // prod(self.orders[i + 1:]) % o for i, o in enumerate(self.orders)],
+                        dtype=self.dtype).reshape(len(self.orders), len(n)).T
 
     def inverse(self, x: OkElement) -> OkElement:
         return OkElement(x.tag, *self._inverse(self._pair(x)))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from sympy import isprime
 
@@ -24,6 +23,9 @@ from .abgroup import padic_val
 # of a tower file, checked before sympy's isprime, which takes seconds on a
 # prime of a few thousand digits
 MAX_TOWER_Q = 10 ** 8
+# a tower file's size cap: 2^16 bytes hold over 800 levels, and layer n has
+# degree q^n >= 2^n over K; the slowest file under it takes 0.7 s
+MAX_TOWER_FILE_BYTES = 2 ** 16
 
 
 class IngestError(ValueError):
@@ -240,9 +242,13 @@ def ingest_tower(path) -> TowerSeries:
     |r_cl - r_cls| exceeds 2*s_f at some level.
     """
     try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:   # bad JSON, or an int of over 4,300 digits
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_TOWER_FILE_BYTES + 1)      # one byte past the cap
+        raw = json.loads(data.decode()) if len(data) <= MAX_TOWER_FILE_BYTES else None
+    except (OSError, ValueError) as exc:   # bad JSON or UTF-8, or an int of over 4,300 digits
         raise SchemaError(f"cannot read tower file: {exc}") from exc
+    _require(len(data) <= MAX_TOWER_FILE_BYTES,
+             f"the file exceeds the cap of {MAX_TOWER_FILE_BYTES} bytes")
     _require(isinstance(raw, dict), "top level must be an object")
     for key in ("label", "q", "d", "p", "levels"):
         _require(key in raw, f"missing field {key!r}")

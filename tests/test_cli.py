@@ -13,6 +13,7 @@ from sympy import isprime
 
 import iqtower
 from iqtower import cli
+from iqtower import selmerrank as sr
 from iqtower.cli import main
 from iqtower.okring import field, parse_element
 from iqtower.rayclass import UnitGroup, euler_phi, ray_class_group
@@ -510,6 +511,92 @@ class TestCaps:
         code, out, err = run_cli(["cmsearch", "--d", "43", "--rbound",
                                   str(cli.MAX_RBOUND + 1)], capsys)
         assert code == 2 and out == "" and "cap" in err
+
+
+    def _main_fresh(self, argv):
+        """main(argv) in a fresh interpreter: (exit code, stdout), with its
+        time and peak RSS checked against the caps' bounds."""
+        script = ("import resource, sys, time\n"
+                  "from iqtower.cli import main\n"
+                  "start = time.perf_counter()\n"
+                  f"code = main({argv!r})\n"
+                  "print(code, time.perf_counter() - start,\n"
+                  "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=child_env())
+        *_, code, elapsed, rss_kb = proc.stderr.split()
+        assert float(elapsed) < self.SECONDS, (argv[0], elapsed)
+        assert int(rss_kb) < 300 * 1024, (argv[0], rss_kb)
+        return int(code), proc.stdout
+
+    def test_classgroup_s_at_cap(self):
+        # one prime of MAX_S_DIGITS digits: a prime's test and square root
+        # cost the cube of its digits, so the digits of S are slowest together
+        ell = 10 ** (cli.MAX_S_DIGITS - 1) + 153
+        assert isprime(ell)
+        code, out = self._main_fresh(["classgroup", "--disc", "-23", "--S", str(ell)])
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["S"] == [ell] and rec["order"] == 3
+
+    def test_classgroup_s_past_cap_is_2(self, capsys, monkeypatch):
+        def no_group(disc, primes):
+            raise AssertionError("built an S-class group past the cap")
+        monkeypatch.setattr("iqtower.cli.s_class_group", no_group)
+        S = [str(ell) for ell in (10 ** (cli.MAX_S_DIGITS - 2) + 1, 2, 3)]
+        assert sum(map(len, S)) == cli.MAX_S_DIGITS + 1
+        code, out, err = run_cli(["classgroup", "--disc", "-23", "--S", *S], capsys)
+        assert code == 2 and out == "" and "cap" in err
+
+    def test_nonvanish_at_caps(self):
+        # the prime of 300 digits below 10^300 that splits in Z[i], q at its
+        # cap, and a k of 4,300 digits, Python's limit for int()
+        p, q = 10 ** cli.MAX_RESIDUE_P_DIGITS - 347, 99999989
+        assert isprime(p) and p % 4 == 1 and len(str(p)) == cli.MAX_RESIDUE_P_DIGITS
+        code, out = self._main_fresh(["nonvanish", "--d", "1", "--p", str(p), "--q", str(q),
+                                         "--lambda", "3+2*w", "--k", "9" * 4300])
+        assert code == 0
+        rec = json.loads(out)["records"][0]
+        assert rec["N1"] in (0, 1) and (p - 1) % q != 0
+
+    @pytest.mark.parametrize("p,q", [
+        (10 ** 300 + 7, 3),                         # 301 digits
+        (math.factorial(1477) + 1, 3),              # a prime of 4,042 digits
+        (5, cli.MAX_TOWER_Q + 7),                   # a prime past the q cap
+    ])
+    def test_nonvanish_past_caps_is_2(self, capsys, monkeypatch, p, q):
+        def no_embedding(*args):
+            raise AssertionError("tested a prime past the cap")
+        monkeypatch.setattr("iqtower.cli.ResidueEmbedding.create", no_embedding)
+        code, out, err = run_cli(["nonvanish", "--d", "1", "--p", str(p), "--q", str(q),
+                                  "--lambda", "3+2*w"], capsys)
+        assert code == 2 and out == "" and "cap" in err
+
+    def test_selmer_file_at_cap(self, tmp_path):
+        # the slowest file measured under the cap: torsion orders 2^k of
+        # 4,300 digits, whose 2-adic valuations take one division per bit
+        k = 14284
+        assert len(str(2 ** k)) == 4300
+        levels = [{"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0, "sel0": {"s": 0, "T": [2 ** k] * 15}}]
+        text = json.dumps({"label": "x", "q": 3, "d": 1, "p": 2, "levels": levels})
+        assert len(text) <= sr.MAX_TOWER_FILE_BYTES < len(text) * 16 / 15
+        path = tmp_path / "tower.json"
+        path.write_text(text)
+        code, out = self._main_fresh(["selmer", "--input", str(path)])
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["records"]] == [0]
+
+    def test_selmer_file_past_cap_is_4(self, capsys, tmp_path):
+        # 10^5 levels in 4.7 MB took 1.6-1.8 s before the cap (2-vCPU x86-64 VM)
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps({
+            "label": "x", "q": 3, "d": 1, "p": 5,
+            "levels": [{"n": n, "s_f": 0, "r_cl": 0, "r_cls": 0} for n in range(10 ** 5)]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["selmer", "--input", str(path)], capsys)
+        assert time.perf_counter() - start < 0.5
+        assert code == 4 and out == ""
+        assert f"exceeds the cap of {sr.MAX_TOWER_FILE_BYTES} bytes" in err
 
 
 class TestLargeSPrime:

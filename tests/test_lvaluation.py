@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError, _ideal_chunks,
                             canonical_associate, elements_up_to_norm, field,
                             primes_above, split_type)
-from iqtower.rayclass import (CharacterSpec, RayClassGroup, characters, ray_class_group,
-                              reduce_mod)
+from iqtower.rayclass import (CharacterSpec, RayClassGroup, _Factor, characters,
+                              ray_class_group, reduce_mod)
 
 from oracles import (DISTINCT_POWERS_MAX_DEGREE, coprime_rows, distinct_unity_powers,
                      euler_prime_ideals, field_elements, ideal_rows, lattice_zeta,
@@ -593,20 +594,22 @@ def _record_calls(monkeypatch, owners, name: str) -> dict:
     return calls
 
 
-def _assert_dlogs_once_per_chunk(tag, m, bound, calls):
-    """Each factor's dlogs ran once per chunk of the walk, on the distinct
-    unit residues modulo that factor of the chunk's entries, each once."""
+def _assert_dlogs_once_per_chunk(tag, m, bound, calls) -> list[list[int]]:
+    """Each factor's dlogs ran once per chunk of the walk, on all of that
+    chunk's entries coprime to the modulus, in walk order.  Returns, per
+    factor and call, the number of unit residue classes modulo that factor
+    the call met."""
     mask = _coprime_mask(m, bound)
-    chunks = [(ys[keep], xs[keep]) for ys, xs, _ in _ideal_chunks(tag, bound)
+    chunks = [(xs[keep], ys[keep]) for ys, xs, _ in _ideal_chunks(tag, bound)
               if (keep := mask(ys, xs)).any()]
+    met = []
     for f, seen in calls.items():
         assert len(seen) == len(chunks)
-        for (xs, ys), (chunk_ys, chunk_xs) in zip(seen, chunks):
-            got = [reduce_mod(OkElement(tag, x, y), f.modulus)
-                   for x, y in zip(xs.tolist(), ys.tolist())]
-            met = {reduce_mod(OkElement(tag, x, y), f.modulus)
-                   for x, y in zip(chunk_xs.tolist(), chunk_ys.tolist())}
-            assert len(set(got)) == len(got) and set(got) == met
+        for (xs, ys), (chunk_xs, chunk_ys) in zip(seen, chunks):
+            assert np.array_equal(xs, chunk_xs) and np.array_equal(ys, chunk_ys)
+        met.append([len({reduce_mod(OkElement(tag, x, y), f.modulus)
+                         for x, y in zip(xs.tolist(), ys.tolist())}) for xs, ys in seen])
+    return met
 
 
 @pytest.fixture(scope="module", params=CLASS_NUMBER_ONE_DS)
@@ -668,9 +671,10 @@ class TestChiTable:
         _assert_chunk_equals_per_class(tag, m, CharacterSpec((ell - 2,), 0), 300)
 
     def test_euler_product_adds_no_dlog(self, monkeypatch):
-        # (2+i) * 3 * (1+i)^3: each factor's dlogs sees the chunk's 4, 8 and 4
-        # unit residue classes once; no scalar dlog of a factor or of the
-        # whole modulus runs, and the product adds no dlogs call
+        # (2+i) * 3 * (1+i)^3: each factor's dlogs sees the chunk's coprime
+        # entries once, which meet its 4, 8 and 4 unit residue classes; no
+        # scalar dlog of a factor or of the whole modulus runs, and the
+        # product adds no dlogs call
         tag = field(1)
         m = OkElement(tag, 2, 1) * tag.from_int(3) * OkElement(tag, 1, 1) ** 3
         _l_values.cache_clear()
@@ -684,14 +688,39 @@ class TestChiTable:
         euler_product_L(tag, m, chi, 2.0, bound)
         assert calls == after_sum
         assert not any(scalar.values())
-        _assert_dlogs_once_per_chunk(tag, m, bound, calls)
-        assert [[len(xs) for xs, _ in calls[f]] for f in group.units.factors] == [[4], [8], [4]]
+        assert _assert_dlogs_once_per_chunk(tag, m, bound, calls) == [[4], [8], [4]]
         _assert_chunk_equals_per_class(tag, m, chi, bound)
+
+    def test_log_table_built_once_per_factor(self, monkeypatch):
+        # (2+i)^2 * 3 in Z[i]: two characters, each a Dirichlet sum and an
+        # Euler product at two bounds, build each factor's table once, as
+        # the character is set up
+        tag = field(1)
+        m = OkElement(tag, 2, 1) ** 2 * tag.from_int(3)
+        ray_class_group.cache_clear()
+        _l_values.cache_clear()
+        built = []
+
+        def log_table(f, build=_Factor._log_table.func):
+            built.append(f)
+            return build(f)
+        prop = cached_property(log_table)
+        prop.__set_name__(_Factor, "_log_table")
+        monkeypatch.setattr(_Factor, "_log_table", prop)
+        group = ray_class_group(m)
+        for chi in [c for c in characters(group) if c.order > 1][:2]:
+            _chi_table(m, chi)
+            assert built == group.units.factors
+            for bound in (300, 3000):
+                evaluate_imprimitive_L(tag, m, chi, 2.0, bound)
+                euler_product_L(tag, m, chi, 2.0, bound)
+            _assert_chunk_equals_per_class(tag, m, chi, 300)
+            assert built == group.units.factors
 
     def test_norm_cap_modulus(self, monkeypatch):
         # pi_997 * pi_1009 in Z[i], norm 1,005,973: the sum at B = 10^5 meets
         # 78,394 classes of the modulus in several chunks; each chunk's dlogs
-        # sees at most 996 and 1008 residues, and no scalar dlog runs
+        # meets at most 996 and 1008 residues, and no scalar dlog runs
         tag = field(1)
         m = primes_above(tag, 997)[0].generator * primes_above(tag, 1009)[0].generator
         group = ray_class_group(m)
@@ -706,8 +735,8 @@ class TestChiTable:
         assert elapsed < 1.5, elapsed
         assert not any(scalar.values())
         assert len(list(_ideal_chunks(tag, 10 ** 5))) > 1
-        _assert_dlogs_once_per_chunk(tag, m, 10 ** 5, calls)
-        assert [max(len(xs) for xs, _ in calls[f]) for f in group.units.factors] == [996, 1008]
+        met = _assert_dlogs_once_per_chunk(tag, m, 10 ** 5, calls)
+        assert [max(per_call) for per_call in met] == [996, 1008]
         table = _chi_table(m, chi)
         for y, xs, _ in coprime_rows(tag, m, 300):
             want = [per_ideal_chi(group, [chi], OkElement(tag, x, y))[0] for x in xs.tolist()]

@@ -381,7 +381,8 @@ def _with_factor_examples(test):
 
 
 class TestFactorDlogsArray:
-    """_Factor.dlogs, Pohlig-Hellman and the filtration walk over arrays,
+    """_Factor.dlogs, a gather from the factor's table of units up to
+    LOG_TABLE_MAX residues and the scalar dlog per distinct residue past it,
     equals the scalar dlog element by element, on both sides of its int64
     band."""
 

@@ -286,6 +286,60 @@ class TestSplitFactors:
                             == coords_order(ref.dlog(x), ref.orders)), (str(p), e, str(x))
 
 
+class TestLogTable:
+    """_Factor.dlogs gathers from a table of the factor's units up to
+    LOG_TABLE_MAX residues and runs the scalar dlog once per distinct
+    residue past it."""
+
+    def test_fallback_rows_are_words(self, monkeypatch):
+        # the every-word sweeps above check the table; here every factor of
+        # norm <= 300 is past its reach
+        monkeypatch.setattr(rayclass, "LOG_TABLE_MAX", 0)
+        powers = [(p, e) for p, e in _split_powers(300) + NONSPLIT_POWERS
+                  if p.norm() ** e <= 300]
+        assert len(powers) == 170
+        for p, e in powers:
+            U = UnitGroup(p.generator ** e)
+            assert U.factors[0]._log_table is None
+            _assert_dlogs_rows_are_words(U, list(_every_word(U)))
+
+    def test_fallback_runs_dlog_once_per_distinct_residue(self, monkeypatch):
+        # 3^2 in Z[i], 3 inert, and the 10^12-norm split prime: entries
+        # repeat residues mod the factor, as themselves and shifted by l^e
+        tag = field(1)
+        for m in (tag.from_int(3) ** 2, primes_above(tag, 1010523706733)[0].generator):
+            (f,) = UnitGroup(m).factors
+            monkeypatch.setattr(rayclass, "LOG_TABLE_MAX", f.int_mod - 1)
+            seen = []
+
+            def dlog(x, scalar=f.dlog):
+                seen.append(x)
+                return scalar(x)
+            monkeypatch.setattr(f, "dlog", dlog)
+            pairs = [(1, 1), (2, 5), (1, 1), (2 + f.int_mod, 5), (7, -f.int_mod), (7, 0)]
+            xs, ys = (np.array(v, dtype=f.dtype) for v in zip(*pairs))
+            rows = f.dlogs(xs, ys)
+            assert f._log_table is None
+            residues = [reduce_mod(OkElement(tag, x, y), f.modulus) for x, y in pairs]
+            assert len(seen) == len(set(residues)) == 3, str(m)
+            assert {reduce_mod(x, f.modulus) for x in seen} == set(residues), str(m)
+            assert rows.tolist() == [f.dlog(OkElement(tag, x, y)) for x, y in pairs], str(m)
+
+    def test_table_memory(self):
+        # the largest split prime of Z[i] under the CLI's norm cap: one int32
+        # per residue, and blocks of about sqrt(l) units beside it
+        f = UnitGroup(primes_above(field(1), 999961)[0].generator).factors[0]
+        tracemalloc.start()
+        try:
+            table = f._log_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.int32 and len(table) == 999961
+        assert np.array_equal(np.sort(table[table >= 0]), np.arange(999960))
+        assert peak < 4 * 999961 + 2 ** 19, peak
+
+
 def _scanned_root(p):
     """The image of omega at p by a linear scan over [0, l)."""
     tag = p.tag
