@@ -169,11 +169,24 @@ class QuotientPresentation:
 
 
 def padic_val(n: int, p: int) -> int:
-    """Exponent of the prime p in the nonzero integer n."""
-    v = 0
+    """Exponent of the prime p in the nonzero integer n: p, p^2, p^4, ...
+    are divided out while they divide, and then the same powers downwards,
+    O(log v) big-integer divisions."""
+    if n % p:
+        return 0
+    if not n:
+        raise GroupError("0 has no p-adic valuation")
+    v, k, powers = 0, 1, []
     while n % p == 0:
         n //= p
-        v += 1
+        v += k
+        powers.append(p)
+        p, k = p * p, 2 * k
+    while powers:
+        p, k = powers.pop(), k // 2
+        if n % p == 0:
+            n //= p
+            v += k
     return v
 
 

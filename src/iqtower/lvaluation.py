@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import isqrt
 from numbers import Integral
@@ -332,13 +332,17 @@ def _chi_table(modulus: OkElement, chi: CharacterSpec):
 def _character(modulus: OkElement, chi: CharacterSpec, s: float, bound: int):
     """Validate an L-value request; returns (zero, chi_at) with chi_at(ys, xs)
     chi at the ideals (x + y*omega) coprime to the modulus: 1.0 for the
-    trivial chi, so real sums stay real, and _chi_table's otherwise."""
+    trivial chi, so real sums stay real, and _chi_table's otherwise.  Each
+    exponent is reduced mod its invariant first: chi depends on it only
+    mod the invariant, and theta = c*v/n is exact only for v below it."""
     _check_truncation(s, bound)
     if chi.k != 0:
         raise OkError("only finite-order characters (k = 0) are evaluated")
-    if len(chi.exponents) != len(ray_class_group(modulus).presentation.invariants):
+    invariants = ray_class_group(modulus).presentation.invariants
+    if len(chi.exponents) != len(invariants):
         raise OkError("character exponent vector does not match the group")
-    if all(e == 0 for e in chi.exponents):
+    chi = replace(chi, exponents=tuple(v % n for v, n in zip(chi.exponents, invariants)))
+    if not any(chi.exponents):
         return 0.0, lambda ys, xs: np.broadcast_to(1.0, xs.shape)
     return 0j, _chi_table(modulus, chi)
 

@@ -15,7 +15,9 @@ enters through the ring isomorphism O_K/p^e = Z/l^e, which sends omega to
 A word in the generators is evaluated in each factor's own arithmetic and
 lifted to O_K/h once by CRT; generators are realised on demand, none drawn
 at random.  Discrete logs on arrays gather from a table of each factor's
-units (`_Factor._log_table`).  The layers of an anticyclotomic tower are all read off one unit group, that of its top layer.
+units (`_Factor._log_table`), formed at most LOG_TABLE_BLOCK units at a
+time.  The layers of an anticyclotomic tower are all read off one unit
+group, that of its top layer.
 
 Residues are reduced to a fixed fundamental domain (rounding division
 against the lattice basis {h, h*omega}), which makes representatives
@@ -43,6 +45,8 @@ from .okring import (FieldTag, OkElement, OkError, OkPrime, canonical_associate,
 # many residues: the CLI caps a modulus's norm at 10^6, so each prime-power
 # factor it admits has at most 10^6 residues and a table of at most 4 MB.
 LOG_TABLE_MAX = 2 ** 20
+# units per block of _Factor._log_table: they and their int64 products take < 2^19 bytes
+LOG_TABLE_BLOCK = 2 ** 12
 
 
 def reduce_mod(e: OkElement, modulus: OkElement) -> OkElement:
@@ -173,8 +177,8 @@ class _Factor:
     UnitGroup's callers (3-30 us a call).  dlogs, for the chunks of the
     L-walk, gathers from _log_table, a dense int32 table of the positions
     of the units among the products of the generators' powers, built once
-    per factor; past LOG_TABLE_MAX residues it runs dlog once per distinct
-    residue.
+    per factor in blocks of LOG_TABLE_BLOCK units; past LOG_TABLE_MAX
+    residues it runs dlog once per distinct residue.
     """
 
     def __init__(self, p: OkPrime, e: int):
@@ -322,34 +326,40 @@ class _Factor:
         """By _keys: the position of each unit in the enumeration of the
         products of the generators' powers, mixed radix over self.orders
         with the last generator fastest, and -1 at the non-units; None past
-        LOG_TABLE_MAX residues.  Per generator, isqrt(order) + 1 Python
-        products give the baby steps and the giant step; the units come in
-        blocks through _mul on arrays (exact in int64: l^e <= LOG_TABLE_MAX),
-        each block's keys scattered as it is formed."""
+        LOG_TABLE_MAX residues.  A generator h of order o has Python lists
+        baby = h^[0, w) and giant = h^(w*[0, o/w)), w = min(isqrt(o - 1) + 1,
+        LOG_TABLE_BLOCK).  The positions run in rows of w, one per giant
+        power of the last generator, taken in blocks of at most
+        LOG_TABLE_BLOCK positions: a gather per earlier generator on the
+        rows' digits, then one outer product with the last baby steps, by
+        _mul on arrays (exact in int64: l^e <= LOG_TABLE_MAX)."""
         a, _, g = self._box
         if a * g > LOG_TABLE_MAX:
             return None
         table = np.full(a * g, -1, dtype=np.int32)
-
-        def scatter(i, u, n):
-            # u: one block of the units prod_{j < i} g_j^(k_j), n their positions
-            if i == len(self._gens):
-                table[self._keys(*u)] = n
-                return
-            h, o, r = self._gens[i], self.orders[i], prod(self.orders[i + 1:])
-            baby = list(itertools.accumulate(range(isqrt(o - 1) + 1),
-                                             lambda v, _: self._mul(v, h), initial=(1, 0)))
-            giant = baby.pop()
-            u = self._mul(tuple(c[:, None] for c in u),
-                          tuple(np.array(c, dtype=self.dtype) for c in zip(*baby)))
-            n = n[:, None] + r * np.arange(len(baby))
-            for j in range(0, o, len(baby)):
-                w = min(len(baby), o - j)
-                scatter(i + 1, tuple(c[:, :w].reshape(-1) for c in u), n[:, :w].reshape(-1) + j * r)
-                u = self._mul(u, giant)
-
-        scatter(0, (np.ones(1, dtype=self.dtype), np.zeros(1, dtype=self.dtype)),
-                np.zeros(1, dtype=np.int64))
+        orders = self.orders or [1]          # Np = 2, e = 1: the unit 1 alone
+        powers = []
+        for h, o in zip(self._gens or [(1, 0)], orders):
+            # o <= LOG_TABLE_MAX: the min acts only on blocks under 2^10, set by tests
+            w = min(isqrt(o - 1) + 1, LOG_TABLE_BLOCK)
+            baby = [*itertools.accumulate(range(w), lambda v, _: self._mul(v, h), initial=(1, 0))]
+            step = baby.pop()
+            giant = itertools.accumulate(range((o - 1) // w), lambda v, _: self._mul(v, step),
+                                         initial=(1, 0))
+            powers.append((o, w, *(np.array(list(c), dtype=self.dtype).T for c in (baby, giant))))
+        *head, (o, w, baby, giant) = powers
+        rows = len(giant[0])
+        total, per_block = prod(orders[:-1]) * rows, LOG_TABLE_BLOCK // w
+        for r in range(0, total, per_block):
+            prefix, j = divmod(np.arange(r, min(r + per_block, total)), rows)
+            (x, y), digits = giant[:, j], prefix
+            for oi, wi, bi, gi in reversed(head):
+                digits, k = divmod(digits, oi)
+                x, y = self._mul((x, y), self._mul(bi[:, k % wi], gi[:, k // wi]))
+            k = j[:, None] * w + np.arange(w)
+            keep = k < o
+            x, y = self._mul((x[:, None], y[:, None]), baby[:, None])
+            table[self._keys(x[keep], y[keep])] = (prefix[:, None] * o + k)[keep]
         return table
 
     def dlogs(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

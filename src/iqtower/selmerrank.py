@@ -24,7 +24,7 @@ from .abgroup import padic_val
 # prime of a few thousand digits
 MAX_TOWER_Q = 10 ** 8
 # a tower file's size cap: 2^16 bytes hold over 800 levels, and layer n has
-# degree q^n >= 2^n over K; the slowest file under it takes 0.7 s
+# degree q^n >= 2^n over K
 MAX_TOWER_FILE_BYTES = 2 ** 16
 
 

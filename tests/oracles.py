@@ -9,7 +9,10 @@ lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, ray class characters are evaluated ideal by ideal with one
 discrete log each or residue class by residue class with one scalar
-discrete log per factor class, the Dirichlet sum and the Euler product
+discrete log per factor class, a factor's table of units for the array
+discrete logs comes from a recursion over its generators that steps by
+the giant step one numpy round at a time, p-adic valuations come from
+dividing by p one factor at a time, the Dirichlet sum and the Euler product
 come from two separate walks over the ideals, one row y at a time (its
 x-range from a float square root, padded by one and filtered by norm),
 keeping the ideals coprime to the modulus entry by entry in Python
@@ -50,6 +53,7 @@ from math import gcd, isqrt
 import numpy as np
 from sympy import divisors, factorint, n_order, primerange, primitive_root
 
+from iqtower import rayclass
 from iqtower.abgroup import GroupError, _pow, coords_order, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import (FFElement, FiniteField, _exact_dtype, _irreducible_rows,
@@ -424,6 +428,49 @@ def crt_lifted_gens(U) -> list[OkElement]:
         for g in f._gens:
             out.append(reduce_mod(one + lift * (OkElement(U.tag, *g) - one), U.modulus))
     return out
+
+
+def scattered_log_table(f) -> np.ndarray | None:
+    """The table of units of the factor f, built as _Factor._log_table
+    builds it but by recursion over the generators: each level multiplies
+    the units so far by the baby steps of its generator, then steps them by
+    the giant step one numpy round at a time, and the last level scatters
+    each block's keys."""
+    a, _, g = f._box
+    if a * g > rayclass.LOG_TABLE_MAX:
+        return None
+    table = np.full(a * g, -1, dtype=np.int32)
+
+    def scatter(i, u, n):
+        # u: one block of the units prod_{j < i} g_j^(k_j), n their positions
+        if i == len(f._gens):
+            table[f._keys(*u)] = n
+            return
+        h, o, r = f._gens[i], f.orders[i], math.prod(f.orders[i + 1:])
+        baby = list(itertools.accumulate(range(isqrt(o - 1) + 1),
+                                         lambda v, _: f._mul(v, h), initial=(1, 0)))
+        giant = baby.pop()
+        u = f._mul(tuple(c[:, None] for c in u),
+                   tuple(np.array(c, dtype=f.dtype) for c in zip(*baby)))
+        n = n[:, None] + r * np.arange(len(baby))
+        for j in range(0, o, len(baby)):
+            w = min(len(baby), o - j)
+            scatter(i + 1, tuple(c[:, :w].reshape(-1) for c in u), n[:, :w].reshape(-1) + j * r)
+            u = f._mul(u, giant)
+
+    scatter(0, (np.ones(1, dtype=f.dtype), np.zeros(1, dtype=f.dtype)),
+            np.zeros(1, dtype=np.int64))
+    return table
+
+
+def scanned_padic_val(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n, p divided out one
+    factor at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 # -- group-structure oracle ----------------------------------------------------

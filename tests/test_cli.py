@@ -131,6 +131,25 @@ class TestSubcommands:
         assert abs(rec["dirichlet"] - 1.50670) < 1e-3
         assert abs(rec["euler"] - 1.50670) < 1e-3
 
+    @pytest.mark.parametrize("modulus, invariants, v", [("5", (4,), (3,)),
+                                                         ("15", (4, 8), (1, 5))])
+    def test_lseries_char_reduced_mod_invariants(self, capsys, modulus, invariants, v):
+        # chi depends on each exponent only mod its invariant: any
+        # representative prints the records of the one in [0, n)
+        def records(exps):
+            code, out, _ = run_cli(["lseries", "--d", "1", "--modulus", modulus, "--s", "2.0",
+                                    "--B", "300", "--char=" + ",".join(map(str, exps))], capsys)
+            assert code == 0
+            return out[out.index('"records"'):]
+        assert ray_class_group(parse_element(field(1), modulus)).presentation.invariants == invariants
+        want = records(v)
+        for shift in (1, -3, 10 ** 30):
+            assert records([c + shift * n for c, n in zip(v, invariants)]) == want, shift
+        trivial = records([0] * len(v))
+        assert isinstance(json.loads("{" + trivial)["records"][0]["dirichlet"], float)
+        for shift in (1, -3, 10 ** 30):
+            assert records([shift * n for n in invariants]) == trivial, shift
+
     def test_classgroup(self, capsys):
         code, out, _ = run_cli(["classgroup", "--disc", "-23", "--S", "2"], capsys)
         rec = json.loads(out)["records"][0]
@@ -573,8 +592,8 @@ class TestCaps:
         assert code == 2 and out == "" and "cap" in err
 
     def test_selmer_file_at_cap(self, tmp_path):
-        # the slowest file measured under the cap: torsion orders 2^k of
-        # 4,300 digits, whose 2-adic valuations take one division per bit
+        # the costliest file measured under the cap, torsion orders 2^k of
+        # 4,300 digits, still runs
         k = 14284
         assert len(str(2 ** k)) == 4300
         levels = [{"n": 0, "s_f": 0, "r_cl": 0, "r_cls": 0, "sel0": {"s": 0, "T": [2 ** k] * 15}}]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, divisors, nextprime
+from sympy import Matrix, divisors, nextprime, primerange
 
-from iqtower.abgroup import _pow, _word_product, coords_order, padic_val, smith_normal_form
+from iqtower.abgroup import (GroupError, _pow, _word_product, coords_order, padic_val,
+                             smith_normal_form)
 from iqtower.classforms import QuadForm
 from iqtower.finitefield import finite_field
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, canonical_associate,
@@ -21,7 +22,7 @@ from iqtower.rayclass import (CharacterSpec, UnitGroup, _Factor, lcm_ideal, ray_
                               reduce_mod)
 from iqtower.selmerrank import _solve_growth
 
-from oracles import (coprime_rows, is_reduced, per_ideal_chi, solve_growth,
+from oracles import (coprime_rows, is_reduced, per_ideal_chi, scanned_padic_val, solve_growth,
                      united_form_compose)
 
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
@@ -97,6 +98,24 @@ class TestPadicVal:
         while n % p ** (v + 1) == 0:
             v += 1
         assert padic_val(n, p) == v
+
+    def test_equals_scan_on_small_range(self):
+        for p in primerange(2, 50):
+            for n in range(-10 ** 4, 10 ** 4 + 1):
+                if n:
+                    assert padic_val(n, p) == scanned_padic_val(n, p), (n, p)
+
+    @SETTINGS
+    @given(st.sampled_from(list(primerange(2, 50))), st.integers(0, 2 * 10 ** 4),
+           st.integers(-10 ** 12, 10 ** 12).filter(bool))
+    def test_high_powers(self, p, k, m):
+        # the scan on m alone: on p^k itself it would take k divisions
+        assert padic_val(p ** k * m, p) == k + scanned_padic_val(m, p)
+
+    def test_zero_raises(self):
+        for p in (2, 3, 47):
+            with pytest.raises(GroupError):
+                padic_val(0, p)
 
 
 class TestCoordsOrder:

@@ -13,15 +13,15 @@ from iqtower.classforms import class_group
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
                             omega_residue, primes_above, smallest_split_primes)
-from iqtower.rayclass import (RayClassElement, RayClassGroup, UnitGroup,
-                              anticyclotomic_tower,
+from iqtower.rayclass import (LOG_TABLE_BLOCK, RayClassElement, RayClassGroup, UnitGroup,
+                              _Factor, anticyclotomic_tower,
                               artin_symbol, characters, euler_phi,
                               lcm_degree_check, lcm_ideal, minus_quotient,
                               ray_class_group, reduce_mod, unit_group_structure)
 
 from oracles import (ReferenceSplitFactor, brute_euler_phi, brute_ray_degree,
                      brute_torsion_counts, crt_lifted_gens, is_coprime, mu_image_order,
-                     residues_mod, sylow_structure)
+                     residues_mod, scattered_log_table, sylow_structure)
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -325,9 +325,29 @@ class TestLogTable:
             assert {reduce_mod(x, f.modulus) for x in seen} == set(residues), str(m)
             assert rows.tolist() == [f.dlog(OkElement(tag, x, y)) for x, y in pairs], str(m)
 
+    @pytest.mark.parametrize("bound, blocks", [(3000, (None, "size")), (300, (7,)), (100, (1,))])
+    def test_equals_scatter_oracle(self, monkeypatch, bound, blocks):
+        # every prime-power factor of norm <= bound in the nine fields, its
+        # table built in blocks of the default size, of the table's exact
+        # size (one block, or two when a giant row is partial), and of 7 and
+        # 1 positions, where the rows shrink to fit
+        powers = [(p, e) for tag in ALL_TAGS for ell in primerange(2, bound + 1)
+                  for p in primes_above(tag, ell) for e in range(1, bound.bit_length())
+                  if p.norm() ** e <= bound]
+        assert len(powers) == {3000: 4131, 300: 669, 100: 292}[bound]
+        assert {(p.kind, e > 1) for p, e in powers} == {
+            (kind, high) for kind in ("split", "inert", "ramified") for high in (False, True)}
+        for p, e in powers:
+            f = _Factor(p, e)
+            want = scattered_log_table(f)
+            for block in blocks:
+                size = {None: LOG_TABLE_BLOCK, "size": p.norm() ** e}.get(block, block)
+                monkeypatch.setattr(rayclass, "LOG_TABLE_BLOCK", size)
+                assert np.array_equal(_Factor._log_table.func(f), want), (str(p), e, block)
+
     def test_table_memory(self):
         # the largest split prime of Z[i] under the CLI's norm cap: one int32
-        # per residue, and blocks of about sqrt(l) units beside it
+        # per residue, and blocks of at most LOG_TABLE_BLOCK units beside it
         f = UnitGroup(primes_above(field(1), 999961)[0].generator).factors[0]
         tracemalloc.start()
         try:
