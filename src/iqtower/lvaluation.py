@@ -42,8 +42,7 @@ from sympy.ntheory import sqrt_mod
 from .abgroup import padic_val
 from .finitefield import (FFElement, FieldError, FiniteField, _exact_dtype, _matmul_mod,
                           _mul_matrices, finite_field)
-from .okring import (FieldTag, OkElement, OkError, _ideal_chunks, factor, omega_residue,
-                     split_type)
+from .okring import FieldTag, OkElement, OkError, _ideal_chunks, omega_residue, split_type
 from .rayclass import CharacterSpec, _smith_coords, ray_class_group
 
 # unity_image builds F_{p^t} only up to this degree and raises OkError past it.
@@ -280,9 +279,9 @@ def _coprime_mask(modulus: OkElement, bound: int):
     <= bound are coprime to the modulus.  A prime of degree one over ell
     with omega = s mod it divides x + y*s iff x + y*s = 0 mod ell; an inert
     ell divides it iff ell | x and ell | y.  A prime of norm > bound divides
-    no such ideal."""
+    no such ideal.  The primes are those the ray class group factored."""
     primes = [(p.residue_char, None if p.kind == "inert" else omega_residue(p.generator))
-              for p, _ in factor(modulus).factors if p.norm() <= bound]
+              for p, _ in ray_class_group(modulus).units.prime_powers if p.norm() <= bound]
     # |x| and |y| stay below isqrt(4*bound) + 1
     lim = isqrt(4 * bound) + 1
 

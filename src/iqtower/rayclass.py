@@ -16,8 +16,8 @@ A word in the generators is evaluated in each factor's own arithmetic and
 lifted to O_K/h once by CRT; generators are realised on demand, none drawn
 at random.  Discrete logs on arrays gather from a table of each factor's
 units (`_Factor._log_table`), formed at most LOG_TABLE_BLOCK units at a
-time.  The layers of an anticyclotomic tower are all read off one unit
-group, that of its top layer.
+time.  The layers of an anticyclotomic tower are quotients of one Smith
+form, read off the unit group of its top layer: U_(n+1) = U_1^(q^n).
 
 Residues are reduced to a fixed fundamental domain (rounding division
 against the lattice basis {h, h*omega}), which makes representatives
@@ -586,9 +586,7 @@ def characters(group, *, exact_order: int | None = None,
         o = coords_order(vec, invariants)
         if exact_order is not None and o != exact_order:
             continue
-        q_order = 1
-        if q is not None:
-            q_order = q ** padic_val(o, q)
+        q_order = 1 if q is None else q ** padic_val(o, q)
         out.append(CharacterSpec(vec, o, q_order=q_order))
     return out
 
@@ -644,10 +642,14 @@ def anticyclotomic_tower(tag: FieldTag, q: int, depth: int) -> AnticyclotomicTow
     q >= 5: the minus quotient of the q-primary part of (O_K/q^(n+1))^x,
     whose order is the degree q^n of the n-th layer.
 
-    One unit group is built, for q^(depth+1).  For an odd unramified q the
-    kernel of its reduction to q^(n+1) is generated by 1 + q^(n+1) and
-    1 + q^(n+1)*omega, which lie in its q-primary part; layer n is that
-    part's minus quotient divided further by those two classes."""
+    One unit group is built, for q^(depth+1); every layer is a quotient of
+    one Smith form, that of the minus quotient M of its q-primary part.  For
+    q odd and unramified, the kernel U_(n+1) = 1 + q^(n+1)*O of the
+    reduction to q^(n+1) is U_1^(q^n): by the binomial expansion,
+    (1 + q^j*x)^q = 1 + q^(j+1)*x mod q^(j+2), as q | C(q,k) for 0 < k < q
+    and q*j >= j + 2, so the q-th power maps U_j onto U_(j+1) mod U_(j+2),
+    hence onto; and 1 + q, 1 + q*omega generate U_1.  Their discrete logs
+    are additive on the q-primary part: layer n is M modulo q^n times them."""
     if not isprime(q) or q < 5:
         raise OkError("q must be a prime >= 5")
     if split_type(tag, q) != "split":
@@ -655,13 +657,12 @@ def anticyclotomic_tower(tag: FieldTag, q: int, depth: int) -> AnticyclotomicTow
     if depth < 0:
         raise OkError("depth must be nonnegative")
     orders, sylow_dlog, rels = _minus_relations(UnitGroup(tag.from_int(q) ** (depth + 1)), q)
-    levels = []
-    prev_order = None
+    minus = QuotientPresentation.from_relations(orders, rels)
+    kernel = [minus.coords(sylow_dlog(OkElement(tag, *x))) for x in ((1 + q, 0), (1, q))]
+    levels, prev_order = [], 1           # layer 0 is trivial: U_1 is all of the q-part
     for n in range(depth + 1):
-        qn = q ** (n + 1)
-        kernel = [sylow_dlog(OkElement(tag, 1 + qn, 0)), sylow_dlog(OkElement(tag, 1, qn))]
-        pres = QuotientPresentation.from_relations(orders, rels + kernel)
-        deg = 1 if prev_order is None else pres.order // prev_order
-        levels.append(TowerLevel(n, pres.order, pres.invariants, deg))
+        pres = QuotientPresentation.from_relations(
+            list(minus.invariants), [[q ** n * c for c in v] for v in kernel])
+        levels.append(TowerLevel(n, pres.order, pres.invariants, pres.order // prev_order))
         prev_order = pres.order
     return AnticyclotomicTower(tag, q, tuple(levels))

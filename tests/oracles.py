@@ -9,7 +9,9 @@ lattices under the Minkowski bound, finite abelian groups given by all their
 elements are decomposed by Sylow counting, zeta values come from a direct
 lattice sum, ray class characters are evaluated ideal by ideal with one
 discrete log each or residue class by residue class with one scalar
-discrete log per factor class, a factor's table of units for the array
+discrete log per factor class, the layers of an anticyclotomic tower come
+from their own kernel logs, of 1 + q^(n+1) and 1 + q^(n+1)*omega, and one
+Smith form per layer, a factor's table of units for the array
 discrete logs comes from a recursion over its generators that steps by
 the giant step one numpy round at a time, p-adic valuations come from
 dividing by p one factor at a time, the Dirichlet sum and the Euler product
@@ -54,7 +56,7 @@ import numpy as np
 from sympy import divisors, factorint, n_order, primerange, primitive_root
 
 from iqtower import rayclass
-from iqtower.abgroup import GroupError, _pow, coords_order, padic_val
+from iqtower.abgroup import GroupError, QuotientPresentation, _pow, coords_order, padic_val
 from iqtower.classforms import FormError, QuadForm, _xgcd, check_discriminant
 from iqtower.finitefield import (FFElement, FiniteField, _exact_dtype, _irreducible_rows,
                                  _small_factor_screen, finite_field)
@@ -428,6 +430,25 @@ def crt_lifted_gens(U) -> list[OkElement]:
         for g in f._gens:
             out.append(reduce_mod(one + lift * (OkElement(U.tag, *g) - one), U.modulus))
     return out
+
+
+def tower_by_layer_kernels(tag, q: int, depth: int) -> list[rayclass.TowerLevel]:
+    """Layers 0..depth of the anticyclotomic tower at a split q, each built
+    on its own: the discrete logs of 1 + q^(n+1) and 1 + q^(n+1)*omega in
+    the q-primary part of the unit group of q^(depth+1), and a Smith form
+    of that part's orders, its minus relations and those two kernel
+    vectors, per layer."""
+    orders, sylow_dlog, rels = rayclass._minus_relations(
+        rayclass.UnitGroup(tag.from_int(q) ** (depth + 1)), q)
+    levels, prev_order = [], None
+    for n in range(depth + 1):
+        qn = q ** (n + 1)
+        kernel = [sylow_dlog(OkElement(tag, 1 + qn, 0)), sylow_dlog(OkElement(tag, 1, qn))]
+        pres = QuotientPresentation.from_relations(orders, rels + kernel)
+        deg = 1 if prev_order is None else pres.order // prev_order
+        levels.append(rayclass.TowerLevel(n, pres.order, pres.invariants, deg))
+        prev_order = pres.order
+    return levels
 
 
 def scattered_log_table(f) -> np.ndarray | None:

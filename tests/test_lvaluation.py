@@ -20,7 +20,7 @@ from iqtower.lvaluation import (EXPLICIT_FIELD_DEGREE_CAP, LSeriesValue,
                                 euler_factor_vanishes, euler_product_L,
                                 evaluate_imprimitive_L, unity_image)
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError, _ideal_chunks,
-                            canonical_associate, elements_up_to_norm, field,
+                            canonical_associate, elements_up_to_norm, factor, field,
                             primes_above, split_type)
 from iqtower.rayclass import (CharacterSpec, RayClassGroup, _Factor, characters,
                               ray_class_group, reduce_mod)
@@ -716,6 +716,26 @@ class TestChiTable:
                 euler_product_L(tag, m, chi, 2.0, bound)
             _assert_chunk_equals_per_class(tag, m, chi, 300)
             assert built == group.units.factors
+
+    @pytest.mark.parametrize("trivial", [True, False])
+    def test_modulus_factored_once_per_walk(self, monkeypatch, trivial):
+        # the coprime mask reads the primes off the ray class group that
+        # the character was set up with, so one walk factors the modulus once
+        tag = field(1)
+        m = OkElement(tag, 2, 1) ** 2 * tag.from_int(3)
+        chi = characters(ray_class_group(m))[0 if trivial else 1]
+        assert (chi.order == 1) == trivial
+        seen = []
+
+        def recording(e):
+            seen.append(e)
+            return factor(e)
+        monkeypatch.setattr("iqtower.rayclass.factor", recording)
+        monkeypatch.setattr("iqtower.lvaluation.factor", recording, raising=False)
+        ray_class_group.cache_clear()
+        _l_values.cache_clear()
+        _l_values(tag, m, chi, 2.0, 300)
+        assert seen == [canonical_associate(m)]
 
     def test_norm_cap_modulus(self, monkeypatch):
         # pi_997 * pi_1009 in Z[i], norm 1,005,973: the sum at B = 10^5 meets

@@ -12,7 +12,8 @@ from iqtower.abgroup import GroupError, QuotientPresentation, _pow, coords_order
 from iqtower.classforms import class_group
 from iqtower.okring import (CLASS_NUMBER_ONE_DS, OkElement, OkError,
                             canonical_associate, elements_up_to_norm, field,
-                            omega_residue, primes_above, smallest_split_primes)
+                            omega_residue, primes_above, smallest_split_primes,
+                            split_type)
 from iqtower.rayclass import (LOG_TABLE_BLOCK, RayClassElement, RayClassGroup, UnitGroup,
                               _Factor, anticyclotomic_tower,
                               artin_symbol, characters, euler_phi,
@@ -21,7 +22,8 @@ from iqtower.rayclass import (LOG_TABLE_BLOCK, RayClassElement, RayClassGroup, U
 
 from oracles import (ReferenceSplitFactor, brute_euler_phi, brute_ray_degree,
                      brute_torsion_counts, crt_lifted_gens, is_coprime, mu_image_order,
-                     residues_mod, scattered_log_table, sylow_structure)
+                     residues_mod, scattered_log_table, sylow_structure,
+                     tower_by_layer_kernels)
 
 ALL_TAGS = [field(d) for d in CLASS_NUMBER_ONE_DS]
 
@@ -668,6 +670,49 @@ class TestAnticyclotomicTower:
                     pres = minus_quotient(tag.from_int(q) ** (lv.n + 1), q)
                     assert (lv.order, lv.invariants) == (pres.order, pres.invariants), \
                         (tag.d, q, lv.n)
+
+    def test_layers_equal_layer_kernel_oracle(self):
+        # every field and split prime 5 <= q < 100, at depth 4: each layer
+        # against its own kernel logs and its own full Smith form
+        pairs = 0
+        for tag in ALL_TAGS:
+            for q in primerange(5, 100):
+                if split_type(tag, q) == "split":
+                    assert list(anticyclotomic_tower(tag, q, 4).levels) == \
+                        tower_by_layer_kernels(tag, q, 4), (tag.d, q)
+                    pairs += 1
+        assert pairs == 95
+
+    def test_dlogs_and_layer_forms_do_not_grow_with_depth(self, monkeypatch):
+        # a split q at depth >= 1: 2 dlogs for the minus relations of the two
+        # q-primary generators and 2 for the kernel, 1 + q and 1 + q*omega;
+        # at depth 0 the q-primary part is trivial and the kernel alone
+        # takes its 2.  Every layer's Smith form has one row per invariant
+        # of the minus quotient M, whose form is built just before them
+        dlogs, forms = [], []
+        dlog, from_relations = UnitGroup.dlog, QuotientPresentation.from_relations
+
+        def recording_dlog(self, e):
+            dlogs.append(e)
+            return dlog(self, e)
+
+        def recording_from_relations(cls, orders, extra):
+            forms.append(from_relations(orders, extra))
+            return forms[-1]
+        monkeypatch.setattr(UnitGroup, "dlog", recording_dlog)
+        monkeypatch.setattr(QuotientPresentation, "from_relations",
+                            classmethod(recording_from_relations))
+        for tag, q in ((field(1), 5), (field(2), 11), (field(7), 23)):
+            for depth in range(5):
+                dlogs.clear()
+                forms.clear()
+                anticyclotomic_tower(tag, q, depth)
+                assert len(dlogs) == (4 if depth else 2), (tag.d, q, depth)
+                assert dlogs[-2:] == [OkElement(tag, 1 + q, 0), OkElement(tag, 1, q)]
+                minus, *layers = forms[-depth - 2:]
+                assert len(minus.orders) == (2 if depth else 0)
+                assert [len(pres.orders) for pres in layers] == \
+                    [len(minus.invariants)] * (depth + 1), (tag.d, q, depth)
 
     def test_large_q_in_bounded_time_and_memory(self):
         # q - 1 = 2^2 * 6301 * 6311 * 6353: the q-part is read digit by
